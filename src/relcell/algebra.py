@@ -13,7 +13,7 @@ import json
 from typing import Any, Callable, NamedTuple, Optional
 
 from .field import Field, field_from_str, field_to_str
-from .linalg import Matrix, from_columns, stack_rows
+from .linalg import Echelon, Matrix, from_columns, stack_rows
 
 
 class AlgebraMismatch(Exception):
@@ -177,12 +177,6 @@ class Element:
         return " + ".join(bits)
 
 
-def multiply(a: Element, b: Element, alg: AlgebraTable = None) -> Element:
-    if alg is not None and (a.alg is not alg or b.alg is not alg):
-        raise AlgebraMismatch("element/algebra mismatch")
-    return a * b
-
-
 def unit_element(alg: AlgebraTable, idempotents: list[Element]) -> Element:
     """Sum of the given idempotents, verified to be a two-sided unit."""
     u = alg.zero_element()
@@ -231,33 +225,35 @@ class RepModule:
         return True
 
 
-def _left_inverse(B: Matrix) -> Matrix:
-    """L with L @ B = I for a full-column-rank B."""
-    f = B.field
-    k = B.cols
-    aug = Matrix.from_rows(f, [list(B.row(i)) + [f.one if j == i else f.zero for j in range(B.rows)] for i in range(B.rows)])
-    red, pivots = aug.rref()
-    if list(pivots[:k]) != list(range(k)):
-        raise AlgebraMismatch("vectors are not linearly independent")
-    return Matrix.from_rows(f, [list(red.row(r))[k:] for r in range(k)])
+def _span_module(alg: AlgebraTable, ech: Echelon, act) -> tuple[list[list], RepModule]:
+    """Module structure on the row space of `ech`, which must be stable.
 
-
-def _restrict_action(M: RepModule, basis_vectors: list[list]) -> RepModule:
-    """Module structure on the span of the given vectors (must be stable)."""
-    f = M.alg.field
-    k = len(basis_vectors)
-    if k == 0:
-        return RepModule(M.alg, 0, [Matrix(f, 0, 0, []) for _ in range(M.alg.dim)])
-    B = from_columns(f, basis_vectors, M.dim)
-    L = _left_inverse(B)
+    The basis is the RREF rows; `act(i, B)` returns the images under basis
+    element i of the columns of B.  Basis vector j is 1 at pivot column p_j
+    and every other basis vector is 0 there, so the coordinates of an image
+    in the span are its entries at the pivot columns.  Returns (basis rows,
+    module).
+    """
+    f = alg.field
+    red = ech.matrix()
+    B = red.transpose()
+    pivots = ech.pivots()
     action = []
-    for i in range(M.alg.dim):
-        img = M.action[i] @ B
-        X = L @ img
+    for i in range(alg.dim):
+        img = act(i, B)
+        X = Matrix(f, len(pivots), len(pivots), [x for p in pivots for x in img.row(p)])
         if B @ X != img:
             raise AlgebraMismatch("subspace is not action-stable")
         action.append(X)
-    return RepModule(M.alg, k, action)
+    return red.to_rows(), RepModule(alg, len(pivots), action)
+
+
+def _restrict_action(M: RepModule, vectors) -> tuple[list[list], RepModule]:
+    """The submodule of M spanned by the given vectors (must be stable)."""
+    ech = Echelon(M.alg.field, M.dim)
+    for v in vectors:
+        ech.insert(v)
+    return _span_module(M.alg, ech, lambda i, B: M.action[i] @ B)
 
 
 def quotient_module(M: RepModule, sub_vectors: list[list]) -> tuple[RepModule, Matrix]:
@@ -286,58 +282,13 @@ def quotient_module(M: RepModule, sub_vectors: list[list]) -> tuple[RepModule, M
     return RepModule(M.alg, len(free), action), P
 
 
-class _RowReducer:
-    """Incremental row echelon accumulator; insertion keeps rows reduced."""
-
-    def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self.pivot_rows: dict[int, list] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def insert(self, row: list) -> bool:
-        f = self.field
-        row = list(row)
-        for c in range(self.width):
-            x = row[c]
-            if not x:
-                continue
-            piv = self.pivot_rows.get(c)
-            if piv is None:
-                inv = f.inv(x)
-                if inv != f.one:
-                    row = [f.mul(inv, y) if y else y for y in row]
-                self.pivot_rows[c] = row
-                return True
-            row = [f.sub(a, f.mul(x, b)) if b else a for a, b in zip(row, piv)]
-        return False
-
-    def matrix(self) -> Matrix:
-        f = self.field
-        rows = [self.pivot_rows[c] for c in sorted(self.pivot_rows)]
-        return Matrix.from_rows(f, rows) if rows else Matrix(f, 0, self.width, [])
-
-
 def _action_pairs(M: RepModule, N: RepModule, alg: AlgebraTable):
-    """Deduplicated (rho_M(g), rho_N(g)) pairs over the generator set."""
-    pairs = []
-    seen = set()
+    """(rho_M(g), rho_N(g)) over the generator set, except pairs of zeros."""
     if alg.generators is None:
         it = ((M.action[i], N.action[i]) for i in range(alg.dim))
     else:
         it = ((M.act(g), N.act(g)) for _, g in alg.generators)
-    for A, B in it:
-        key = (A.entries, B.entries)
-        if key in seen:
-            continue
-        seen.add(key)
-        if A.is_zero() and B.is_zero():
-            continue
-        pairs.append((A, B))
-    return pairs
+    return [(A, B) for A, B in it if not (A.is_zero() and B.is_zero())]
 
 
 def hom_space(M: RepModule, N: RepModule, alg: AlgebraTable = None) -> list[Matrix]:
@@ -351,30 +302,21 @@ def hom_space(M: RepModule, N: RepModule, alg: AlgebraTable = None) -> list[Matr
     if nm == 0 or nn == 0:
         return []
     nunk = nn * nm
-    red = _RowReducer(f, nunk)
-    zero_row = [f.zero] * nunk
+    ech = Echelon(f, nunk)
     for A, B in _action_pairs(M, N, alg):
         # constraint: X A - B X = 0, unknowns X[r][c] flattened r*nm+c
         for r in range(nn):
             for c in range(nm):
-                row = list(zero_row)
-                for k in range(nm):
-                    a = A[k, c]
-                    if a:
-                        row[r * nm + k] = f.add(row[r * nm + k], a)
+                row = {r * nm + k: A[k, c] for k in range(nm) if A[k, c]}
                 for k in range(nn):
                     b = B[r, k]
                     if b:
-                        row[k * nm + c] = f.sub(row[k * nm + c], b)
-                if any(row):
-                    red.insert(row)
-        if red.rank == nunk:
+                        j = k * nm + c
+                        row[j] = f.sub(row.get(j, f.zero), b)
+                ech.insert(row)
+        if ech.rank == nunk:
             return []
-    if red.rank == 0:
-        sol = [[f.one if t == s else f.zero for s in range(nunk)] for t in range(nunk)]
-    else:
-        sol = red.matrix().nullspace_basis()
-    return [Matrix(f, nn, nm, v) for v in sol]
+    return [Matrix(f, nn, nm, v) for v in ech.nullspace_basis()]
 
 
 def radical_of_module(M: RepModule, simples: list[RepModule]) -> tuple[list[list], RepModule]:
@@ -384,11 +326,8 @@ def radical_of_module(M: RepModule, simples: list[RepModule]) -> tuple[list[list
     for L in simples:
         homs.extend(hom_space(M, L))
     if not homs:
-        vecs = [[f.one if i == j else f.zero for j in range(M.dim)] for i in range(M.dim)]
-        return vecs, _restrict_action(M, vecs)
-    H = stack_rows(f, homs)
-    vecs = H.nullspace_basis()
-    return vecs, _restrict_action(M, vecs)
+        return _restrict_action(M, [[f.one if i == j else f.zero for j in range(M.dim)] for i in range(M.dim)])
+    return _restrict_action(M, stack_rows(f, homs).nullspace_basis())
 
 
 def composition_multiplicities(M: RepModule, simples: list[RepModule]) -> list[int]:
@@ -413,40 +352,28 @@ def composition_multiplicities(M: RepModule, simples: list[RepModule]) -> list[i
             layer_homs.extend(homs)
         if head_dim == 0:
             raise NonIntegralMultiplicity("module has no map to any given simple; simples incomplete?")
-        vecs = stack_rows(f, layer_homs).nullspace_basis()
-        current = _restrict_action(current, vecs)
+        _, current = _restrict_action(current, stack_rows(f, layer_homs).nullspace_basis())
     if sum(m * L.dim for m, L in zip(mults, simples)) != M.dim:
         raise NonIntegralMultiplicity("multiplicities do not account for the full dimension")
     return mults
 
 
-def regular_module(alg: AlgebraTable) -> RepModule:
-    """The left regular module on the basis of the algebra itself."""
-    f = alg.field
-    n = alg.dim
-    action = []
-    for i in range(n):
-        cols = []
-        for j in range(n):
-            prod = alg.mult_basis(i, j)
-            cols.append([prod.get(r, f.zero) for r in range(n)])
-        action.append(from_columns(f, cols, n))
-    return RepModule(alg, n, action)
-
-
 def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:
-    """The left module R*e on a column basis of the right-multiplication image."""
+    """The left module R*e on the RREF basis of {b_i * e}; b_i acts by the
+    algebra product."""
     f = alg.field
     n = alg.dim
-    cols = []
+    ech = Echelon(f, n)
     for i in range(n):
-        prod = alg.basis_element(i) * e
-        cols.append([prod.coeffs.get(r, f.zero) for r in range(n)])
-    A = from_columns(f, cols, n)
-    red, pivots = A.transpose().rref()
-    vecs = [list(red.row(r)) for r in range(len(pivots))]
-    reg = regular_module(alg)
-    return _restrict_action(reg, vecs)
+        ech.insert((alg.basis_element(i) * e).coeffs)
+    basis = [alg.element(dict(enumerate(v))) for v in ech.matrix().to_rows()]
+
+    def act(i, B):  # the columns of B are `basis`
+        x = alg.basis_element(i)
+        prods = [(x * y).coeffs for y in basis]
+        return from_columns(f, [[p.get(r, f.zero) for r in range(n)] for p in prods], n)
+
+    return _span_module(alg, ech, act)[1]
 
 
 # --- serialization ----------------------------------------------------------

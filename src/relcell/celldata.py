@@ -8,7 +8,6 @@ matrices with the reciprocity check, semisimplicity, idempotent cores.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -23,6 +22,7 @@ from .algebra import (
     quotient_module,
     unit_element,
 )
+from .field import QQ
 from .linalg import Matrix
 
 
@@ -39,10 +39,6 @@ class RouteMismatch(Exception):
 
 
 class ReciprocityFailure(Exception):
-    pass
-
-
-class NotPrimitive(Exception):
     pass
 
 
@@ -259,7 +255,6 @@ def verify_cell_datum(d: CellDatum) -> VerificationReport:
 
     # (d) left multiplication rule, with T-independence of the coefficients
     witness = None
-    rcoeffs: dict = {}
     for i in range(alg.dim):
         if witness:
             break
@@ -301,8 +296,6 @@ def verify_cell_datum(d: CellDatum) -> VerificationReport:
                 if other != vals[0]:
                     witness = f"r_a(S',S) depends on T for a={alg.basis[i]}, lambda={lam}"
                     break
-            if witness is None and vals:
-                rcoeffs[(i, lam)] = vals[0]
     results.append(AxiomResult("d:mult-left", witness is None, witness))
 
     # unit: sum of E is a two-sided identity
@@ -492,37 +485,11 @@ def int_transpose(A: list[list[int]]) -> list[list[int]]:
 
 
 def leading_principal_minors(C: list[list[int]]) -> list[Fraction]:
-    out = []
-    n = len(C)
-    for k in range(1, n + 1):
-        m = [[Fraction(C[i][j]) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        for c in range(k):
-            piv = None
-            for r in range(c, k):
-                if m[r][c] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                det = Fraction(0)
-                break
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, k):
-                if m[r][c] != 0:
-                    fac = m[r][c] * inv
-                    m[r] = [x - fac * y for x, y in zip(m[r], m[c])]
-        out.append(det)
-    return out
+    return [Matrix.from_int_rows(QQ, [r[:k] for r in C[:k]]).det() for k in range(1, len(C) + 1)]
 
 
 def det_int(C: list[list[int]]) -> Fraction:
-    if not C:
-        return Fraction(1)
-    return leading_principal_minors(C)[-1]
+    return Matrix.from_int_rows(QQ, C).det()
 
 
 def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list[list[int]]] = None):
@@ -538,19 +505,24 @@ def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list
     minors = leading_principal_minors(C)
     if any(m < 0 for m in minors):
         raise ReciprocityFailure("Cartan matrix not positive semidefinite")
-    if d.primitive_idempotents:
-        simples = [ss.modules[lam] for lam in ss.X0]
-        for ri, lam in enumerate(ss.X0):
-            e = d.primitive_idempotents.get(lam)
-            if e is None:
-                continue
-            P = left_ideal_module(d.alg, e)
-            row = composition_multiplicities(P, simples)
-            if row != C[ri]:
-                raise ReciprocityFailure(
-                    f"[P({lam}):L(mu)] = {row} disagrees with (D^T D) row {C[ri]}"
-                )
+    simples = [ss.modules[lam] for lam in ss.X0]
+    for ri, lam, e in _projective_checks(d, ss):
+        row = composition_multiplicities(left_ideal_module(d.alg, e), simples)
+        if row != C[ri]:
+            raise ReciprocityFailure(
+                f"[P({lam}):L(mu)] = {row} disagrees with (D^T D) row {C[ri]}"
+            )
     return C, D, minors
+
+
+def _projective_checks(d: CellDatum, ss: SimpleSet) -> list:
+    """(row of C, lambda, e(lambda)) for each lambda in X0 whose primitive
+    idempotent is registered: the rows reciprocity checks via P(lambda)."""
+    return [
+        (ri, lam, d.primitive_idempotents[lam])
+        for ri, lam in enumerate(ss.X0)
+        if lam in d.primitive_idempotents
+    ]
 
 
 def is_semisimple(d: CellDatum, ss: Optional[SimpleSet] = None) -> bool:
@@ -563,18 +535,6 @@ def is_semisimple(d: CellDatum, ss: Optional[SimpleSet] = None) -> bool:
     if full_rank != all_in_x0:
         raise RouteMismatch("semisimplicity criteria disagree")
     return full_rank
-
-
-def match_primitive_idempotent(d: CellDatum, e: Element, ss: Optional[SimpleSet] = None):
-    """The unique lambda in X0 on whose simple e acts nonzero."""
-    if ss is None:
-        ss = simple_set(d)
-    if e * e != e:
-        raise NotPrimitive("element is not idempotent")
-    hits = [lam for lam in ss.X0 if not ss.modules[lam].act(e).is_zero()]
-    if len(hits) != 1:
-        raise NotPrimitive(f"idempotent acts nonzero on {len(hits)} simples")
-    return hits[0]
 
 
 def core_subalgebra(d: CellDatum, eps_idx: int) -> tuple[AlgebraTable, CellDatum]:
@@ -624,14 +584,6 @@ def core_subalgebra(d: CellDatum, eps_idx: int) -> tuple[AlgebraTable, CellDatum
     return core, datum
 
 
-def projective_dims(d: CellDatum, ss: Optional[SimpleSet] = None) -> dict:
-    """dim R e for each registered primitive idempotent e(lam)."""
-    out = {}
-    for lam, e in d.primitive_idempotents.items():
-        out[lam] = left_ideal_module(d.alg, e).dim
-    return out
-
-
 def report_dict(d: CellDatum) -> dict:
     """The JSON report: axioms, X0, simple dims, D, C, reciprocity, ss."""
     rep = verify_cell_datum(d)
@@ -646,10 +598,8 @@ def report_dict(d: CellDatum) -> dict:
         "simple_dims": {str(lam): ss.dims[lam] for lam in ss.X0},
         "D": D,
         "C": C,
-        "reciprocity_ok": True,
+        # null when no P(lambda) was checked; a failed check raises above
+        "reciprocity_ok": True if _projective_checks(d, ss) else None,
         "semisimple": is_semisimple(d, ss),
     }
 
-
-def report_json(d: CellDatum) -> str:
-    return json.dumps(report_dict(d), indent=1, sort_keys=True)

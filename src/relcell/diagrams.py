@@ -343,10 +343,6 @@ def orient_circle_with_tag(cups, caps, n, tag: str) -> dict:
 # --- text notation ----------------------------------------------------------
 
 
-def format_weight(w: str) -> str:
-    return w
-
-
 def parse_weight(s: str, n: int) -> str:
     s = s.strip()
     if len(s) != 2 * n or any(c not in (DOWN, UP) for c in s):

@@ -19,16 +19,13 @@ class UnknownFamily(ValueError):
     pass
 
 
-DEFAULT_MAX_DIM = 2000
-
-
 def max_dim_limit(cli_value=None) -> int:
     if cli_value is not None:
         return cli_value
     env = os.environ.get("RELCELL_MAX_DIM")
     if env:
         return int(env)
-    return DEFAULT_MAX_DIM
+    return annular.DEFAULT_MAX_DIM
 
 
 def parse_family(spec: str):

@@ -1,8 +1,9 @@
-"""Dense exact matrices: rref, rank, nullspace, solving, products.
+"""Dense exact matrices and the one elimination kernel behind them.
 
-Plain Gaussian elimination with first-nonzero pivoting.  All instances in
-this project are small (a few hundred rows at most), so no fraction-free
-tricks are needed; exactness is the only requirement.
+`Echelon` keeps an incrementally built reduced row echelon form over any
+field; `Matrix.rref`, `rank`, `nullspace_basis`, `solve` and `det` are all
+read off it, as are the hom spaces and submodules in `algebra`.  Exactness
+is the only requirement, so there are no fraction-free tricks.
 """
 
 from __future__ import annotations
@@ -128,54 +129,28 @@ class Matrix:
             [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
         )
 
+    def _echelon(self) -> "Echelon":
+        ech = Echelon(self.field, self.cols)
+        for i in range(self.rows):
+            ech.insert(self.row(i))
+        return ech
+
     def rref(self):
-        """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
+        """Reduced row echelon form; returns (Matrix, pivot column tuple).
+
+        The form keeps this matrix's shape: zero rows follow the pivot rows.
+        """
         f = self.field
-        m = self.to_rows()
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            sel = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            m[r], m[sel] = m[sel], m[r]
-            piv = f.inv(m[r][c])
-            if piv != f.one:
-                m[r] = [f.mul(piv, x) if x else x for x in m[r]]
-            row_r = m[r]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    factor = m[i][c]
-                    m[i] = [f.sub(x, f.mul(factor, y)) if y else x for x, y in zip(m[i], row_r)]
-            pivots.append(c)
-            r += 1
-        return Matrix.from_rows(f, m) if m else Matrix(f, 0, self.cols, []), tuple(pivots)
+        ech = self._echelon()
+        zeros = (f.zero,) * ((self.rows - ech.rank) * self.cols)
+        return Matrix(f, self.rows, self.cols, ech.matrix().entries + zeros), ech.pivots()
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return self._echelon().rank
 
     def nullspace_basis(self):
         """Canonical basis: one vector per free column, -1 in its free slot."""
-        f = self.field
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        basis = []
-        minus_one = f.neg(f.one)
-        for free in range(self.cols):
-            if free in pivset:
-                continue
-            v = [f.zero] * self.cols
-            v[free] = minus_one
-            for r, pc in enumerate(pivots):
-                v[pc] = red[r, free]
-            basis.append(v)
-        return basis
+        return self._echelon().nullspace_basis()
 
     def solve(self, b):
         """One solution x of A x = b, or None if inconsistent."""
@@ -193,15 +168,113 @@ class Matrix:
             x[pc] = red[r, self.cols]
         return x
 
-    def solve_matrix(self, B: "Matrix"):
-        """X with self @ X = B (columnwise), or None if any column fails."""
-        cols = []
-        for j in range(B.cols):
-            x = self.solve([B[i, j] for i in range(B.rows)])
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_rows(self.field, [[cols[j][i] for j in range(B.cols)] for i in range(self.cols)])
+    def det(self):
+        """Determinant: the product of the pivot values met while inserting
+        the rows in order, times the sign of the order of their pivot columns.
+
+        Inserting row i subtracts multiples of earlier rows only, and the
+        reduced row is zero at every earlier pivot, so the reduced rows form
+        a triangular matrix once their columns are put in pivot order.
+        """
+        if self.rows != self.cols:
+            raise ShapeMismatch(f"determinant of a {self.rows}x{self.cols} matrix")
+        f = self.field
+        ech = Echelon(f, self.cols)
+        det = f.one
+        order = []
+        for i in range(self.rows):
+            got = ech.insert(self.row(i))
+            if got is None:
+                return f.zero
+            order.append(got[0])
+            det = f.mul(det, got[1])
+        inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+        return f.neg(det) if inversions % 2 else det
+
+
+class Echelon:
+    """Incremental reduced row echelon form; the one elimination in relcell.
+
+    Rows are stored as sparse {column: scalar} dicts.  Every stored row is 1
+    at its pivot column and 0 at every other pivot column, so the canonical
+    RREF of all rows inserted so far can be read off at any time.
+    """
+
+    def __init__(self, field: Field, width: int):
+        self.field = field
+        self.width = width
+        self._rows: dict[int, dict] = {}  # pivot column -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def pivots(self) -> tuple:
+        return tuple(sorted(self._rows))
+
+    def insert(self, row):
+        """Add a row, given densely or as a sparse {column: scalar} dict.
+
+        Returns None if the row depends on the rows already inserted, else
+        (pivot column, entry at the pivot column after reduction and before
+        scaling to 1).
+        """
+        f = self.field
+        rows = self._rows
+        row = {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+        # stored rows vanish at every other pivot, so the pivot entries of
+        # `row` are not changed by eliminating the ones before them
+        for c in [c for c in row if c in rows]:
+            _axpy(f, row, row[c], rows[c])
+        if not row:
+            return None
+        c = min(row)
+        x = row[c]
+        inv = f.inv(x)
+        if inv != f.one:
+            row = {j: f.mul(inv, y) for j, y in row.items()}
+        for other in rows.values():
+            y = other.get(c)
+            if y:
+                _axpy(f, other, y, row)
+        rows[c] = row
+        return c, x
+
+    def matrix(self) -> Matrix:
+        """The nonzero rows of the RREF, in pivot order."""
+        f = self.field
+        entries = []
+        for c in self.pivots():
+            dense = [f.zero] * self.width
+            for j, x in self._rows[c].items():
+                dense[j] = x
+            entries.extend(dense)
+        return Matrix(f, self.rank, self.width, entries)
+
+    def nullspace_basis(self):
+        """Canonical basis: one vector per free column, -1 in its free slot."""
+        f = self.field
+        minus_one = f.neg(f.one)
+        basis = {}
+        for free in range(self.width):
+            if free not in self._rows:
+                basis[free] = [f.zero] * self.width
+                basis[free][free] = minus_one
+        for pc, row in self._rows.items():
+            for j, x in row.items():
+                if j != pc:
+                    basis[j][pc] = x
+        return list(basis.values())
+
+
+def _axpy(f: Field, row: dict, a, pivot_row: dict):
+    """row -= a * pivot_row, in place, keeping row free of zero entries."""
+    for j, y in pivot_row.items():
+        v = f.sub(row.get(j, f.zero), f.mul(a, y))
+        if v:
+            row[j] = v
+        else:
+            row.pop(j, None)
 
 
 def stack_rows(field: Field, matrices) -> Matrix:

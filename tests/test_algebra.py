@@ -3,13 +3,14 @@ import random
 import pytest
 
 from relcell.algebra import (
+    AlgebraMismatch,
     NotUnital,
+    _restrict_action,
     composition_multiplicities,
     hom_space,
     left_ideal_module,
     quotient_module,
     radical_of_module,
-    regular_module,
     table_from_json,
     table_to_json,
     unit_element,
@@ -143,10 +144,19 @@ def test_quotient_module_dims(u3):
 
 
 def test_regular_module_action(zigzag_a3):
-    alg, _ = zigzag_a3
-    reg = regular_module(alg)
+    alg, d = zigzag_a3
+    reg = left_ideal_module(alg, unit_element(alg, d.E))
     assert reg.dim == alg.dim
     assert reg.check_action()
+
+
+def test_restrict_to_unstable_subspace_raises(zigzag_a3):
+    # span{e_0} in the regular module: arrows out of vertex 0 leave it
+    alg, d = zigzag_a3
+    reg = left_ideal_module(alg, unit_element(alg, d.E))
+    e0 = [d.E[0].coeffs.get(i, alg.field.zero) for i in range(alg.dim)]
+    with pytest.raises(AlgebraMismatch):
+        _restrict_action(reg, [e0])
 
 
 def test_serialization_roundtrip(zigzag_cycs3):

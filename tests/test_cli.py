@@ -30,6 +30,14 @@ def test_verify_json_schema(capsys):
     assert set(doc) == {"axioms", "X0", "simple_dims", "D", "C", "reciprocity_ok", "semisimple"}
     assert doc["C"] == [[2, 2], [2, 2]]
     assert doc["semisimple"] is False
+    assert doc["reciprocity_ok"] is True
+
+
+def test_verify_json_reciprocity_unchecked(capsys):
+    # usl2 registers no primitive idempotents, so no P(lambda) is checked
+    code, out, _ = run(capsys, "verify", "usl2:p=3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["reciprocity_ok"] is None
 
 
 def test_mult_annular(capsys):

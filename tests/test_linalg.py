@@ -1,9 +1,11 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcell.field import PrimeField, QQ
-from relcell.linalg import Matrix, ShapeMismatch
+from relcell.linalg import Echelon, Matrix, ShapeMismatch
 
 
 def diag(field, values):
@@ -46,6 +48,61 @@ def test_nullspace_vectors_kill(m):
         col = Matrix(f, m.cols, 1, v)
         assert (m @ col).is_zero()
     assert m.rank() + len(m.nullspace_basis()) == m.cols
+
+
+@given(small_matrix(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_echelon_insertion_matches_rref(m, rnd):
+    # the stored form is the canonical RREF of the rows so far, whatever
+    # their order, and rows may be given dense or as sparse dicts
+    order = list(range(m.rows))
+    rnd.shuffle(order)
+    ech = Echelon(m.field, m.cols)
+    for t, i in enumerate(order):
+        row = m.row(i)
+        ech.insert(row if t % 2 else {j: x for j, x in enumerate(row) if x})
+        prefix = Matrix.from_rows(m.field, [m.row(k) for k in sorted(order[: t + 1])])
+        red, piv = prefix.rref()
+        assert ech.pivots() == piv
+        assert ech.matrix() == Matrix(m.field, len(piv), m.cols, red.entries[: len(piv) * m.cols])
+    # the RREF spans the rows: each row is its pivot entries times the RREF
+    red = ech.matrix()
+    pick = Matrix.from_rows(m.field, [[m[i, c] for c in ech.pivots()] for i in range(m.rows)])
+    assert pick @ red == m
+
+
+def square_matrix(field, n):
+    ints = st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)
+    return ints.map(lambda xs: Matrix(field, n, n, [field.from_int(x) for x in xs]))
+
+
+det_fields = st.sampled_from([QQ, PrimeField(3), PrimeField(5)])
+
+
+def leibniz_det(m):
+    f = m.field
+    total = f.zero
+    for perm in permutations(range(m.rows)):
+        term = f.one
+        for i, j in enumerate(perm):
+            term = f.mul(term, m[i, j])
+        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+        total = f.add(total, f.neg(term) if inversions % 2 else term)
+    return total
+
+
+@given(st.data(), det_fields, st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_det_matches_leibniz_and_is_multiplicative(data, field, n):
+    a = data.draw(square_matrix(field, n))
+    b = data.draw(square_matrix(field, n))
+    assert a.det() == leibniz_det(a)
+    assert (a @ b).det() == field.mul(a.det(), b.det())
+
+
+def test_det_rejects_non_square():
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_int_rows(QQ, [[1, 2]]).det()
 
 
 @given(small_matrix())
