@@ -2,14 +2,18 @@
 
 An AlgebraTable stores an ordered basis of (lambda, S, T) labels, a
 multiplication rule on basis pairs (memoized callback or explicit table),
-and the star permutation.  Modules are dense action matrices; hom spaces,
-radicals and composition multiplicities are computed by exact linear
-algebra over the table's field.
+the star permutation and a Peirce-block mask: a left and a right block key
+per basis element, with b_i * b_j = 0 by declaration unless the right key
+of i equals the left key of j.  Masked products never reach the rule or the
+memo, and products, sweeps and materialization visit only unmasked pairs.
+Modules are dense action matrices; hom spaces, radicals and composition
+multiplicities are computed by exact linear algebra over the table's field.
 """
 
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import Any, Callable, NamedTuple, Optional
 
 from .field import Field, field_from_str, field_to_str
@@ -34,6 +38,10 @@ class BasisLabel(NamedTuple):
     T: Any
 
 
+# the product of a masked pair; shared, so it must stay read-only
+ZERO_PRODUCT = MappingProxyType({})
+
+
 class AlgebraTable:
     """Basis-indexed multiplication table with a star anti-involution.
 
@@ -41,6 +49,12 @@ class AlgebraTable:
     sparse {index: scalar} dict.  Products are memoized, so families with a
     large basis (K_3 has dimension 1664) never materialize the full table
     unless asked to.
+
+    blocks = (left, right) gives one left and one right block key per basis
+    element (the Peirce idempotents e, f with b = e b f).  A pair (i, j) with
+    right[i] != left[j] is masked: its product is zero without a call to
+    mult_fn.  blocks=None puts every element in one block, so nothing is
+    masked.
     """
 
     def __init__(
@@ -51,6 +65,7 @@ class AlgebraTable:
         star: tuple[int, ...],
         generators: Optional[list[tuple[str, "Element"]]] = None,
         name: str = "",
+        blocks: Optional[tuple[list, list]] = None,
     ):
         self.field = field
         self.basis = list(basis)
@@ -62,6 +77,14 @@ class AlgebraTable:
         self.star_perm = tuple(star)
         self.generators = generators
         self.name = name
+        if blocks is None:
+            blocks = ((None,) * self.dim, (None,) * self.dim)
+        self.left_block, self.right_block = (tuple(keys) for keys in blocks)
+        if not len(self.left_block) == len(self.right_block) == self.dim:
+            raise ValueError("need one left and one right block key per basis element")
+        self._by_left: dict[Any, list[int]] = {}
+        for j, key in enumerate(self.left_block):
+            self._by_left.setdefault(key, []).append(j)
 
     @property
     def dim(self) -> int:
@@ -73,7 +96,13 @@ class AlgebraTable:
         alg._memo = dict(table)
         return alg
 
+    def partners(self, i: int) -> list[int]:
+        """The j (ascending) for which b_i * b_j is not masked; a shared list."""
+        return self._by_left.get(self.right_block[i], [])
+
     def mult_basis(self, i: int, j: int) -> dict[int, Any]:
+        if self.right_block[i] != self.left_block[j]:
+            return ZERO_PRODUCT
         key = (i, j)
         got = self._memo.get(key)
         if got is None:
@@ -82,8 +111,9 @@ class AlgebraTable:
         return got
 
     def materialize(self) -> dict:
+        """Compute every unmasked product; the memo, which holds no masked pair."""
         for i in range(self.dim):
-            for j in range(self.dim):
+            for j in self.partners(i):
                 self.mult_basis(i, j)
         return self._memo
 
@@ -143,20 +173,25 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
-        f = self.alg.field
+        alg = self.alg
+        f = alg.field
+        left, right = alg.left_block, alg.right_block
         out: dict[int, Any] = {}
         for i, a in self.coeffs.items():
+            ri = right[i]
             for j, b in other.coeffs.items():
+                if left[j] != ri:
+                    continue
                 ab = f.mul(a, b)
                 if not ab:
                     continue
-                for k, c in self.alg.mult_basis(i, j).items():
+                for k, c in alg.mult_basis(i, j).items():
                     v = f.add(out.get(k, f.zero), f.mul(ab, c))
                     if v:
                         out[k] = v
                     else:
                         out.pop(k, None)
-        return Element(self.alg, out)
+        return Element(alg, out)
 
     def star(self) -> "Element":
         return self.alg.star_element(self)

@@ -277,7 +277,9 @@ def build_annular(n: int, field: Field, max_dim: int = DEFAULT_MAX_DIM) -> tuple
         return {index[BasisLabel(w, S, T)]: field.from_int(c) for (S, w, T), c in raw.items()}
 
     star = tuple(index[BasisLabel(lab.lam, lab.T, lab.S)] for lab in labels)
-    alg = AlgebraTable(field, labels, mult, star, name=f"annular:n={n}")
+    # C(w;S,T) = e_S C(w;S,T) e_T: multiply_labels is zero unless T = U
+    blocks = ([lab.S for lab in labels], [lab.T for lab in labels])
+    alg = AlgebraTable(field, labels, mult, star, name=f"annular:n={n}", blocks=blocks)
 
     cup_index = {S: k for k, S in enumerate(cups)}
     E = []

@@ -138,96 +138,87 @@ class VerificationReport:
         return "\n".join(str(r) for r in self.results)
 
 
-def _term_label(d: CellDatum, k: int) -> BasisLabel:
-    return d.alg.basis[k]
-
-
-def verify_cell_datum(d: CellDatum) -> VerificationReport:
-    """Run the full axiom suite; failures come with a concrete witness."""
-    alg = d.alg
-    f = alg.field
-    results = []
-
-    # (a) the labels enumerate the basis, M-sets nonempty
-    witness = None
+def _axiom_a(d: CellDatum) -> Optional[str]:
+    """(a) the labels enumerate the basis, M-sets nonempty."""
     want = set()
     for lam in d.X:
         if not d.M[lam]:
-            witness = f"M({lam}) is empty"
-            break
+            return f"M({lam}) is empty"
         for S in d.M[lam]:
             for T in d.M[lam]:
                 want.add(BasisLabel(lam, S, T))
-    if witness is None and want != set(alg.basis):
-        missing = want.symmetric_difference(set(alg.basis))
-        witness = f"label/basis mismatch, e.g. {next(iter(missing))}"
-    results.append(AxiomResult("a:basis-bijection", witness is None, witness))
+    if want != set(d.alg.basis):
+        missing = want.symmetric_difference(set(d.alg.basis))
+        return f"label/basis mismatch, e.g. {next(iter(missing))}"
+    return None
 
-    # (b) star flips (S,T) and is an anti-automorphism
-    witness = None
+
+def _axiom_b(d: CellDatum) -> Optional[str]:
+    """(b) star flips (S,T) and is an anti-automorphism.
+
+    A pair (i, j) is skipped only when both (i, j) and (star j, star i)
+    are masked, since then both sides are zero by the table's definition.
+    """
+    alg = d.alg
+    star = alg.star_perm
     for i, lab in enumerate(alg.basis):
-        j = alg.star_perm[i]
+        j = star[i]
         if alg.basis[j] != BasisLabel(lab.lam, lab.T, lab.S):
-            witness = f"star({lab}) != C({lab.lam};{lab.T},{lab.S})"
-            break
-        if alg.star_perm[j] != i:
-            witness = f"star not involutive at {lab}"
-            break
-    if witness is None:
-        n = alg.dim
-        for i in range(n):
-            x = alg.basis_element(i)
-            for j in range(n):
-                y = alg.basis_element(j)
-                if (x * y).star() != y.star() * x.star():
-                    witness = f"star({alg.basis[i]}*{alg.basis[j]}) != star*star"
-                    break
-            if witness:
-                break
-    results.append(AxiomResult("b:anti-involution", witness is None, witness))
+            return f"star({lab}) != C({lab.lam};{lab.T},{lab.S})"
+        if star[j] != i:
+            return f"star not involutive at {lab}"
+    by_star_right = {}  # key -> the j with right[star j] == key
+    for j in range(alg.dim):
+        by_star_right.setdefault(alg.right_block[star[j]], []).append(j)
+    for i in range(alg.dim):
+        direct = alg.partners(i)
+        flipped = by_star_right.get(alg.left_block[star[i]], [])
+        for j in direct if direct == flipped else sorted(set(direct).union(flipped)):
+            # star(b_i b_j) == star(b_j) star(b_i), on structure constants
+            lhs = {star[k]: c for k, c in alg.mult_basis(i, j).items()}
+            if lhs != alg.mult_basis(star[j], star[i]):
+                return f"star({alg.basis[i]}*{alg.basis[j]}) != star*star"
+    return None
 
-    # (c) idempotent set: idempotent, orthogonal, star-fixed
-    witness = None
+
+def _axiom_idempotents(d: CellDatum) -> Optional[str]:
+    """(c) idempotent set: idempotent, orthogonal, star-fixed."""
     for a, e in enumerate(d.E):
         if e * e != e:
-            witness = f"E[{a}] not idempotent"
-            break
+            return f"E[{a}] not idempotent"
         if e.star() != e:
-            witness = f"E[{a}] not star-fixed"
-            break
+            return f"E[{a}] not star-fixed"
         for b, e2 in enumerate(d.E):
             if a != b and not (e * e2).is_zero():
-                witness = f"E[{a}]*E[{b}] != 0"
-                break
-        if witness:
-            break
-    results.append(AxiomResult("c:idempotents", witness is None, witness))
+                return f"E[{a}]*E[{b}] != 0"
+    return None
 
-    # orders are strict partial orders on X
-    witness = None
+
+def _axiom_orders(d: CellDatum) -> Optional[str]:
+    """The orders are strict partial orders on X."""
     for a, order in enumerate(d.orders):
         bad = order.check_valid()
         if bad is not None:
-            witness = f"order[{a}]: {bad}"
-            break
-    results.append(AxiomResult("c:orders-valid", witness is None, witness))
+            return f"order[{a}]: {bad}"
+    return None
 
-    # (c) eq idem-props-2: eps * C = C if eps_S matches, else 0
-    witness = None
+
+def _axiom_idem_props_2(d: CellDatum) -> Optional[str]:
+    """(c) eps * C = C if eps_S matches, else 0."""
+    alg = d.alg
     for a, e in enumerate(d.E):
         for i, lab in enumerate(alg.basis):
             x = alg.basis_element(i)
             got = e * x
             expected = x if d.eps_of(lab.lam, lab.S) == a else alg.zero_element()
             if got != expected:
-                witness = f"E[{a}]*{lab} = {got}, expected {expected}"
-                break
-        if witness:
-            break
-    results.append(AxiomResult("c:idem-props-2", witness is None, witness))
+                return f"E[{a}]*{lab} = {got}, expected {expected}"
+    return None
 
-    # (c) eq idem-props-1: eps R eps * C(lam) lies in R(<=_eps lam)
-    witness = None
+
+def _axiom_idem_props_1(d: CellDatum) -> Optional[str]:
+    """(c) eps R eps * C(lam) lies in R(<=_eps lam); masked pairs add no term."""
+    alg = d.alg
     for a in range(len(d.E)):
         order = d.orders[a]
         core_idx = [
@@ -236,76 +227,90 @@ def verify_cell_datum(d: CellDatum) -> VerificationReport:
             if d.eps_of(lab.lam, lab.S) == a and d.eps_of(lab.lam, lab.T) == a
         ]
         for i in core_idx:
-            for j, lab in enumerate(alg.basis):
+            for j in alg.partners(i):
+                lab = alg.basis[j]
                 for k in alg.mult_basis(i, j):
-                    mu = _term_label(d, k).lam
+                    mu = alg.basis[k].lam
                     if not order.leq(mu, lab.lam):
-                        witness = (
-                            f"{alg.basis[i]} * {lab} has term {_term_label(d, k)} "
+                        return (
+                            f"{alg.basis[i]} * {lab} has term {alg.basis[k]} "
                             f"with {mu} not <=_E[{a}] {lab.lam}"
                         )
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    results.append(AxiomResult("c:idem-props-1", witness is None, witness))
+    return None
 
-    # (d) left multiplication rule, with T-independence of the coefficients
-    witness = None
+
+def _columns(d: CellDatum, lam) -> dict:
+    """(left block, T) -> the (S, index of C(lam;S,T)) in M(lam) order.
+
+    A basis element whose right block is `key` multiplies C(lam;S,T)
+    without a mask exactly for the entries under (key, T).
+    """
+    left = d.alg.left_block
+    cols = {}
+    for T in d.M[lam]:
+        for S in d.M[lam]:
+            j = d.label_index(lam, S, T)
+            cols.setdefault((left[j], T), []).append((S, j))
+    return cols
+
+
+def _axiom_d(d: CellDatum) -> Optional[str]:
+    """(d) left multiplication rule, with T-independence of the coefficients."""
+    alg = d.alg
+    cols = {lam: _columns(d, lam) for lam in d.X}
+    eps = {lam: [(T, d.eps_of(lam, T)) for T in d.M[lam]] for lam in d.X}
     for i in range(alg.dim):
-        if witness:
-            break
+        key = alg.right_block[i]
         for lam in d.X:
-            if witness:
-                break
-            per_T = {}
-            for T in d.M[lam]:
-                eps_T = d.eps_of(lam, T)
+            per_T = []
+            for T, eps_T in eps[lam]:
                 order_T = d.orders[eps_T]
                 row = {}
-                ok = True
-                for S in d.M[lam]:
-                    j = d.label_index(lam, S, T)
+                for S, j in cols[lam].get((key, T), ()):
                     for k, c in alg.mult_basis(i, j).items():
-                        klab = _term_label(d, k)
+                        klab = alg.basis[k]
                         if klab.lam == lam and klab.T == T:
                             row[(klab.S, S)] = c
-                        else:
-                            if not (
-                                order_T.less(klab.lam, lam)
-                                and d.eps_of(klab.lam, klab.T) == eps_T
-                            ):
-                                witness = (
-                                    f"{alg.basis[i]} * C({lam};{S},{T}) has term {klab} "
-                                    f"outside sum + R(<_epsT {lam})epsT"
-                                )
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-                per_T[T] = row
-            if witness:
-                break
-            vals = list(per_T.values())
-            for other in vals[1:]:
-                if other != vals[0]:
-                    witness = f"r_a(S',S) depends on T for a={alg.basis[i]}, lambda={lam}"
-                    break
-    results.append(AxiomResult("d:mult-left", witness is None, witness))
+                        elif not (
+                            order_T.less(klab.lam, lam) and d.eps_of(klab.lam, klab.T) == eps_T
+                        ):
+                            return (
+                                f"{alg.basis[i]} * C({lam};{S},{T}) has term {klab} "
+                                f"outside sum + R(<_epsT {lam})epsT"
+                            )
+                per_T.append(row)
+            if any(row != per_T[0] for row in per_T[1:]):
+                return f"r_a(S',S) depends on T for a={alg.basis[i]}, lambda={lam}"
+    return None
 
-    # unit: sum of E is a two-sided identity
-    witness = None
+
+def _axiom_unit(d: CellDatum) -> Optional[str]:
+    """The sum of E is a two-sided identity."""
     try:
-        unit_element(alg, d.E)
+        unit_element(d.alg, d.E)
     except Exception as exc:  # NotUnital
-        witness = str(exc)
-    results.append(AxiomResult("unit", witness is None, witness))
+        return str(exc)
+    return None
 
+
+AXIOMS = (
+    ("a:basis-bijection", _axiom_a),
+    ("b:anti-involution", _axiom_b),
+    ("c:idempotents", _axiom_idempotents),
+    ("c:orders-valid", _axiom_orders),
+    ("c:idem-props-2", _axiom_idem_props_2),
+    ("c:idem-props-1", _axiom_idem_props_1),
+    ("d:mult-left", _axiom_d),
+    ("unit", _axiom_unit),
+)
+
+
+def verify_cell_datum(d: CellDatum) -> VerificationReport:
+    """Run the full axiom suite; failures come with a concrete witness."""
+    results = []
+    for axiom, check in AXIOMS:
+        witness = check(d)
+        results.append(AxiomResult(axiom, witness is None, witness))
     return VerificationReport(results)
 
 
@@ -327,13 +332,14 @@ def cell_module(d: CellDatum, lam) -> CellModule:
     Ms = d.M[lam]
     pos = {S: i for i, S in enumerate(Ms)}
     m = len(Ms)
+    cols = _columns(d, lam)
     action = []
     for i in range(alg.dim):
+        key = alg.right_block[i]
         per_T = []
         for T in Ms:
             mat = [[f.zero] * m for _ in range(m)]
-            for S in Ms:
-                j = d.label_index(lam, S, T)
+            for S, j in cols.get((key, T), ()):
                 for k, c in alg.mult_basis(i, j).items():
                     klab = alg.basis[k]
                     if klab.lam == lam and klab.T == T:
@@ -585,21 +591,37 @@ def core_subalgebra(d: CellDatum, eps_idx: int) -> tuple[AlgebraTable, CellDatum
 
 
 def report_dict(d: CellDatum) -> dict:
-    """The JSON report: axioms, X0, simple dims, D, C, reciprocity, ss."""
+    """The JSON report: axioms, X0, simple dims, D, C, reciprocity, ss.
+
+    When an axiom fails, nothing after the axioms is computed and every
+    later field is null: D and C of a datum that is not cellular would
+    certify nothing.
+    """
     rep = verify_cell_datum(d)
-    ss = simple_set(d)
-    D = decomposition_matrix(d, ss)
-    C, _, minors = cartan_matrix(d, ss, D)
-    return {
+    doc = {
         "axioms": [
             {"axiom": r.axiom, "passed": r.passed, "witness": r.witness} for r in rep.results
         ],
-        "X0": [str(lam) for lam in ss.X0],
-        "simple_dims": {str(lam): ss.dims[lam] for lam in ss.X0},
-        "D": D,
-        "C": C,
-        # null when no P(lambda) was checked; a failed check raises above
-        "reciprocity_ok": True if _projective_checks(d, ss) else None,
-        "semisimple": is_semisimple(d, ss),
+        "X0": None,
+        "simple_dims": None,
+        "D": None,
+        "C": None,
+        "reciprocity_ok": None,
+        "semisimple": None,
     }
+    if not rep.all_passed:
+        return doc
+    ss = simple_set(d)
+    D = decomposition_matrix(d, ss)
+    C, _, minors = cartan_matrix(d, ss, D)
+    doc.update(
+        X0=[str(lam) for lam in ss.X0],
+        simple_dims={str(lam): ss.dims[lam] for lam in ss.X0},
+        D=D,
+        C=C,
+        # null when no P(lambda) was checked; a failed check raises above
+        reciprocity_ok=True if _projective_checks(d, ss) else None,
+        semisimple=is_semisimple(d, ss),
+    )
+    return doc
 

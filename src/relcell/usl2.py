@@ -32,6 +32,10 @@ def _check_p(p: int):
 
 def structure_constants(p: int, field: PrimeField):
     """Multiplication rule on labels: (lam,S,T) * (mu,U,V) -> {label: scalar}."""
+    fact = [factorial_mod(k, field) for k in range(p)]
+    # falling[t][j] = t!/(t-j)!, and binomial_mod(top, j) depends on top mod p only
+    falling = [[field.div(fact[t], fact[t - j]) for j in range(t + 1)] for t in range(p)]
+    binom = [[binomial_mod(t, j, field) for j in range(p)] for t in range(p)]
 
     def mult_labels(a, b):
         lam, S, T = a
@@ -39,18 +43,13 @@ def structure_constants(p: int, field: PrimeField):
         if (lam - 2 * T) % p != (mu - 2 * U) % p:
             return {}
         out = {}
+        fall_T, fall_U, binom_top = falling[T], falling[U], binom[(T - U + mu) % p]
         for j in range(min(T, U) + 1):
             x = S + U - j
             z = T - j + V
             if x >= p or z >= p:
                 continue
-            coeff = field.mul(
-                field.div(
-                    field.mul(factorial_mod(T, field), factorial_mod(U, field)),
-                    field.mul(factorial_mod(T - j, field), factorial_mod(U - j, field)),
-                ),
-                binomial_mod(T - U + mu, j, field),
-            )
+            coeff = field.mul(field.mul(fall_T[j], fall_U[j]), binom_top[j])
             if coeff == field.zero:
                 continue
             nu = (mu + 2 * (T - j)) % p
@@ -84,10 +83,16 @@ def build_usl2(p: int) -> tuple[AlgebraTable, CellDatum]:
     rule = structure_constants(p, field)
 
     def mult(i, j):
-        return {index[BasisLabel(*k)]: c for k, c in rule(tuple(labels[i]), tuple(labels[j])).items()}
+        # a plain (lam, S, T) tuple hashes and compares equal to its BasisLabel
+        return {index[k]: c for k, c in rule(labels[i], labels[j]).items()}
 
     star = tuple(index[BasisLabel(lab.lam, lab.T, lab.S)] for lab in labels)
-    alg = AlgebraTable(field, labels, mult, star, name=f"usl2:p={p}")
+    # the weights 1_{lam-2S} and 1_{lam-2T} on either side; the rule's zero test
+    blocks = (
+        [(lab.lam - 2 * lab.S) % p for lab in labels],
+        [(lab.lam - 2 * lab.T) % p for lab in labels],
+    )
+    alg = AlgebraTable(field, labels, mult, star, name=f"usl2:p={p}", blocks=blocks)
 
     E_gen = alg.element({index[BasisLabel(lam, 0, 1)]: field.one for lam in range(p)})
     F_gen = alg.element({index[BasisLabel(lam, 1, 0)]: field.one for lam in range(p)})

@@ -4,8 +4,12 @@ Paths are vertex tuples.  The relation "all 2-cycles at a vertex are
 equal" generates a finite flip-equivalence on paths of fixed length; a
 path is zero when some member of its class contains a forbidden straight
 run (two steps for the short relation, a full cycle for the long one).
-Normal form is the lexicographically smallest member of a nonzero class,
-and the basis is enumerated by closure from the vertex idempotents.
+The class is walked member by member and a path is declared zero at the
+first forbidden member found, so only nonzero classes are enumerated in
+full.  Normal form is the lexicographically smallest member of a nonzero
+class, and the basis is enumerated by closure from the vertex idempotents.
+A basis path from vertex u to vertex v is e_u . path . e_v, so its first
+and last vertices are its Peirce block keys.
 """
 
 from __future__ import annotations
@@ -65,20 +69,25 @@ def _has_forbidden_run(spec: QuiverSpec, p: Path) -> bool:
     if spec.variant in (LINE, CYCLE_SHORT):
         # two steps in one direction: (i|j|k) with i != k
         return any(p[i] != p[i + 2] for i in range(len(p) - 2))
-    # cycle-long: a monotone run around the whole circle (n steps)
+    # cycle-long: a monotone run around the whole circle (n equal steps)
     n = spec.n
-    if len(p) <= n:
-        return False
-    for start in range(len(p) - n):
-        window = p[start : start + n + 1]
-        steps = {(b - a) % n for a, b in zip(window, window[1:])}
-        if steps == {1} or steps == {n - 1}:
+    run, prev = 0, None
+    for a, b in zip(p, p[1:]):
+        step = (b - a) % n
+        run = run + 1 if step == prev else 1
+        prev = step
+        if run >= n and step in (1, n - 1):
             return True
     return False
 
 
-def _flip_class(spec: QuiverSpec, p: Path) -> frozenset:
-    """All paths reachable by replacing 2-cycle midpoints (a|b|a)->(a|c|a)."""
+@lru_cache(maxsize=None)
+def _normalize_cached(spec: QuiverSpec, p: Path):
+    """Walk the flip class of p, the paths reachable by replacing 2-cycle
+    midpoints (a|b|a)->(a|c|a); None at the first member with a forbidden
+    run, else the smallest member."""
+    if _has_forbidden_run(spec, p):
+        return None
     seen = {p}
     queue = [p]
     while queue:
@@ -91,17 +100,11 @@ def _flip_class(spec: QuiverSpec, p: Path) -> frozenset:
                     continue
                 alt = cur[:i] + (w,) + cur[i + 1 :]
                 if alt not in seen:
+                    if _has_forbidden_run(spec, alt):
+                        return None
                     seen.add(alt)
                     queue.append(alt)
-    return frozenset(seen)
-
-
-@lru_cache(maxsize=None)
-def _normalize_cached(spec: QuiverSpec, p: Path):
-    cls = _flip_class(spec, p)
-    if any(_has_forbidden_run(spec, q) for q in cls):
-        return None
-    return min(cls)
+    return min(seen)
 
 
 def normalize(spec: QuiverSpec, p: Path):
@@ -237,7 +240,14 @@ def build_zigzag(spec: QuiverSpec, field: Field) -> tuple[AlgebraTable, CellDatu
 
     index = {lab: i for i, lab in enumerate(labels)}
     star = tuple(index[BasisLabel(lab.lam, lab.T, lab.S)] for lab in labels)
-    alg = AlgebraTable(field, labels, mult, star, name=f"zigzag:{spec.variant}:{spec.n}")
+    # a path runs from its first to its last vertex; compose is zero unless they meet
+    blocks = (
+        [label_paths[lab][0] for lab in labels],
+        [label_paths[lab][-1] for lab in labels],
+    )
+    alg = AlgebraTable(
+        field, labels, mult, star, name=f"zigzag:{spec.variant}:{spec.n}", blocks=blocks
+    )
 
     # star on labels must agree with path reversal
     for lab in labels:

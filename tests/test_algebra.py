@@ -176,19 +176,19 @@ def test_serialization_roundtrip(zigzag_cycs3):
 def check_associativity_table(alg):
     """Exhaustive triple check through the materialized table."""
     alg.materialize()
-    tbl = alg._memo
+    tbl = alg.mult_basis
     n = alg.dim
     for i in range(n):
         for j in range(n):
-            ij = tbl[(i, j)]
+            ij = tbl(i, j)
             for k in range(n):
                 left = {}
                 for t, c in ij.items():
-                    for r, c2 in tbl[(t, k)].items():
+                    for r, c2 in tbl(t, k).items():
                         left[r] = left.get(r, 0) + c * c2
                 right = {}
-                for t, c in tbl[(j, k)].items():
-                    for r, c2 in tbl[(i, t)].items():
+                for t, c in tbl(j, k).items():
+                    for r, c2 in tbl(i, t).items():
                         right[r] = right.get(r, 0) + c * c2
                 assert {a: b for a, b in left.items() if b} == {
                     a: b for a, b in right.items() if b

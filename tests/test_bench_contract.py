@@ -37,5 +37,13 @@ def test_patched_methods_resolve():
     assert callable(Element.__mul__)
     params = list(inspect.signature(AlgebraTable.__init__).parameters)
     assert params[:4] == ["self", "field", "basis", "mult_fn"]
-    alg, _ = build_family("zigzag:A:3")
-    assert isinstance(alg._memo, dict)
+    # the block mask is a keyword after name, outside the wrapped prefix
+    assert params.index("blocks") > params.index("name")
+    usl2 = importlib.import_module("relcell.usl2")
+    assert list(inspect.signature(usl2.structure_constants).parameters) == ["p", "field"]
+    rule = usl2.structure_constants(3, usl2.PrimeField(3))
+    assert list(inspect.signature(rule).parameters) == ["a", "b"]
+    for spec in ("zigzag:A:3", "usl2:p=3", "annular:n=1"):
+        alg, _ = build_family(spec)
+        alg.materialize()
+        assert type(alg._memo) is dict

@@ -33,6 +33,27 @@ def test_verify_json_schema(capsys):
     assert doc["reciprocity_ok"] is True
 
 
+def test_verify_json_failed_axioms_certify_nothing(capsys, monkeypatch):
+    import relcell.celldata as celldata
+    import relcell.cli as cli
+    from relcell.field import QQ
+    from relcell.zigzag import reversed_order_datum
+
+    def never(*args, **kwargs):
+        raise AssertionError("a stage after the axioms ran on failed data")
+
+    monkeypatch.setattr(cli, "build_family", lambda *args: reversed_order_datum(QQ))
+    for stage in ("simple_set", "decomposition_matrix", "cartan_matrix", "is_semisimple"):
+        monkeypatch.setattr(celldata, stage, never)
+    code, out, _ = run(capsys, "verify", "zigzag:A:3", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    failed = {a["axiom"] for a in doc["axioms"] if not a["passed"]}
+    assert failed == {"c:idem-props-1", "d:mult-left"}
+    for key in ("X0", "simple_dims", "D", "C", "reciprocity_ok", "semisimple"):
+        assert doc[key] is None, key
+
+
 def test_verify_json_reciprocity_unchecked(capsys):
     # usl2 registers no primitive idempotents, so no P(lambda) is checked
     code, out, _ = run(capsys, "verify", "usl2:p=3", "--format", "json")
