@@ -1,13 +1,14 @@
 """Finite-dimensional algebras by structure constants, with anti-involution.
 
 An AlgebraTable stores an ordered basis of (lambda, S, T) labels, a
-multiplication rule on basis pairs (memoized callback or explicit table),
+multiplication rule on basis pairs (a memoized callback),
 the star permutation and a Peirce-block mask: a left and a right block key
 per basis element, with b_i * b_j = 0 by declaration unless the right key
 of i equals the left key of j.  Masked products never reach the rule or the
 memo, and products, sweeps and materialization visit only unmasked pairs.
-Modules are dense action matrices; hom spaces, radicals and composition
-multiplicities are computed by exact linear algebra over the table's field.
+Modules are dense action matrices; hom spaces, radicals, composition
+multiplicities and Peirce dimensions dim eAf are computed by exact linear
+algebra over the table's field.
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ class AlgebraTable:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @classmethod
-    def from_table(cls, field, basis, table: dict, star, generators=None, name=""):
-        alg = cls(field, basis, lambda i, j: table.get((i, j), {}), star, generators, name)
-        alg._memo = dict(table)
-        return alg
 
     def partners(self, i: int) -> list[int]:
         """The j (ascending) for which b_i * b_j is not masked; a shared list."""
@@ -234,9 +229,6 @@ class RepModule:
         self.dim = dim
         self.action = action
 
-    def act_basis(self, i: int) -> Matrix:
-        return self.action[i]
-
     def act(self, x: Element) -> Matrix:
         f = self.alg.field
         out = Matrix.zero(f, self.dim, self.dim)
@@ -326,10 +318,9 @@ def _action_pairs(M: RepModule, N: RepModule, alg: AlgebraTable):
     return [(A, B) for A, B in it if not (A.is_zero() and B.is_zero())]
 
 
-def hom_space(M: RepModule, N: RepModule, alg: AlgebraTable = None) -> list[Matrix]:
+def hom_space(M: RepModule, N: RepModule) -> list[Matrix]:
     """Basis of {X : X rho_M(g) = rho_N(g) X for all generators g}."""
-    if alg is None:
-        alg = M.alg
+    alg = M.alg
     if M.alg is not N.alg:
         raise AlgebraMismatch("modules over different algebras")
     f = alg.field
@@ -393,9 +384,17 @@ def composition_multiplicities(M: RepModule, simples: list[RepModule]) -> list[i
     return mults
 
 
+def peirce_dim(alg: AlgebraTable, e: Element, f: Element) -> int:
+    """dim eAf: the rank of {e b_i f} over the basis of A."""
+    ech = Echelon(alg.field, alg.dim)
+    for i in range(alg.dim):
+        ech.insert((e * alg.basis_element(i) * f).coeffs)
+    return ech.rank
+
+
 def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:
-    """The left module R*e on the RREF basis of {b_i * e}; b_i acts by the
-    algebra product."""
+    """The left module R*e on the RREF basis of {b_i * e}, b_i acting by the
+    algebra product; the tests' reference for P(lambda) = A e_lambda."""
     f = alg.field
     n = alg.dim
     ech = Echelon(f, n)
@@ -441,6 +440,6 @@ def table_from_json(text: str) -> AlgebraTable:
     for key, sc in doc["mult"].items():
         i, j = (int(x) for x in key.split(","))
         table[(i, j)] = {int(k): field.scalar_from_str(v) for k, v in sc.items()}
-    n = len(basis)
-    full = {(i, j): table.get((i, j), {}) for i in range(n) for j in range(n)}
-    return AlgebraTable.from_table(field, basis, full, tuple(doc["star"]), name=doc.get("name", ""))
+    return AlgebraTable(
+        field, basis, lambda i, j: table.get((i, j), ZERO_PRODUCT), tuple(doc["star"]), name=doc.get("name", "")
+    )

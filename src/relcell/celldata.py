@@ -3,7 +3,8 @@
 Everything here is generic over an AlgebraTable whose basis labels are
 (lambda, S, T) triples: axiom verification with witnesses, cell modules,
 Gram forms and radicals, the simple labels X0, decomposition and Cartan
-matrices with the reciprocity check, semisimplicity, idempotent cores.
+matrices with reciprocity C = D^T D checked by the dimension identity and by
+Peirce ranks (see cartan_matrix), semisimplicity, idempotent cores.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .algebra import (
     Element,
     RepModule,
     composition_multiplicities,
-    left_ideal_module,
+    hom_space,
+    peirce_dim,
     quotient_module,
     unit_element,
 )
@@ -109,9 +111,6 @@ class CellDatum:
 
     def eps_of(self, lam, S) -> int:
         return self.eps_index[(lam, S)]
-
-    def order_of(self, lam, S) -> StrictOrder:
-        return self.orders[self.eps_of(lam, S)]
 
 
 @dataclass
@@ -360,7 +359,7 @@ class GramForm:
     matrix: Matrix
 
 
-def gram_matrix(d: CellDatum, lam, check_pairs: Optional[int] = None) -> GramForm:
+def gram_matrix(d: CellDatum, lam) -> GramForm:
     """Phi_lambda: entry (S,T) is the C(lam;U,V)-coefficient of
     C(lam;U,S) * C(lam;T,V), independent of the auxiliary pair (U,V)."""
     alg = d.alg
@@ -368,8 +367,6 @@ def gram_matrix(d: CellDatum, lam, check_pairs: Optional[int] = None) -> GramFor
     Ms = d.M[lam]
     m = len(Ms)
     uv_pairs = [(U, V) for U in Ms for V in Ms]
-    if check_pairs is not None and len(uv_pairs) > check_pairs:
-        uv_pairs = uv_pairs[:check_pairs]
     reference = None
     for (U, V) in uv_pairs:
         kv = d.label_index(lam, U, V)
@@ -499,8 +496,14 @@ def det_int(C: list[list[int]]) -> Fraction:
 
 
 def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list[list[int]]] = None):
-    """C = D^T D; cross-checked against [P(lam):L(mu)] when primitive
-    idempotents are registered.  Returns (C, D, minors)."""
+    """C = D^T D, C[lam][mu] = [P(lam):L(mu)]; returns (C, D, minors).
+
+    Two routes check C against the algebra, with c(lam) = dim End L(lam):
+    for every family, sum dim L(lam)/c(lam) * C[lam][mu] * dim L(mu) = dim A
+    (A holds dim L(lam)/c(lam) copies of P(lam)); when every lam in X0 has a
+    registered primitive idempotent e_lam, [P(mu):L(lam)] * c(lam) =
+    dim e_lam A e_mu on every entry.  A mismatch raises ReciprocityFailure.
+    """
     if ss is None:
         ss = simple_set(d)
     if D is None:
@@ -511,24 +514,22 @@ def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list
     minors = leading_principal_minors(C)
     if any(m < 0 for m in minors):
         raise ReciprocityFailure("Cartan matrix not positive semidefinite")
-    simples = [ss.modules[lam] for lam in ss.X0]
-    for ri, lam, e in _projective_checks(d, ss):
-        row = composition_multiplicities(left_ideal_module(d.alg, e), simples)
-        if row != C[ri]:
-            raise ReciprocityFailure(
-                f"[P({lam}):L(mu)] = {row} disagrees with (D^T D) row {C[ri]}"
-            )
+    X0, prims = ss.X0, d.primitive_idempotents
+    dims = [ss.dims[lam] for lam in X0]
+    ends = [len(hom_space(ss.modules[lam], ss.modules[lam])) for lam in X0]
+    total = sum(Fraction(x * c * y, e) for x, e, row in zip(dims, ends, C) for c, y in zip(row, dims))
+    if total != d.alg.dim:
+        raise ReciprocityFailure(f"sum dim L/dim End L * C * dim L = {total} != dim A = {d.alg.dim}")
+    if all(lam in prims for lam in X0):
+        for a, lam in enumerate(X0):
+            for b, mu in enumerate(X0):
+                got = peirce_dim(d.alg, prims[lam], prims[mu])
+                if C[b][a] * ends[a] != got:
+                    raise ReciprocityFailure(
+                        f"[P({mu}):L({lam})] = {C[b][a]}, dim End L({lam}) = {ends[a]}, "
+                        f"but dim e({lam}) A e({mu}) = {got}"
+                    )
     return C, D, minors
-
-
-def _projective_checks(d: CellDatum, ss: SimpleSet) -> list:
-    """(row of C, lambda, e(lambda)) for each lambda in X0 whose primitive
-    idempotent is registered: the rows reciprocity checks via P(lambda)."""
-    return [
-        (ri, lam, d.primitive_idempotents[lam])
-        for ri, lam in enumerate(ss.X0)
-        if lam in d.primitive_idempotents
-    ]
 
 
 def is_semisimple(d: CellDatum, ss: Optional[SimpleSet] = None) -> bool:
@@ -619,8 +620,7 @@ def report_dict(d: CellDatum) -> dict:
         simple_dims={str(lam): ss.dims[lam] for lam in ss.X0},
         D=D,
         C=C,
-        # null when no P(lambda) was checked; a failed check raises above
-        reciprocity_ok=True if _projective_checks(d, ss) else None,
+        reciprocity_ok=True,  # cartan_matrix raises on a failed check
         semisimple=is_semisimple(d, ss),
     )
     return doc

@@ -4,7 +4,7 @@
     relcell verify zigzag:cycS:3
     relcell mult annular:n=1 "1-2|v^|1-2" "1-2|v^|1-2"
 
-Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error.
+Exit codes: 0 success / all checks pass, 1 check failure or other error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .celldata import (
     verify_cell_datum,
 )
 from .diagrams import circle_decomposition_dict, format_basis_label, parse_basis_label
-from .families import build_family, parse_family
+from .families import UnknownFamily, build_family, parse_family
 
 
 def _emit(text: str, out):
@@ -136,8 +136,12 @@ def cmd_mult(args) -> int:
         return 2
     n = parsed[1]
     alg, _ = build_family(args.family, args.max_dim)
-    Sa, wa, Ta = parse_basis_label(args.x, n)
-    Sb, wb, Tb = parse_basis_label(args.y, n)
+    try:
+        Sa, wa, Ta = parse_basis_label(args.x, n)
+        Sb, wb, Tb = parse_basis_label(args.y, n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     a = alg.element_from_label(BasisLabel(wa, Sa, Ta))
     b = alg.element_from_label(BasisLabel(wb, Sb, Tb))
     prod = a * b
@@ -261,13 +265,9 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps", type=int, default=0, help="index into the idempotent set E")
 
     p = sub.add_parser("mult")
-    p.add_argument("family")
+    common(p)
     p.add_argument("x", help="basis element, e.g. 1-2|v^|1-2")
     p.add_argument("y")
-    p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
-    p.add_argument("--out", default=None)
-    p.add_argument("--max-dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--circles", action="store_true", help="include circle decompositions in JSON output")
     p.set_defaults(fn=cmd_mult)
 
@@ -282,7 +282,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except UnknownFamily as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -12,7 +12,7 @@ import os
 from . import annular, usl2, zigzag
 from .algebra import AlgebraTable
 from .celldata import CellDatum
-from .field import QQ
+from .field import QQ, is_prime
 
 
 class UnknownFamily(ValueError):
@@ -29,18 +29,22 @@ def max_dim_limit(cli_value=None) -> int:
 
 
 def parse_family(spec: str):
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "zigzag" and len(parts) == 3:
-        variant, n = parts[1], int(parts[2])
-        if variant not in zigzag.VARIANTS:
-            raise UnknownFamily(f"unknown zigzag variant {variant!r}")
-        return ("zigzag", variant, n)
-    if kind == "usl2" and len(parts) == 2 and parts[1].startswith("p="):
-        return ("usl2", int(parts[1][2:]))
-    if kind == "annular" and len(parts) == 2 and parts[1].startswith("n="):
-        return ("annular", int(parts[1][2:]))
-    raise UnknownFamily(f"cannot parse family spec {spec!r}")
+    """(kind, *parameters) of a valid spec, else UnknownFamily."""
+    kind, _, rest = spec.partition(":")
+    try:
+        if kind == "zigzag":
+            variant, n = rest.split(":")
+            return ("zigzag", variant, zigzag.QuiverSpec(variant, int(n)).n)
+        if kind == "usl2" and rest.startswith("p=") and (p := int(rest[2:])) != 2 and is_prime(p):
+            return ("usl2", p)
+        if kind == "annular" and rest.startswith("n=") and (n := int(rest[2:])) >= 1:
+            return ("annular", n)
+    except ValueError as exc:  # not a number, or QuiverSpec: unknown variant, n < 3
+        raise UnknownFamily(f"bad family spec {spec!r}: {exc}") from exc
+    raise UnknownFamily(
+        f"bad family spec {spec!r}: expected zigzag:A|cycS|cycL:n (n >= 3), "
+        "usl2:p=P (P an odd prime) or annular:n=N (N >= 1)"
+    )
 
 
 def build_family(spec: str, max_dim=None) -> tuple[AlgebraTable, CellDatum]:

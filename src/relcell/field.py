@@ -19,7 +19,7 @@ class UnsupportedBinomial(Exception):
     """Raised for binomial_mod with k >= p over F_p (k! not invertible)."""
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     if p % 2 == 0:
@@ -120,7 +120,7 @@ class PrimeField(Field):
     """F_p for a prime p < 2**31; scalars are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p >= 2**31:
             raise ValueError("p too large")

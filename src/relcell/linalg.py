@@ -86,11 +86,6 @@ class Matrix:
         f = self.field
         return Matrix(f, self.rows, self.cols, [f.add(a, b) for a, b in zip(self.entries, other.entries)])
 
-    def sub(self, other: "Matrix") -> "Matrix":
-        self._check_compat(other, same_shape=True)
-        f = self.field
-        return Matrix(f, self.rows, self.cols, [f.sub(a, b) for a, b in zip(self.entries, other.entries)])
-
     def scale(self, c) -> "Matrix":
         f = self.field
         return Matrix(f, self.rows, self.cols, [f.mul(c, a) for a in self.entries])

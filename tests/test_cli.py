@@ -54,11 +54,11 @@ def test_verify_json_failed_axioms_certify_nothing(capsys, monkeypatch):
         assert doc[key] is None, key
 
 
-def test_verify_json_reciprocity_unchecked(capsys):
-    # usl2 registers no primitive idempotents, so no P(lambda) is checked
+def test_verify_json_reciprocity_usl2(capsys):
+    # usl2 registers no primitive idempotents; the dimension identity checks C
     code, out, _ = run(capsys, "verify", "usl2:p=3", "--format", "json")
     assert code == 0
-    assert json.loads(out)["reciprocity_ok"] is None
+    assert json.loads(out)["reciprocity_ok"] is True
 
 
 def test_mult_annular(capsys):
@@ -86,6 +86,25 @@ def test_mult_json_circles(capsys):
 def test_usage_error_exit_2(capsys):
     code, _, err = run(capsys, "cartan", "nosuch:thing")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["usl2:p=2", "usl2:p=9", "zigzag:A:2", "annular:n=0"])
+def test_invalid_family_parameter_exit_2(capsys, spec):
+    code, _, err = run(capsys, "cartan", spec)
+    assert code == 2
+    assert spec in err
+
+
+def test_internal_error_exit_1(capsys, monkeypatch):
+    import relcell.celldata as celldata
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(celldata, "peirce_dim", broken)  # called only by cartan_matrix
+    code, _, err = run(capsys, "cartan", "zigzag:A:3")
+    assert code == 1
+    assert "KeyError" in err
 
 
 def test_mult_rejects_bad_notation(capsys):
