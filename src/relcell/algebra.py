@@ -277,9 +277,7 @@ def _span_module(alg: AlgebraTable, ech: Echelon, act) -> tuple[list[list], RepM
 
 def _restrict_action(M: RepModule, vectors) -> tuple[list[list], RepModule]:
     """The submodule of M spanned by the given vectors (must be stable)."""
-    ech = Echelon(M.alg.field, M.dim)
-    for v in vectors:
-        ech.insert(v)
+    ech = Echelon(M.alg.field, M.dim, vectors)
     return _span_module(M.alg, ech, lambda i, B: M.action[i] @ B)
 
 
@@ -384,12 +382,11 @@ def composition_multiplicities(M: RepModule, simples: list[RepModule]) -> list[i
     return mults
 
 
-def peirce_dim(alg: AlgebraTable, e: Element, f: Element) -> int:
-    """dim eAf: the rank of {e b_i f} over the basis of A."""
-    ech = Echelon(alg.field, alg.dim)
-    for i in range(alg.dim):
-        ech.insert((e * alg.basis_element(i) * f).coeffs)
-    return ech.rank
+def peirce_dims(alg: AlgebraTable, idems: list[Element]) -> list[list[int]]:
+    """[[dim eAf for f in idems] for e in idems]: the rank of {x f} over the
+    nonzero x = e b_i, each eA computed once."""
+    eAs = [[x for i in range(alg.dim) if not (x := e * alg.basis_element(i)).is_zero()] for e in idems]
+    return [[Echelon(alg.field, alg.dim, ((x * f).coeffs for x in eA)).rank for f in idems] for eA in eAs]
 
 
 def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:
@@ -397,9 +394,7 @@ def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:
     algebra product; the tests' reference for P(lambda) = A e_lambda."""
     f = alg.field
     n = alg.dim
-    ech = Echelon(f, n)
-    for i in range(n):
-        ech.insert((alg.basis_element(i) * e).coeffs)
+    ech = Echelon(f, n, ((alg.basis_element(i) * e).coeffs for i in range(n)))
     basis = [alg.element(dict(enumerate(v))) for v in ech.matrix().to_rows()]
 
     def act(i, B):  # the columns of B are `basis`

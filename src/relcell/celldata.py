@@ -3,8 +3,9 @@
 Everything here is generic over an AlgebraTable whose basis labels are
 (lambda, S, T) triples: axiom verification with witnesses, cell modules,
 Gram forms and radicals, the simple labels X0, decomposition and Cartan
-matrices with reciprocity C = D^T D checked by the dimension identity and by
-Peirce ranks (see cartan_matrix), semisimplicity, idempotent cores.
+matrices with reciprocity C = D^T D checked against the Peirce ranks dim eAf
+of primitive idempotents or of E (see cartan_matrix), semisimplicity,
+idempotent cores.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .algebra import (
     RepModule,
     composition_multiplicities,
     hom_space,
-    peirce_dim,
+    peirce_dims,
     quotient_module,
     unit_element,
 )
@@ -498,11 +499,11 @@ def det_int(C: list[list[int]]) -> Fraction:
 def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list[list[int]]] = None):
     """C = D^T D, C[lam][mu] = [P(lam):L(mu)]; returns (C, D, minors).
 
-    Two routes check C against the algebra, with c(lam) = dim End L(lam):
-    for every family, sum dim L(lam)/c(lam) * C[lam][mu] * dim L(mu) = dim A
-    (A holds dim L(lam)/c(lam) copies of P(lam)); when every lam in X0 has a
-    registered primitive idempotent e_lam, [P(mu):L(lam)] * c(lam) =
-    dim e_lam A e_mu on every entry.  A mismatch raises ReciprocityFailure.
+    C is checked against Peirce ranks: for idempotents e, f with A e = sum
+    m_e(lam) P(lam), dim eAf = sum m_e(lam) c(lam) m_f(mu) [P(mu):L(lam)],
+    c = dim End L.  The idempotents are the registered primitive e_lam if every
+    lam in X0 has one (m = delta: every entry of C is checked), else E, with
+    m_e(lam) = dim e L(lam) / c(lam).  A mismatch raises ReciprocityFailure.
     """
     if ss is None:
         ss = simple_set(d)
@@ -515,20 +516,19 @@ def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list
     if any(m < 0 for m in minors):
         raise ReciprocityFailure("Cartan matrix not positive semidefinite")
     X0, prims = ss.X0, d.primitive_idempotents
-    dims = [ss.dims[lam] for lam in X0]
-    ends = [len(hom_space(ss.modules[lam], ss.modules[lam])) for lam in X0]
-    total = sum(Fraction(x * c * y, e) for x, e, row in zip(dims, ends, C) for c, y in zip(row, dims))
-    if total != d.alg.dim:
-        raise ReciprocityFailure(f"sum dim L/dim End L * C * dim L = {total} != dim A = {d.alg.dim}")
+    simples = [ss.modules[lam] for lam in X0]
+    ends = [len(hom_space(L, L)) for L in simples]
     if all(lam in prims for lam in X0):
-        for a, lam in enumerate(X0):
-            for b, mu in enumerate(X0):
-                got = peirce_dim(d.alg, prims[lam], prims[mu])
-                if C[b][a] * ends[a] != got:
-                    raise ReciprocityFailure(
-                        f"[P({mu}):L({lam})] = {C[b][a]}, dim End L({lam}) = {ends[a]}, "
-                        f"but dim e({lam}) A e({mu}) = {got}"
-                    )
+        idems, names = [prims[lam] for lam in X0], [f"e({lam})" for lam in X0]
+        mults = [{a: 1} for a in range(len(X0))]
+    else:
+        idems, names = d.E, [f"E[{a}]" for a in range(len(d.E))]
+        mults = [{i: Fraction(L.act(e).rank(), c) for i, (L, c) in enumerate(zip(simples, ends))} for e in idems]
+    for a, row in enumerate(peirce_dims(d.alg, idems)):
+        for b, got in enumerate(row):
+            want = sum(x * ends[i] * y * C[j][i] for i, x in mults[a].items() for j, y in mults[b].items())
+            if want != got:
+                raise ReciprocityFailure(f"dim {names[a]} A {names[b]} = {got}, but C gives {want}")
     return C, D, minors
 
 

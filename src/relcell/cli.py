@@ -26,7 +26,7 @@ from .celldata import (
     verify_cell_datum,
 )
 from .diagrams import circle_decomposition_dict, format_basis_label, parse_basis_label
-from .families import UnknownFamily, build_family, parse_family
+from .families import UsageError, build_family, parse_family
 
 
 def _emit(text: str, out):
@@ -282,7 +282,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UnknownFamily as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

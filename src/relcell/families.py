@@ -15,7 +15,11 @@ from .celldata import CellDatum
 from .field import QQ, is_prime
 
 
-class UnknownFamily(ValueError):
+class UsageError(ValueError):
+    """Bad input from the user rather than a failed check."""
+
+
+class UnknownFamily(UsageError):
     pass
 
 
@@ -23,9 +27,11 @@ def max_dim_limit(cli_value=None) -> int:
     if cli_value is not None:
         return cli_value
     env = os.environ.get("RELCELL_MAX_DIM")
-    if env:
-        return int(env)
-    return annular.DEFAULT_MAX_DIM
+    if not env:
+        return annular.DEFAULT_MAX_DIM
+    if not env.isdecimal() or int(env) < 1:
+        raise UsageError(f"RELCELL_MAX_DIM must be a positive integer, not {env!r}")
+    return int(env)
 
 
 def parse_family(spec: str):

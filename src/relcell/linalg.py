@@ -125,10 +125,7 @@ class Matrix:
         )
 
     def _echelon(self) -> "Echelon":
-        ech = Echelon(self.field, self.cols)
-        for i in range(self.rows):
-            ech.insert(self.row(i))
-        return ech
+        return Echelon(self.field, self.cols, map(self.row, range(self.rows)))
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column tuple).
@@ -195,10 +192,12 @@ class Echelon:
     RREF of all rows inserted so far can be read off at any time.
     """
 
-    def __init__(self, field: Field, width: int):
+    def __init__(self, field: Field, width: int, rows=()):
         self.field = field
         self.width = width
         self._rows: dict[int, dict] = {}  # pivot column -> row
+        for row in rows:
+            self.insert(row)
 
     @property
     def rank(self) -> int:

@@ -55,7 +55,7 @@ def test_verify_json_failed_axioms_certify_nothing(capsys, monkeypatch):
 
 
 def test_verify_json_reciprocity_usl2(capsys):
-    # usl2 registers no primitive idempotents; the dimension identity checks C
+    # usl2 registers no primitive idempotents; C is checked by the Peirce ranks of E
     code, out, _ = run(capsys, "verify", "usl2:p=3", "--format", "json")
     assert code == 0
     assert json.loads(out)["reciprocity_ok"] is True
@@ -95,13 +95,21 @@ def test_invalid_family_parameter_exit_2(capsys, spec):
     assert spec in err
 
 
+@pytest.mark.parametrize("value", ["many", "0", "-5", "1e3"])
+def test_bad_max_dim_env_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("RELCELL_MAX_DIM", value)
+    code, _, err = run(capsys, "cartan", "zigzag:A:3")
+    assert code == 2
+    assert "RELCELL_MAX_DIM" in err
+
+
 def test_internal_error_exit_1(capsys, monkeypatch):
     import relcell.celldata as celldata
 
     def broken(*args, **kwargs):
         raise KeyError("internal")
 
-    monkeypatch.setattr(celldata, "peirce_dim", broken)  # called only by cartan_matrix
+    monkeypatch.setattr(celldata, "peirce_dims", broken)  # called only by cartan_matrix
     code, _, err = run(capsys, "cartan", "zigzag:A:3")
     assert code == 1
     assert "KeyError" in err

@@ -1,10 +1,10 @@
-"""Reciprocity C = D^T D: the two routes in cartan_matrix and their faults.
+"""Reciprocity C = D^T D: the Peirce-rank check in cartan_matrix and its faults.
 
-cartan_matrix checks C by the dimension identity on every family and by the
-Peirce ranks dim e_lam A e_mu where every simple has a registered primitive
-idempotent.  The tests below check both routes against the radical series of
-P(lam) = A e_lam, and hand cartan_matrix wrong idempotents and wrong D to see
-each route raise.
+cartan_matrix checks C against dim eAf, for the registered primitive
+idempotents where every simple has one and for E otherwise.  The tests below
+check C against the radical series of P(lam) = A e_lam, run the E form on
+families that also register primitives, and hand cartan_matrix wrong
+idempotents and wrong D to see the check raise.
 """
 
 import dataclasses
@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from relcell.algebra import composition_multiplicities, left_ideal_module, peirce_dim, unit_element
+from relcell.algebra import composition_multiplicities, left_ideal_module, peirce_dims, unit_element
 from relcell.celldata import ReciprocityFailure, cartan_matrix, decomposition_matrix, simple_set
 from relcell.families import build_family
 
@@ -42,15 +42,20 @@ def test_cartan_rows_equal_radical_series_of_projectives(pipeline, spec):
 
 
 @pytest.mark.parametrize("spec", ["zigzag:cycL:3", "usl2:p=3", "annular:n=1"])
-def test_peirce_dim_of_unit_is_dim_a(pipeline, spec):
+def test_peirce_dims_of_unit_is_dim_a(pipeline, spec):
     alg, d, _, _ = pipeline(spec)
-    one = unit_element(alg, d.E)
-    assert peirce_dim(alg, one, one) == alg.dim
-    assert sum(peirce_dim(alg, e, f) for e in d.E for f in d.E) == alg.dim
+    assert peirce_dims(alg, [unit_element(alg, d.E)]) == [[alg.dim]]
+    assert sum(map(sum, peirce_dims(alg, d.E))) == alg.dim
 
 
 def _with_idempotents(d, prims):
     return dataclasses.replace(d, primitive_idempotents=prims)
+
+
+@pytest.mark.parametrize("spec", ["zigzag:A:3", "zigzag:cycL:3", "annular:n=1", "annular:n=2"])
+def test_peirce_ranks_of_e_agree_without_primitives(pipeline, spec):
+    _, d, ss, D = pipeline(spec)
+    assert cartan_matrix(_with_idempotents(d, {}), ss, D)[0] == cartan_matrix(d, ss, D)[0]
 
 
 @pytest.mark.parametrize("spec", ["zigzag:A:3", "annular:n=2"])
@@ -68,7 +73,7 @@ def test_swapped_idempotents_raise(pipeline, spec):
         seen += 1
         prims = dict(d.primitive_idempotents)
         prims[X0[a]], prims[X0[b]] = prims[X0[b]], prims[X0[a]]
-        with pytest.raises(ReciprocityFailure, match=r"dim e\("):
+        with pytest.raises(ReciprocityFailure, match="C gives"):
             cartan_matrix(_with_idempotents(d, prims), ss, D)
     assert seen
 
@@ -79,17 +84,37 @@ def test_non_primitive_idempotent_raises(pipeline, spec):
     for lam, mu in permutations(ss.X0, 2):
         prims = dict(d.primitive_idempotents)
         prims[lam] = prims[lam] + prims[mu]
-        with pytest.raises(ReciprocityFailure, match=r"dim e\("):
+        with pytest.raises(ReciprocityFailure, match="C gives"):
             cartan_matrix(_with_idempotents(d, prims), ss, D)
 
 
 @pytest.mark.parametrize("spec", ["usl2:p=3", "usl2:p=5", "zigzag:A:3"])
-def test_wrong_decomposition_entry_fails_dimension_identity(pipeline, spec):
+def test_wrong_decomposition_entry_raises(pipeline, spec):
     _, d, ss, D = pipeline(spec)
     for r in range(len(D)):
         for c in range(len(D[r])):
             for delta in (1, -1):
                 bad = [list(row) for row in D]
                 bad[r][c] += delta
-                with pytest.raises(ReciprocityFailure, match="dim A"):
+                with pytest.raises(ReciprocityFailure, match="C gives"):
                     cartan_matrix(d, ss, bad)
+
+
+@pytest.mark.parametrize("spec", ["usl2:p=3", "usl2:p=5"])
+def test_misidentified_composition_factor_raises(pipeline, spec):
+    # One L(lam) read as dim L(lam) copies of the one-dimensional simple: the
+    # row still adds up to dim Delta, but the weight spaces e L do not.
+    _, d, ss, D = pipeline(spec)
+    one = next(i for i, lam in enumerate(ss.X0) if ss.dims[lam] == 1)
+    seen = 0
+    for r, row in enumerate(D):
+        for c, lam in enumerate(ss.X0):
+            if c == one or row[c] == 0:
+                continue
+            seen += 1
+            bad = [list(x) for x in D]
+            bad[r][c] -= 1
+            bad[r][one] += ss.dims[lam]
+            with pytest.raises(ReciprocityFailure, match="C gives"):
+                cartan_matrix(d, ss, bad)
+    assert seen
