@@ -354,10 +354,10 @@ def radical_of_module(M: RepModule, simples: list[RepModule]) -> tuple[list[list
     return _restrict_action(M, stack_rows(f, homs).nullspace_basis())
 
 
-def composition_multiplicities(M: RepModule, simples: list[RepModule]) -> list[int]:
-    """Jordan-Hoelder multiplicities of each simple in M (radical series)."""
+def composition_multiplicities(M: RepModule, simples: list[RepModule], end_dims: list[int]) -> list[int]:
+    """Jordan-Hoelder multiplicities of each simple in M (radical series);
+    end_dims[k] = dim End simples[k]."""
     f = M.alg.field
-    end_dims = [len(hom_space(L, L)) for L in simples]
     mults = [0] * len(simples)
     current = M
     while current.dim > 0:

@@ -5,11 +5,13 @@ circle diagrams are stacked and every mirror cap-cup pair in the middle is
 replaced by vertical strands, one pair at a time.  A pair is available
 once no other unprocessed pair's coverage strictly contains it (then the
 cap and cup can be joined without crossing the remaining middle arcs).
-Each replacement merges two circles or splits one, and the orientation
-tags of the affected circles are rewritten by the merge rules (a)-(d) and
-split rules (a)-(e); merges may kill a summand, splits may double it.
-Finally the strands are collapsed and the surviving tags are read off as
-a weight on S V*.
+The circles are those of S T* and T V* as the geometric classifier tags
+them.  Every summand has the same circles at every step, so a product keeps
+one list of circles and each summand is a tuple of tags aligned with it.
+Each replacement merges two circles or splits one: the tag tuples are
+rewritten by the merge rules (a)-(d) and split rules (a)-(e); merges may
+kill a summand, splits may double it.  Finally the strands are collapsed
+and each surviving tag tuple is read off as a weight on S V*.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ from .diagrams import (
     rotate_weight,
     weight_sort_key,
 )
-
-
-class SizeLimit(Exception):
-    pass
 
 
 # --- stacked-diagram surgery -------------------------------------------------
@@ -134,33 +132,24 @@ def _available_pairs(remaining: list[Arc], n: int) -> list[Arc]:
 def multiply_labels(n: int, a, b, order: Optional[list[Arc]] = None) -> dict:
     """Structure constants of C(lam;S,T) * C(mu;U,V); integer coefficients.
 
-    order, if given, fixes the full surgery sequence (it must be admissible);
-    by default the leftmost available pair is chosen at every step.
+    All summands share one list of circles (edge sets) at every step and
+    differ only in their tags, so each summand is a tuple of tags aligned
+    with that list.  order, if given, fixes the full surgery sequence (it
+    must be admissible); by default the leftmost available pair is chosen
+    at every step.
     """
     S, lam, T = a
     U, mu, V = b
     if T != U:
         return {}
-    edges = (
-        [("S", arc) for arc in S]
-        + [("mb", arc) for arc in T]
-        + [("mt", arc) for arc in T]
-        + [("V", arc) for arc in V]
-    )
-    tags = {}
-    bottom = classify_diagram(S, T, lam, n)
-    top = classify_diagram(T, V, mu, n)
-    for comp in _components(edges):
-        kinds = {k for k, _ in comp}
-        verts = tuple(sorted({node[1] for e in comp for node in _edge_nodes(e)}))
-        if kinds <= {"S", "mb"}:
-            tags[comp] = bottom[verts]
-        elif kinds <= {"mt", "V"}:
-            tags[comp] = top[verts]
-        else:
-            raise AssertionError("initial stacked diagram mixes the two halves")
+    circles, first = [], []
+    for (kc, cups), (kk, caps), w in ((("S", S), ("mb", T), lam), (("mt", T), ("V", V), mu)):
+        for verts, tag in classify_diagram(cups, caps, w, n).items():
+            arcs = [(kc, arc) for arc in cups if arc.p in verts] + [(kk, arc) for arc in caps if arc.p in verts]
+            circles.append(frozenset(arcs))
+            first.append(tag)
+    summands = [tuple(first)]
 
-    states = [tags]
     remaining = list(T)
     chosen = list(order) if order is not None else None
     while remaining:
@@ -172,47 +161,32 @@ def multiply_labels(n: int, a, b, order: Optional[list[Arc]] = None) -> dict:
         else:
             pair = min(avail)
         remaining.remove(pair)
-        cap_e = ("mb", pair)
-        cup_e = ("mt", pair)
-        new_edges = [("st", pair.p), ("st", pair.q)]
-
-        new_states = []
-        for tags in states:
-            by_edge = {}
-            for comp in tags:
-                for e in comp:
-                    by_edge[e] = comp
-            c1 = by_edge[cap_e]
-            c2 = by_edge[cup_e]
-            if c1 != c2:
-                merged_tag = _merge_tag(tags[c1], tags[c2])
-                if merged_tag is None:
-                    continue
-                new_comp = frozenset((c1 | c2) - {cap_e, cup_e}) | frozenset(new_edges)
-                nt = {c: t for c, t in tags.items() if c not in (c1, c2)}
-                nt[frozenset(new_comp)] = merged_tag
-                new_states.append(nt)
-            else:
-                rest = (c1 - {cap_e, cup_e}) | set(new_edges)
-                parts = _components(rest)
-                if len(parts) != 2:
-                    raise AssertionError("split did not produce two circles")
-                pa, pb = parts
-                for ta, tb in _split_tags(tags[c1], _is_essential(pa), _is_essential(pb)):
-                    nt = {c: t for c, t in tags.items() if c != c1}
-                    nt[pa] = ta
-                    nt[pb] = tb
-                    new_states.append(nt)
-        states = new_states
-        if not states:
+        cap_e, cup_e = ("mb", pair), ("mt", pair)
+        i = next(k for k, c in enumerate(circles) if cap_e in c)
+        j = next(k for k, c in enumerate(circles) if cup_e in c)
+        rest = [k for k in range(len(circles)) if k not in (i, j)]
+        joined = (circles[i] | circles[j]) - {cap_e, cup_e} | {("st", pair.p), ("st", pair.q)}
+        circles = [circles[k] for k in rest]
+        if i != j:
+            circles.append(joined)
+            merged = ((t, _merge_tag(t[i], t[j])) for t in summands)
+            summands = [tuple(t[k] for k in rest) + (m,) for t, m in merged if m is not None]
+        else:
+            parts = _components(joined)
+            if len(parts) != 2:
+                raise AssertionError("split did not produce two circles")
+            circles += parts
+            ess = [_is_essential(p) for p in parts]
+            summands = [tuple(t[k] for k in rest) + ab for t in summands for ab in _split_tags(t[i], *ess)]
+        if not summands:
             return {}
 
+    # the S cups and V caps of each final circle
+    shapes = [([o for k, o in c if k == "S"], [o for k, o in c if k == "V"]) for c in circles]
     out: dict = {}
-    for tags in states:
+    for tags in summands:
         symbols = {}
-        for comp, tag in tags.items():
-            cups = [obj for kind, obj in comp if kind == "S"]
-            caps = [obj for kind, obj in comp if kind == "V"]
+        for (cups, caps), tag in zip(shapes, tags):
             symbols.update(orient_circle_with_tag(cups, caps, n, tag))
         nu = "".join(symbols[v] for v in range(1, 2 * n + 1))
         key = (S, nu, V)
@@ -237,9 +211,6 @@ def admissible_orders(n: int, T: CupDiagram) -> list[list[Arc]]:
 
 # --- the algebra and its datum ----------------------------------------------
 
-DEFAULT_MAX_DIM = 2000
-
-
 @lru_cache(maxsize=None)
 def algebra_dimension(n: int) -> int:
     weights = weight_list(n)
@@ -255,12 +226,9 @@ def weight_list(n: int) -> tuple:
     return tuple(sorted(seen, key=weight_sort_key))
 
 
-def build_annular(n: int, field: Field, max_dim: int = DEFAULT_MAX_DIM) -> tuple[AlgebraTable, CellDatum]:
+def build_annular(n: int, field: Field) -> tuple[AlgebraTable, CellDatum]:
     if n < 1:
         raise ValueError("n must be positive")
-    dim = algebra_dimension(n)
-    if dim > max_dim:
-        raise SizeLimit(f"K_{n} has dimension {dim} > limit {max_dim}")
     cups = enumerate_cup_diagrams(n)
     X = list(weight_list(n))
     M = {w: [S for S in cups if orients(S, w)] for w in X}

@@ -11,6 +11,7 @@ idempotent cores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -46,47 +47,55 @@ class ReciprocityFailure(Exception):
 
 
 class StrictOrder:
-    """Strict partial order on X given by a comparison oracle."""
+    """Strict partial order on X given by a comparison oracle.
+
+    The oracle is asked once per ordered pair, the first time the relation
+    is needed; from then on every comparison is a set lookup.
+    """
 
     def __init__(self, elements: list, less: Callable[[Any, Any], bool], name: str = ""):
         self.elements = list(elements)
-        self._less = less
+        self._oracle = less
         self.name = name
 
+    @cached_property
+    def _below(self) -> dict:
+        """below[b] = {a : a < b}."""
+        return {b: {a for a in self.elements if self._oracle(a, b)} for b in self.elements}
+
     def less(self, a, b) -> bool:
-        return self._less(a, b)
+        return a in self._below[b]
 
     def leq(self, a, b) -> bool:
-        return a == b or self._less(a, b)
+        return a == b or self.less(a, b)
 
     def check_valid(self) -> Optional[str]:
         """None if a strict partial order; else a short witness string."""
-        xs = self.elements
+        xs, below = self.elements, self._below
         for a in xs:
-            if self.less(a, a):
+            if a in below[a]:
                 return f"not irreflexive at {a}"
         for a in xs:
             for b in xs:
-                if a != b and self.less(a, b) and self.less(b, a):
+                if a != b and a in below[b] and b in below[a]:
                     return f"not antisymmetric on ({a},{b})"
         for a in xs:
             for b in xs:
-                if not self.less(a, b):
+                if a not in below[b]:
                     continue
                 for c in xs:
-                    if self.less(b, c) and not self.less(a, c):
+                    if b in below[c] and a not in below[c]:
                         return f"not transitive on ({a},{b},{c})"
         return None
 
     def hasse_pairs(self) -> list[tuple]:
-        out = []
-        for a in self.elements:
-            for b in self.elements:
-                if self.less(a, b) and not any(
-                    self.less(a, c) and self.less(c, b) for c in self.elements
-                ):
-                    out.append((a, b))
-        return out
+        xs, below = self.elements, self._below
+        return [
+            (a, b)
+            for a in xs
+            for b in xs
+            if a in below[b] and not any(a in below[c] and c in below[b] for c in xs)
+        ]
 
 
 def chain_order(elements: list, chain: list, name: str = "") -> StrictOrder:
@@ -394,6 +403,7 @@ class SimpleSet:
     X0: list
     modules: dict  # lam -> RepModule (quotient of Delta(lam))
     dims: dict  # lam -> int
+    ends: dict  # lam -> dim End L(lam)
     cell_modules: dict  # lam -> CellModule
     grams: dict  # lam -> GramForm
 
@@ -402,6 +412,7 @@ def simple_set(d: CellDatum) -> SimpleSet:
     X0 = []
     modules = {}
     dims = {}
+    ends = {}
     cells = {}
     grams = {}
     for lam in d.X:
@@ -416,9 +427,10 @@ def simple_set(d: CellDatum) -> SimpleSet:
         L, _ = quotient_module(delta.rep, rad)
         modules[lam] = L
         dims[lam] = L.dim
+        ends[lam] = len(hom_space(L, L))
         if L.dim != phi.matrix.rank():
             raise InconsistentCoefficients(f"dim L({lam}) != rank Phi_{lam}")
-    return SimpleSet(X0, modules, dims, cells, grams)
+    return SimpleSet(X0, modules, dims, ends, cells, grams)
 
 
 def decomposition_matrix(d: CellDatum, ss: Optional[SimpleSet] = None) -> list[list[int]]:
@@ -426,9 +438,10 @@ def decomposition_matrix(d: CellDatum, ss: Optional[SimpleSet] = None) -> list[l
     if ss is None:
         ss = simple_set(d)
     simples = [ss.modules[lam] for lam in ss.X0]
+    ends = [ss.ends[lam] for lam in ss.X0]
     D = []
     for mu in d.X:
-        row = composition_multiplicities(ss.cell_modules[mu].rep, simples)
+        row = composition_multiplicities(ss.cell_modules[mu].rep, simples, ends)
         D.append(row)
     for ci, lam in enumerate(ss.X0):
         ri = d.X.index(lam)
@@ -517,7 +530,7 @@ def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list
         raise ReciprocityFailure("Cartan matrix not positive semidefinite")
     X0, prims = ss.X0, d.primitive_idempotents
     simples = [ss.modules[lam] for lam in X0]
-    ends = [len(hom_space(L, L)) for L in simples]
+    ends = [ss.ends[lam] for lam in X0]
     if all(lam in prims for lam in X0):
         idems, names = [prims[lam] for lam in X0], [f"e({lam})" for lam in X0]
         mults = [{a: 1} for a in range(len(X0))]

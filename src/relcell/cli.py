@@ -246,7 +246,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
         p.add_argument("--max-dim", type=int, default=None, help="size guard (env RELCELL_MAX_DIM)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized property sampling")
 
     for name, fn in [
         ("build", cmd_build),
@@ -263,6 +262,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         if name == "core":
             p.add_argument("--eps", type=int, default=0, help="index into the idempotent set E")
+        if name == "frobenius":
+            p.add_argument("--seed", type=int, default=0, help="seed for the associativity sample")
 
     p = sub.add_parser("mult")
     common(p)

@@ -23,12 +23,19 @@ class UnknownFamily(UsageError):
     pass
 
 
+class SizeLimit(Exception):
+    pass
+
+
+DEFAULT_MAX_DIM = 2000
+
+
 def max_dim_limit(cli_value=None) -> int:
     if cli_value is not None:
         return cli_value
     env = os.environ.get("RELCELL_MAX_DIM")
     if not env:
-        return annular.DEFAULT_MAX_DIM
+        return DEFAULT_MAX_DIM
     if not env.isdecimal() or int(env) < 1:
         raise UsageError(f"RELCELL_MAX_DIM must be a positive integer, not {env!r}")
     return int(env)
@@ -54,19 +61,17 @@ def parse_family(spec: str):
 
 
 def build_family(spec: str, max_dim=None) -> tuple[AlgebraTable, CellDatum]:
-    parsed = parse_family(spec)
+    """The family's algebra and datum; SizeLimit, before anything is built,
+    if its dimension exceeds the size guard."""
+    kind, *params = parse_family(spec)
     limit = max_dim_limit(max_dim)
-    if parsed[0] == "zigzag":
-        _, variant, n = parsed
-        alg, datum = zigzag.build_zigzag(zigzag.QuiverSpec(variant, n), QQ)
-    elif parsed[0] == "usl2":
-        p = parsed[1]
-        if p**3 > limit:
-            raise annular.SizeLimit(f"usl2 p={p} has dimension {p**3} > limit {limit}")
-        alg, datum = usl2.build_usl2(p)
+    if kind == "zigzag":
+        quiver = zigzag.QuiverSpec(*params)
+        dim, build = zigzag.algebra_dimension(quiver), lambda: zigzag.build_zigzag(quiver, QQ)
+    elif kind == "usl2":
+        dim, build = params[0] ** 3, lambda: usl2.build_usl2(params[0])
     else:
-        n = parsed[1]
-        alg, datum = annular.build_annular(n, QQ, max_dim=limit)
-    if alg.dim > limit:
-        raise annular.SizeLimit(f"{spec} has dimension {alg.dim} > limit {limit}")
-    return alg, datum
+        dim, build = annular.algebra_dimension(params[0]), lambda: annular.build_annular(params[0], QQ)
+    if dim > limit:
+        raise SizeLimit(f"{spec} has dimension {dim} > limit {limit}")
+    return build()

@@ -174,6 +174,11 @@ def _msets(spec: QuiverSpec):
     return X, M
 
 
+def algebra_dimension(spec: QuiverSpec) -> int:
+    """sum |M(lam)|^2 over the standard datum: the number of basis labels."""
+    return sum(len(Ms) ** 2 for Ms in _msets(spec)[1].values())
+
+
 def _datum_orders_and_eps(spec: QuiverSpec, X, M, alg, vertex_idem):
     """E, orders, eps_index for the standard datum of each variant."""
     n = spec.n

@@ -121,16 +121,17 @@ def test_composition_multiplicities_examples(u3, k1):
     alg, d = u3
     ss = simple_set(d)
     simples = [ss.modules[lam] for lam in ss.X0]
+    ends = [ss.ends[lam] for lam in ss.X0]
     # Delta(0) for p=3 has factors L(0) and L(1)
-    assert composition_multiplicities(ss.cell_modules[0].rep, simples) == [1, 1, 0]
+    assert composition_multiplicities(ss.cell_modules[0].rep, simples, ends) == [1, 1, 0]
     # indicator on a simple
-    assert composition_multiplicities(simples[2], simples) == [0, 0, 1]
+    assert composition_multiplicities(simples[2], simples, ends) == [0, 0, 1]
     # P(v^) in K_1 has factors {L(v^): 2, L(^v): 2}
     alg1, d1 = k1
     ss1 = simple_set(d1)
     simples1 = [ss1.modules[lam] for lam in ss1.X0]
     P = left_ideal_module(alg1, d1.E[0])
-    assert composition_multiplicities(P, simples1) == [2, 2]
+    assert composition_multiplicities(P, simples1, [ss1.ends[lam] for lam in ss1.X0]) == [2, 2]
 
 
 def test_quotient_module_dims(u3):

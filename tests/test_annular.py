@@ -1,10 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from relcell.algebra import BasisLabel
+from relcell.algebra import BasisLabel, table_to_json
 from relcell.annular import (
-    SizeLimit,
     admissible_orders,
     algebra_dimension,
     build_annular,
@@ -36,6 +36,7 @@ from relcell.diagrams import (
     make_cup,
     orients,
 )
+from relcell.families import SizeLimit, build_family
 from relcell.field import QQ
 from relcell.algebra import left_ideal_module
 
@@ -48,7 +49,21 @@ def test_dimensions():
 
 def test_size_guard():
     with pytest.raises(SizeLimit):
-        build_annular(3, QQ, max_dim=1000)
+        build_family("annular:n=3", 1000)
+
+
+@pytest.mark.parametrize(
+    "fixture, size, digest",
+    [
+        ("k1", 1340, "6f0d3116364f0a57bec6033e9a32f565751e1ae2e4a436a50555c753d474b8bd"),
+        ("k2", 34999, "0fbe681ae506619f50bdee68fbfdbe7da7b8606d6f29747d3a3f042a559371b2"),
+    ],
+)
+def test_structure_constants_pinned(request, fixture, size, digest):
+    # the serialized table of K_1 and K_2, every structure constant included
+    alg, _ = request.getfixturevalue(fixture)
+    text = table_to_json(alg).encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
 
 
 def test_cell_module_dims_are_orientation_counts(k2):

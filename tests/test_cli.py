@@ -161,6 +161,16 @@ def test_frobenius_subcommand(capsys):
     assert doc["nondegenerate"] is True and doc["rank"] == 8
 
 
+def test_frobenius_seed(capsys):
+    code, _, _ = run(capsys, "frobenius", "annular:n=1", "--seed", "3")
+    assert code == 0
+
+
+def test_seed_only_on_frobenius(capsys):
+    code, _, _ = run(capsys, "cartan", "usl2:p=3", "--seed", "3")
+    assert code == 2
+
+
 def test_build_pretty(capsys):
     code, out, _ = run(capsys, "build", "zigzag:A:3")
     assert code == 0
