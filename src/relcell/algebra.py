@@ -101,7 +101,7 @@ class AlgebraTable:
         key = (i, j)
         got = self._memo.get(key)
         if got is None:
-            got = {k: c for k, c in self._mult_fn(i, j).items() if c}
+            got = {k: c for k, c in self._mult_fn(i, j).items() if c} or ZERO_PRODUCT
             self._memo[key] = got
         return got
 

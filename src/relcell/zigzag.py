@@ -1,21 +1,20 @@
 """Zigzag quiver algebras: the line C(A_n) and the two cycle quotients.
 
 Paths are vertex tuples.  The relation "all 2-cycles at a vertex are
-equal" generates a finite flip-equivalence on paths of fixed length; a
-path is zero when some member of its class contains a forbidden straight
-run (two steps for the short relation, a full cycle for the long one).
-The class is walked member by member and a path is declared zero at the
-first forbidden member found, so only nonzero classes are enumerated in
-full.  Normal form is the lexicographically smallest member of a nonzero
-class, and the basis is enumerated by closure from the vertex idempotents.
-A basis path from vertex u to vertex v is e_u . path . e_v, so its first
-and last vertices are its Peirce block keys.
+equal" makes two paths equal when one turns into the other by flips
+(a|b|a) -> (a|c|a).  A flip swaps an adjacent up step and down step, so a
+path's class is fixed by its start and its up and down step counts, and
+the path is zero when one count reaches a forbidden straight run (two
+steps for the short relation, a full cycle for the long one).  Normal form
+is the lexicographically smallest member of a nonzero class, built step
+by step, and the basis is enumerated by closure from the vertex
+idempotents.  A basis path from vertex u to vertex v is e_u . path . e_v,
+so its first and last vertices are its Peirce block keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import AlgebraTable, BasisLabel
 from .celldata import CellDatum, chain_order
@@ -65,53 +64,32 @@ def _is_path(spec: QuiverSpec, p: Path) -> bool:
     return all(b in spec.neighbors(a) for a, b in zip(p, p[1:]))
 
 
-def _has_forbidden_run(spec: QuiverSpec, p: Path) -> bool:
-    if spec.variant in (LINE, CYCLE_SHORT):
-        # two steps in one direction: (i|j|k) with i != k
-        return any(p[i] != p[i + 2] for i in range(len(p) - 2))
-    # cycle-long: a monotone run around the whole circle (n equal steps)
-    n = spec.n
-    run, prev = 0, None
-    for a, b in zip(p, p[1:]):
-        step = (b - a) % n
-        run = run + 1 if step == prev else 1
-        prev = step
-        if run >= n and step in (1, n - 1):
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def _normalize_cached(spec: QuiverSpec, p: Path):
-    """Walk the flip class of p, the paths reachable by replacing 2-cycle
-    midpoints (a|b|a)->(a|c|a); None at the first member with a forbidden
-    run, else the smallest member."""
-    if _has_forbidden_run(spec, p):
-        return None
-    seen = {p}
-    queue = [p]
-    while queue:
-        cur = queue.pop()
-        for i in range(1, len(cur) - 1):
-            if cur[i - 1] != cur[i + 1]:
-                continue
-            for w in spec.neighbors(cur[i - 1]):
-                if w == cur[i]:
-                    continue
-                alt = cur[:i] + (w,) + cur[i + 1 :]
-                if alt not in seen:
-                    if _has_forbidden_run(spec, alt):
-                        return None
-                    seen.add(alt)
-                    queue.append(alt)
-    return min(seen)
-
-
 def normalize(spec: QuiverSpec, p: Path):
-    """Normal form of a path, or None if it is zero in the algebra."""
+    """Normal form of a path, or None if it is zero in the algebra.
+
+    A flip (a|b|a) -> (a|c|a) swaps an adjacent up step and down step, so
+    the flip class of p is every arrangement of p's up and down steps that
+    starts at p[0] and stays on the quiver.  Some arrangement has a
+    forbidden run exactly when one step kind occurs cap times (two for the
+    short relation, n for the long one); otherwise the smallest member is
+    built greedily, taking the smaller next vertex among the steps left.
+    """
     if not _is_path(spec, p):
         raise InvalidSpec(f"{p} is not a path in {spec}")
-    return _normalize_cached(spec, p)
+    n = spec.n
+    left = {1: 0, -1: 0}  # up and down steps still to take
+    for a, b in zip(p, p[1:]):
+        left[1 if b == a % n + 1 else -1] += 1
+    if max(left.values()) >= (n if spec.variant == CYCLE_LONG else 2):
+        return None
+    out = [p[0]]
+    for _ in p[1:]:
+        v = out[-1]
+        steps = [((v - 1 + d) % n + 1, d) for d in (1, -1) if left[d]]
+        w, d = min(s for s in steps if s[0] in spec.neighbors(v))
+        left[d] -= 1
+        out.append(w)
+    return tuple(out)
 
 
 def compose(spec: QuiverSpec, a: Path, b: Path):
@@ -119,12 +97,6 @@ def compose(spec: QuiverSpec, a: Path, b: Path):
     if a[-1] != b[0]:
         return None
     return normalize(spec, a + b[1:])
-
-
-def multiply_paths(a: Path, b: Path, spec: QuiverSpec) -> dict:
-    """Product as a sparse {normal form: 1} dict (empty means zero)."""
-    nf = compose(spec, a, b)
-    return {} if nf is None else {nf: 1}
 
 
 def star_path(p: Path) -> Path:

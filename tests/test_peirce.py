@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from relcell import annular, usl2, zigzag
-from relcell.algebra import AlgebraTable
+from relcell.algebra import ZERO_PRODUCT, AlgebraTable
 from relcell.celldata import StrictOrder, cell_module, verify_cell_datum
 from relcell.families import build_family
 from relcell.field import QQ
@@ -69,6 +69,8 @@ def test_materialize_stores_only_unmasked_pairs(k2):
     alg.materialize()
     unmasked = sum(1 for a in alg.basis for b in alg.basis if a.T == b.S)
     assert len(alg._memo) == unmasked < alg.dim**2
+    # a zero product is stored as the one shared read-only empty product
+    assert all(v is ZERO_PRODUCT for v in alg._memo.values() if not v)
 
 
 # --- differential: the same kernel and star with blocks=None ------------------

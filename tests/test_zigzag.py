@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from relcell.algebra import table_to_json
 from relcell.celldata import (
     cartan_matrix,
     decomposition_matrix,
@@ -17,7 +19,6 @@ from relcell.zigzag import (
     alternate_idempotent_datum,
     build_zigzag,
     compose,
-    multiply_paths,
     normalize,
     path_basis,
     star_path,
@@ -54,14 +55,14 @@ def test_path_products_examples():
     a3 = QuiverSpec("A", 3)
     c3 = QuiverSpec("cycS", 3)
     # e_i o e_j = delta_ij e_i
-    assert multiply_paths((1,), (1,), a3) == {(1,): 1}
-    assert multiply_paths((1,), (2,), a3) == {}
+    assert compose(a3, (1,), (1,)) == (1,)
+    assert compose(a3, (1,), (2,)) is None
     # (1|2) o (2|1) = (1|2|1) = (1|3|1) in the cycle: one loop class
     loop = compose(c3, (1, 2), (2, 1))
     assert loop == normalize(c3, (1, 3, 1))
     # going two steps in one direction is zero
-    assert multiply_paths((1, 2), (2, 3), a3) == {}
-    assert multiply_paths((1, 2), (2, 3), c3) == {}
+    assert compose(a3, (1, 2), (2, 3)) is None
+    assert compose(c3, (1, 2), (2, 3)) is None
 
 
 def test_loop_squares_to_zero():
@@ -83,7 +84,7 @@ def test_dims():
 
 def test_cycl_vertex_pair_dimension():
     # dim e_j R' e_i = n for every pair (Cartan all-n)
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         spec = QuiverSpec("cycL", n)
         basis = path_basis(spec)
         for i in spec.vertices():
@@ -93,7 +94,7 @@ def test_cycl_vertex_pair_dimension():
 
 
 def test_rewrite_confluence_products_land_in_basis():
-    for variant, ns in (("A", (3, 4, 5)), ("cycS", (3, 4, 5)), ("cycL", (3, 4))):
+    for variant, ns in (("A", (3, 4, 5)), ("cycS", (3, 4, 5)), ("cycL", (3, 4, 5))):
         for n in ns:
             spec = QuiverSpec(variant, n)
             basis = path_basis(spec)
@@ -105,8 +106,8 @@ def test_rewrite_confluence_products_land_in_basis():
 
 
 def test_flip_order_does_not_matter():
-    # normalize via the closure is independent of any rewrite order by
-    # construction; spot-check that random greedy flip walks agree with it
+    # a flip keeps a path's up and down step counts, from which normalize
+    # reads the class; spot-check that random flip walks agree with it
     spec = QuiverSpec("cycL", 3)
     rnd = random.Random(1)
     basis = path_basis(spec)
@@ -131,6 +132,72 @@ def test_flip_order_does_not_matter():
         assert normalize(spec, cur) == normalize(spec, path)
 
 
+def flip_class_normal_form(spec, p):
+    """Reference from the definition: the flip class of p, searched member
+    by member over (a|b|a) -> (a|c|a); None if some member has cap equal
+    consecutive steps, else the smallest member.  Returns (class, result)."""
+    cap = spec.n if spec.variant == "cycL" else 2
+    seen, queue = {p}, [p]
+    while queue:
+        cur = queue.pop()
+        for i in range(1, len(cur) - 1):
+            if cur[i - 1] != cur[i + 1]:
+                continue
+            for w in spec.neighbors(cur[i - 1]):
+                alt = cur[:i] + (w,) + cur[i + 1 :]
+                if alt not in seen:
+                    seen.add(alt)
+                    queue.append(alt)
+
+    def forbidden(q):
+        steps = [(b - a) % spec.n for a, b in zip(q, q[1:])]
+        return any(len(set(steps[i : i + cap])) == 1 for i in range(len(steps) - cap + 1))
+
+    return seen, None if any(forbidden(q) for q in seen) else min(seen)
+
+
+def test_normal_form_equals_flip_class_reference():
+    # every path of length up to 2n + 2, each flip class searched once
+    checked = 0
+    for variant in ("A", "cycS", "cycL"):
+        for n in (3, 4):
+            spec = QuiverSpec(variant, n)
+            layer = [(v,) for v in spec.vertices()]
+            for _ in range(2 * n + 3):
+                expected = {}
+                for p in layer:
+                    if p not in expected:
+                        members, nf = flip_class_normal_form(spec, p)
+                        expected.update(dict.fromkeys(members, nf))
+                    assert normalize(spec, p) == expected[p], (spec, p)
+                checked += len(layer)
+                layer = [p + (w,) for p in layer for w in spec.neighbors(p[-1])]
+    assert checked == 20809
+
+
+def test_long_cycle_normal_form_is_linear():
+    # the flip class of this length-22 path has C(22, 11) members
+    spec = QuiverSpec("cycL", 12)
+    path = tuple(range(1, 13)) + tuple(range(11, 0, -1))
+    assert normalize(spec, path) == (1, 2) * 11 + (1,)
+
+
+@pytest.mark.parametrize(
+    "variant, n, size, digest",
+    [
+        ("A", 3, 1131, "02a7e48ac4ea29a483042578f3bc915b8cf2acd6f30281226142d44a7366bd81"),
+        ("cycS", 3, 1408, "d52aab7a3022e07931a0c6459c2e7c4dc3bc89feb585adf798bb300133afff01"),
+        ("cycL", 3, 4638, "c201e132bed679009b5b7a93a718d1172e75a30cfc9aec06ca94e00e7232814e"),
+        ("cycL", 5, 42261, "8e912c8fe0dead5317e7df848504a02c2be73ad2c627f34160853a756e310f69"),
+    ],
+)
+def test_structure_constants_pinned(variant, n, size, digest):
+    # the serialized table, every structure constant included
+    alg, _ = build_zigzag(QuiverSpec(variant, n), QQ)
+    text = table_to_json(alg).encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_cartan_line(n):
     alg, d = build_zigzag(QuiverSpec("A", n), QQ)
@@ -146,7 +213,7 @@ def test_cartan_cycle_short(n):
     assert C == CIRCULANT[n]
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_cartan_cycle_long(n):
     alg, d = build_zigzag(QuiverSpec("cycL", n), QQ)
     C, D, minors = cartan_matrix(d)
