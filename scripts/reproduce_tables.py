@@ -28,7 +28,7 @@ def show(name, datum):
     report = verify_cell_datum(datum)
     ss = simple_set(datum)
     D = decomposition_matrix(datum, ss)
-    C, _, minors = cartan_matrix(datum, ss, D)
+    C, _, _ = cartan_matrix(datum, ss, D)
     dt = time.time() - t0
     print(f"== {name}  (dim {datum.alg.dim}, {dt:.1f}s)")
     print(f"   axioms: {'all pass' if report.all_passed else 'FAILURES'}")

@@ -6,7 +6,8 @@ the star permutation and a Peirce-block mask: a left and a right block key
 per basis element, with b_i * b_j = 0 by declaration unless the right key
 of i equals the left key of j.  Masked products never reach the rule or the
 memo, and products, sweeps and materialization visit only unmasked pairs.
-Modules are dense action matrices; hom spaces, radicals, composition
+A module stores the action matrices of the basis elements that act by
+nonzero, and nothing for the rest; hom spaces, radicals, composition
 multiplicities and Peirce dimensions dim eAf are computed by exact linear
 algebra over the table's field.
 """
@@ -127,12 +128,6 @@ class AlgebraTable:
     def star_element(self, x: "Element") -> "Element":
         return Element(self, {self.star_perm[i]: c for i, c in x.coeffs.items()})
 
-    def generator_list(self) -> list[tuple[str, "Element"]]:
-        """Registered generators, defaulting to the full basis."""
-        if self.generators is not None:
-            return self.generators
-        return [(str(self.basis[i]), self.basis_element(i)) for i in range(self.dim)]
-
 
 class Element:
     """Sparse algebra element {basis index: nonzero scalar}."""
@@ -220,43 +215,48 @@ def unit_element(alg: AlgebraTable, idempotents: list[Element]) -> Element:
 
 
 class RepModule:
-    """Left module: dimension plus one action matrix per algebra basis index."""
+    """Left module: its dimension and action[i] = rho(b_i) for each basis index
+    i that acts by nonzero.  An index with no entry acts by zero; zero
+    matrices are dropped here, which is the only zero test an action gets."""
 
-    def __init__(self, alg: AlgebraTable, dim: int, action: list[Matrix]):
-        if len(action) != alg.dim:
-            raise AlgebraMismatch("need one action matrix per basis element")
+    def __init__(self, alg: AlgebraTable, dim: int, action: dict[int, Matrix]):
         self.alg = alg
         self.dim = dim
-        self.action = action
+        self.action = {i: A for i, A in action.items() if not A.is_zero()}
 
     def act(self, x: Element) -> Matrix:
         f = self.alg.field
-        out = Matrix.zero(f, self.dim, self.dim)
+        out = [f.zero] * (self.dim * self.dim)
         for i, c in x.coeffs.items():
-            out = out.add(self.action[i].scale(c))
-        return out
+            A = self.action.get(i)
+            if A is None:
+                continue
+            for t, a in enumerate(A.entries):
+                if a:
+                    out[t] = f.add(out[t], f.mul(c, a))
+        return Matrix(f, self.dim, self.dim, out)
 
     def check_action(self, pairs=None) -> bool:
         """rho(x) rho(y) == rho(xy) on the given (default: all) basis pairs."""
-        n = self.alg.dim
+        alg = self.alg
+        n = alg.dim
         if pairs is None:
             pairs = [(i, j) for i in range(n) for j in range(n)]
-        f = self.alg.field
+        zero = Matrix.zero(alg.field, self.dim, self.dim)
         for i, j in pairs:
-            lhs = self.action[i] @ self.action[j]
-            rhs = Matrix.zero(f, self.dim, self.dim)
-            for k, c in self.alg.mult_basis(i, j).items():
-                rhs = rhs.add(self.action[k].scale(c))
-            if lhs != rhs:
+            A, B = self.action.get(i), self.action.get(j)
+            lhs = zero if A is None or B is None else A @ B
+            if lhs != self.act(alg.element(alg.mult_basis(i, j))):
                 return False
         return True
 
 
-def _span_module(alg: AlgebraTable, ech: Echelon, act) -> tuple[list[list], RepModule]:
+def _span_module(alg: AlgebraTable, ech: Echelon, act, indices) -> tuple[list[list], RepModule]:
     """Module structure on the row space of `ech`, which must be stable.
 
     The basis is the RREF rows; `act(i, B)` returns the images under basis
-    element i of the columns of B.  Basis vector j is 1 at pivot column p_j
+    element i of the columns of B, and only the given indices act (every
+    other one must act by zero).  Basis vector j is 1 at pivot column p_j
     and every other basis vector is 0 there, so the coordinates of an image
     in the span are its entries at the pivot columns.  Returns (basis rows,
     module).
@@ -265,20 +265,20 @@ def _span_module(alg: AlgebraTable, ech: Echelon, act) -> tuple[list[list], RepM
     red = ech.matrix()
     B = red.transpose()
     pivots = ech.pivots()
-    action = []
-    for i in range(alg.dim):
+    action = {}
+    for i in indices:
         img = act(i, B)
         X = Matrix(f, len(pivots), len(pivots), [x for p in pivots for x in img.row(p)])
         if B @ X != img:
             raise AlgebraMismatch("subspace is not action-stable")
-        action.append(X)
+        action[i] = X
     return red.to_rows(), RepModule(alg, len(pivots), action)
 
 
 def _restrict_action(M: RepModule, vectors) -> tuple[list[list], RepModule]:
     """The submodule of M spanned by the given vectors (must be stable)."""
     ech = Echelon(M.alg.field, M.dim, vectors)
-    return _span_module(M.alg, ech, lambda i, B: M.action[i] @ B)
+    return _span_module(M.alg, ech, lambda i, B: M.action[i] @ B, M.action)
 
 
 def quotient_module(M: RepModule, sub_vectors: list[list]) -> tuple[RepModule, Matrix]:
@@ -290,7 +290,7 @@ def quotient_module(M: RepModule, sub_vectors: list[list]) -> tuple[RepModule, M
     f = M.alg.field
     if not sub_vectors:
         P = Matrix.identity(f, M.dim)
-        return RepModule(M.alg, M.dim, list(M.action)), P
+        return RepModule(M.alg, M.dim, M.action), P
     red, pivots = Matrix.from_rows(f, sub_vectors).rref()
     pivset = set(pivots)
     free = [j for j in range(M.dim) if j not in pivset]
@@ -303,21 +303,16 @@ def quotient_module(M: RepModule, sub_vectors: list[list]) -> tuple[RepModule, M
         proj_rows.append(row)
     P = Matrix.from_rows(f, proj_rows) if free else Matrix(f, 0, M.dim, [])
     S = from_columns(f, [[f.one if i == fi else f.zero for i in range(M.dim)] for fi in free], M.dim)
-    action = [P @ M.action[i] @ S for i in range(M.alg.dim)]
+    action = {i: P @ A @ S for i, A in M.action.items()}
     return RepModule(M.alg, len(free), action), P
 
 
-def _action_pairs(M: RepModule, N: RepModule, alg: AlgebraTable):
-    """(rho_M(g), rho_N(g)) over the generator set, except pairs of zeros."""
-    if alg.generators is None:
-        it = ((M.action[i], N.action[i]) for i in range(alg.dim))
-    else:
-        it = ((M.act(g), N.act(g)) for _, g in alg.generators)
-    return [(A, B) for A, B in it if not (A.is_zero() and B.is_zero())]
-
-
 def hom_space(M: RepModule, N: RepModule) -> list[Matrix]:
-    """Basis of {X : X rho_M(g) = rho_N(g) X for all generators g}."""
+    """Basis of {X : X rho_M(g) = rho_N(g) X for all generators g}.
+
+    Without registered generators, g runs over the basis elements that act
+    by nonzero on M or on N: the rest impose 0 = 0.
+    """
     alg = M.alg
     if M.alg is not N.alg:
         raise AlgebraMismatch("modules over different algebras")
@@ -325,9 +320,15 @@ def hom_space(M: RepModule, N: RepModule) -> list[Matrix]:
     nm, nn = M.dim, N.dim
     if nm == 0 or nn == 0:
         return []
+    if alg.generators is None:
+        zm, zn = Matrix.zero(f, nm, nm), Matrix.zero(f, nn, nn)
+        pairs = [(M.action.get(i, zm), N.action.get(i, zn)) for i in sorted(M.action.keys() | N.action.keys())]
+    else:
+        acts = ((M.act(g), N.act(g)) for _, g in alg.generators)
+        pairs = [(A, B) for A, B in acts if not (A.is_zero() and B.is_zero())]
     nunk = nn * nm
     ech = Echelon(f, nunk)
-    for A, B in _action_pairs(M, N, alg):
+    for A, B in pairs:
         # constraint: X A - B X = 0, unknowns X[r][c] flattened r*nm+c
         for r in range(nn):
             for c in range(nm):
@@ -343,29 +344,27 @@ def hom_space(M: RepModule, N: RepModule) -> list[Matrix]:
     return [Matrix(f, nn, nm, v) for v in ech.nullspace_basis()]
 
 
-def radical_of_module(M: RepModule, simples: list[RepModule]) -> tuple[list[list], RepModule]:
-    """Intersection of kernels of all maps to the given (complete) simples."""
-    f = M.alg.field
-    homs = []
-    for L in simples:
-        homs.extend(hom_space(M, L))
-    if not homs:
-        return _restrict_action(M, [[f.one if i == j else f.zero for j in range(M.dim)] for i in range(M.dim)])
-    return _restrict_action(M, stack_rows(f, homs).nullspace_basis())
+def radical_of_module(M: RepModule, simples: list[RepModule]) -> tuple[list[list[Matrix]], RepModule]:
+    """rad M, the intersection of the kernels of all maps to the given
+    (complete) simples; returns (the basis of Hom(M, L) for each simple L,
+    rad M)."""
+    homs = [hom_space(M, L) for L in simples]
+    maps = [h for hs in homs for h in hs]
+    if not maps:
+        return homs, M
+    return homs, _restrict_action(M, stack_rows(M.alg.field, maps).nullspace_basis())[1]
 
 
 def composition_multiplicities(M: RepModule, simples: list[RepModule], end_dims: list[int]) -> list[int]:
     """Jordan-Hoelder multiplicities of each simple in M (radical series);
     end_dims[k] = dim End simples[k]."""
-    f = M.alg.field
     mults = [0] * len(simples)
     current = M
     while current.dim > 0:
+        homs, rad = radical_of_module(current, simples)
         head_dim = 0
-        layer_homs = []
         for k, L in enumerate(simples):
-            homs = hom_space(current, L)
-            h = len(homs)
+            h = len(homs[k])
             if h % end_dims[k] != 0:
                 raise NonIntegralMultiplicity(
                     f"hom dimension {h} not divisible by dim End = {end_dims[k]}"
@@ -373,10 +372,9 @@ def composition_multiplicities(M: RepModule, simples: list[RepModule], end_dims:
             m = h // end_dims[k]
             mults[k] += m
             head_dim += m * L.dim
-            layer_homs.extend(homs)
         if head_dim == 0:
             raise NonIntegralMultiplicity("module has no map to any given simple; simples incomplete?")
-        _, current = _restrict_action(current, stack_rows(f, layer_homs).nullspace_basis())
+        current = rad
     if sum(m * L.dim for m, L in zip(mults, simples)) != M.dim:
         raise NonIntegralMultiplicity("multiplicities do not account for the full dimension")
     return mults
@@ -402,7 +400,7 @@ def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:
         prods = [(x * y).coeffs for y in basis]
         return from_columns(f, [[p.get(r, f.zero) for r in range(n)] for p in prods], n)
 
-    return _span_module(alg, ech, act)[1]
+    return _span_module(alg, ech, act, range(n))[1]
 
 
 # --- serialization ----------------------------------------------------------

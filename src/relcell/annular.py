@@ -285,28 +285,10 @@ def cup_of_weight(n: int, lam: str) -> CupDiagram:
     raise ValueError(f"no cup diagram for weight {lam}")
 
 
-class FastpathMismatch(Exception):
-    pass
-
-
 def decomposition_fastpath(n: int, X: list[str], X0: list[str]) -> list[list[int]]:
     """d[mu][lam] = 1 iff the cup diagram of lam is oriented by mu."""
     cups = {lam: cup_of_weight(n, lam) for lam in X0}
     return [[1 if orients(cups[lam], mu) else 0 for lam in X0] for mu in X]
-
-
-def decomposition_fastpath_checked(n: int, datum: CellDatum) -> list[list[int]]:
-    """The fastpath matrix, verified against the radical-series engine."""
-    from .celldata import decomposition_matrix, simple_set
-
-    ss = simple_set(datum)
-    engine = decomposition_matrix(datum, ss)
-    fast = decomposition_fastpath(n, datum.X, ss.X0)
-    if fast != engine:
-        raise FastpathMismatch(
-            f"orientation fastpath disagrees with the radical series for K_{n}"
-        )
-    return fast
 
 
 def projective_dimension(n: int, lam: str) -> int:

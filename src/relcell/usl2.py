@@ -119,13 +119,6 @@ def build_usl2(p: int) -> tuple[AlgebraTable, CellDatum]:
     return alg, datum
 
 
-def weight_idempotent(lam: int, p: int, alg: AlgebraTable = None) -> Element:
-    """1_lam as a cell-basis Element (the basis element C(lam;0,0))."""
-    if alg is None:
-        alg, _ = build_usl2(p)
-    return alg.element_from_label(BasisLabel(lam, 0, 0))
-
-
 def generator_element(name: str, alg: AlgebraTable) -> Element:
     for gname, g in alg.generators:
         if gname == name:
@@ -185,30 +178,6 @@ def verify_pbw_change_of_basis(p: int) -> bool:
     """The cell basis spans the PBW basis (the conversion is invertible)."""
     M = cell_to_pbw_matrix(p)
     return M.rank() == p * p * p
-
-
-def verify_chi_zero_boundary(p: int, alg: AlgebraTable = None, datum: CellDatum = None) -> list:
-    """Check that truncation by E^p = F^p = 0 keeps axiom (d) closed.
-
-    For every product of basis elements, every surviving term must carry a
-    label that is <= the right factor's label in the order of its right
-    idempotent (strictly below except for the main terms).  Returns a list
-    of violations (empty = pass).
-    """
-    if alg is None:
-        alg, datum = build_usl2(p)
-    bad = []
-    for i, a in enumerate(alg.basis):
-        for j, b in enumerate(alg.basis):
-            mu, U, V = b.lam, b.S, b.T
-            order = datum.orders[datum.eps_of(mu, V)]
-            for k in alg.mult_basis(i, j):
-                lab = alg.basis[k]
-                if lab.lam not in datum.X:
-                    bad.append((a, b, lab, "label outside X"))
-                elif lab.lam != mu and not order.less(lab.lam, mu):
-                    bad.append((a, b, lab, "friend not strictly smaller"))
-    return bad
 
 
 def gram_diagonal_formula(p: int):

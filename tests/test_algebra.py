@@ -5,6 +5,7 @@ import pytest
 from relcell.algebra import (
     AlgebraMismatch,
     NotUnital,
+    RepModule,
     _restrict_action,
     composition_multiplicities,
     hom_space,
@@ -17,6 +18,7 @@ from relcell.algebra import (
 )
 from relcell.celldata import cell_module, simple_set
 from relcell.field import QQ
+from relcell.linalg import Matrix
 
 
 def check_associativity(alg, limit=30, samples=10_000, seed=0):
@@ -132,6 +134,65 @@ def test_composition_multiplicities_examples(u3, k1):
     simples1 = [ss1.modules[lam] for lam in ss1.X0]
     P = left_ideal_module(alg1, d1.E[0])
     assert composition_multiplicities(P, simples1, [ss1.ends[lam] for lam in ss1.X0]) == [2, 2]
+
+
+SPARSE_FAMILIES = ("zigzag_a3", "zigzag_cycl3", "u3", "k1")
+
+
+def cell_and_simple_modules(d):
+    ss = simple_set(d)
+    return [ss.cell_modules[lam].rep for lam in d.X] + [ss.modules[lam] for lam in ss.X0]
+
+
+def dense_hom_space(M, N, acts_M=None, acts_N=None):
+    """Reference: X act_M(b_i) = act_N(b_i) X imposed for every i < dim A."""
+    alg = M.alg
+    f = alg.field
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    acts_M = acts_M or [M.act(x) for x in basis]
+    acts_N = acts_N or [N.act(x) for x in basis]
+    nm, nn = M.dim, N.dim
+    rows = []
+    for A, B in zip(acts_M, acts_N):
+        for r in range(nn):
+            for c in range(nm):
+                row = [f.zero] * (nn * nm)
+                for k in range(nm):
+                    row[r * nm + k] = f.add(row[r * nm + k], A[k, c])
+                for k in range(nn):
+                    row[k * nm + c] = f.sub(row[k * nm + c], B[r, k])
+                rows.append(row)
+    return [Matrix(f, nn, nm, v) for v in Matrix.from_rows(f, rows).nullspace_basis()]
+
+
+@pytest.mark.parametrize("family", SPARSE_FAMILIES)
+def test_modules_store_only_nonzero_actions(family, request):
+    alg, d = request.getfixturevalue(family)
+    for M in cell_and_simple_modules(d):
+        assert all(not A.is_zero() for A in M.action.values())
+        assert M.check_action()
+
+
+@pytest.mark.parametrize("family", SPARSE_FAMILIES)
+def test_hom_space_matches_dense_reference(family, request):
+    # usl2 registers generators, so its hom spaces take the generator branch
+    alg, d = request.getfixturevalue(family)
+    modules = cell_and_simple_modules(d)
+    for M in modules:
+        for N in modules:
+            assert hom_space(M, N) == dense_hom_space(M, N)
+
+
+def test_dropped_action_is_caught(zigzag_a3):
+    alg, d = zigzag_a3
+    # Delta(1) has basis (1), (2,1): e_1, the arrow (2,1) and e_2 act; drop e_1
+    delta = cell_module(d, 1).rep
+    k = next(i for e in d.E for i in e.coeffs if i in delta.action)
+    mutant = RepModule(alg, delta.dim, {i: A for i, A in delta.action.items() if i != k})
+    assert delta.check_action() and not mutant.check_action()
+    # the identity Delta -> Delta stops intertwining once b_k acts by zero
+    honest = [delta.act(alg.basis_element(i)) for i in range(alg.dim)]
+    assert hom_space(mutant, delta) != dense_hom_space(mutant, delta, honest, honest)
 
 
 def test_quotient_module_dims(u3):

@@ -342,13 +342,6 @@ def test_k3_spot_products():
     assert multiply_labels(n, (S, lam, S), (S, lam, S)) == {(S, lam, S): 1}
 
 
-def test_fastpath_checked(k1):
-    from relcell.annular import decomposition_fastpath_checked
-
-    alg, d = k1
-    assert decomposition_fastpath_checked(1, d) == [[1, 1], [1, 1]]
-
-
 def test_k1_gram_matrices(k1):
     from relcell.celldata import gram_matrix
 

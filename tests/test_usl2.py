@@ -17,9 +17,7 @@ from relcell.usl2 import (
     generator_element,
     gram_diagonal_formula,
     normal_order,
-    verify_chi_zero_boundary,
     verify_pbw_change_of_basis,
-    weight_idempotent,
     weight_idempotent_h_poly,
 )
 
@@ -56,7 +54,7 @@ def test_ep_fp_vanish(u3):
 
 def test_weight_idempotents(u3):
     alg, d = u3
-    ones = [weight_idempotent(lam, 3, alg) for lam in range(3)]
+    ones = [alg.element_from_label(BasisLabel(lam, 0, 0)) for lam in range(3)]
     for a, e in enumerate(ones):
         assert e * e == e
         for b, e2 in enumerate(ones):
@@ -126,11 +124,6 @@ def test_normal_order_words(u3):
 def test_pbw_change_of_basis():
     for p in (3, 5):
         assert verify_pbw_change_of_basis(p)
-
-
-def test_chi_zero_boundary(u3, u5):
-    for p, (alg, d) in ((3, u3), (5, u5)):
-        assert verify_chi_zero_boundary(p, alg, d) == []
 
 
 def test_gram_matches_formula(u3, u5):
