@@ -11,7 +11,8 @@ one list of circles and each summand is a tuple of tags aligned with it.
 Each replacement merges two circles or splits one: the tag tuples are
 rewritten by the merge rules (a)-(d) and split rules (a)-(e); merges may
 kill a summand, splits may double it.  Finally the strands are collapsed
-and each surviving tag tuple is read off as a weight on S V*.
+and each surviving tag tuple is read off as a weight on S V* through the
+circle table of S V*, so no circle is traced during a product.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .diagrams import (
     Arc,
     CupDiagram,
     anticlockwise_weight,
+    circle_table,
     classify_diagram,
     clockwise_weight,
     cup_order_less,
     enumerate_cup_diagrams,
-    orient_circle_with_tag,
     orientations_of,
     orients,
     rotate_cup,
@@ -120,13 +121,21 @@ def _split_tags(tag: str, ess_a: bool, ess_b: bool):
     return [(tag, CW) if ess_a else (CW, tag)]
 
 
-def _available_pairs(remaining: list[Arc], n: int) -> list[Arc]:
-    out = []
-    for a in remaining:
-        ga = a.gaps(n)
-        if not any(b != a and ga < b.gaps(n) for b in remaining):
-            out.append(a)
-    return out
+@lru_cache(maxsize=None)
+def _enclosing_arcs(T: CupDiagram, n: int) -> tuple:
+    """(arc, arcs of T whose coverage strictly contains it) per arc of T,
+    in T's order.  Cached per cup diagram, so its size is bounded by
+    len(enumerate_cup_diagrams(n)) whatever the number of products."""
+    gaps = {a: a.gaps(n) for a in T}
+    return tuple((a, tuple(b for b in T if gaps[a] < gaps[b])) for a in T)
+
+
+def _available_pairs(remaining: list[Arc], T: CupDiagram, n: int) -> list[Arc]:
+    """The pairs of T still to process that no other such pair encloses."""
+    return [
+        a for a, outer in _enclosing_arcs(T, n)
+        if a in remaining and not any(b in remaining for b in outer)
+    ]
 
 
 def multiply_labels(n: int, a, b, order: Optional[list[Arc]] = None) -> dict:
@@ -136,7 +145,9 @@ def multiply_labels(n: int, a, b, order: Optional[list[Arc]] = None) -> dict:
     differ only in their tags, so each summand is a tuple of tags aligned
     with that list.  order, if given, fixes the full surgery sequence (it
     must be admissible); by default the leftmost available pair is chosen
-    at every step.
+    at every step.  The final circles are those of S V*: each surviving tag
+    tuple is spelled out as a weight from circle_table(S, V, n), which
+    finds a circle by the vertices of its S cups.
     """
     S, lam, T = a
     U, mu, V = b
@@ -153,7 +164,7 @@ def multiply_labels(n: int, a, b, order: Optional[list[Arc]] = None) -> dict:
     remaining = list(T)
     chosen = list(order) if order is not None else None
     while remaining:
-        avail = _available_pairs(remaining, n)
+        avail = _available_pairs(remaining, T, n)
         if chosen is not None:
             pair = chosen.pop(0)
             if pair not in avail:
@@ -181,15 +192,19 @@ def multiply_labels(n: int, a, b, order: Optional[list[Arc]] = None) -> dict:
         if not summands:
             return {}
 
-    # the S cups and V caps of each final circle
-    shapes = [([o for k, o in c if k == "S"], [o for k, o in c if k == "V"]) for c in circles]
+    # per final circle: its vertices and its symbols for each tag
+    table = {comp: dict(orientations) for comp, *orientations in circle_table(S, V, n)}
+    shapes = []
+    for c in circles:
+        verts = tuple(sorted(v for k, o in c if k == "S" for v in (o.p, o.q)))
+        shapes.append((verts, table[verts]))
     out: dict = {}
     for tags in summands:
-        symbols = {}
-        for (cups, caps), tag in zip(shapes, tags):
-            symbols.update(orient_circle_with_tag(cups, caps, n, tag))
-        nu = "".join(symbols[v] for v in range(1, 2 * n + 1))
-        key = (S, nu, V)
+        symbols = [""] * (2 * n)
+        for (verts, spell), tag in zip(shapes, tags):
+            for v, c in zip(verts, spell[tag]):
+                symbols[v - 1] = c
+        key = (S, "".join(symbols), V)
         out[key] = out.get(key, 0) + 1
     return out
 
@@ -202,7 +217,7 @@ def admissible_orders(n: int, T: CupDiagram) -> list[list[Arc]]:
         if not remaining:
             out.append(prefix)
             return
-        for pair in _available_pairs(remaining, n):
+        for pair in _available_pairs(remaining, T, n):
             rec([x for x in remaining if x != pair], prefix + [pair])
 
     rec(list(T), [])

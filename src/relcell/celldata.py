@@ -493,6 +493,19 @@ def int_transpose(A: list[list[int]]) -> list[list[int]]:
     return [list(r) for r in zip(*A)]
 
 
+def int_gram(D: list[list[int]], width: int) -> list[list[int]]:
+    """D^T D for a D with `width` columns, summing each row's outer product
+    over its nonzero entries only (D is sparse: decomposition numbers)."""
+    C = [[0] * width for _ in range(width)]
+    for row in D:
+        nz = [(i, x) for i, x in enumerate(row) if x]
+        for i, x in nz:
+            Ci = C[i]
+            for j, y in nz:
+                Ci[j] += x * y
+    return C
+
+
 def det_int(C: list[list[int]]) -> Fraction:
     return Matrix.from_int_rows(QQ, C).det()
 
@@ -511,8 +524,8 @@ def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list
         ss = simple_set(d)
     if D is None:
         D = decomposition_matrix(d, ss)
-    C = int_matmul(int_transpose(D), D)
     X0, prims = ss.X0, d.primitive_idempotents
+    C = int_gram(D, len(X0))
     simples = [ss.modules[lam] for lam in X0]
     ends = [ss.ends[lam] for lam in X0]
     if all(lam in prims for lam in X0):

@@ -14,6 +14,10 @@ usual and get anticlockwise/clockwise from the signed area of the lifted
 polyline; winding +-1 circles are essential and rightwards/leftwards by
 drift direction.  The tabulated cup/cap orientation rules are recovered
 as tested properties of this classifier rather than hardcoded.
+
+The classifier is traced once per pair of cup diagrams: circle_table(S, T, n)
+holds both orientations of every circle of S T* with their tags, and
+classify_diagram only matches a weight against them.
 """
 
 from __future__ import annotations
@@ -300,12 +304,7 @@ def trace_circle(cups, caps, n, start_vertex, start_dir):
     return symbols, winding, area2
 
 
-def classify_circle(cups, caps, n, weight_symbols: dict) -> str:
-    """Tag of one circle given the strand direction at each of its vertices."""
-    start = min(weight_symbols)
-    sym, winding, area2 = trace_circle(cups, caps, n, start, weight_symbols[start])
-    if sym != dict(weight_symbols):
-        raise AssertionError("weight does not orient this circle consistently")
+def _tag(winding: int, area2: int) -> str:
     if winding > 0:
         return RIGHT
     if winding < 0:
@@ -313,14 +312,50 @@ def classify_circle(cups, caps, n, weight_symbols: dict) -> str:
     return ACW if area2 > 0 else CW
 
 
+def classify_circle(cups, caps, n, weight_symbols: dict) -> str:
+    """Tag of one circle given the strand direction at each of its vertices."""
+    start = min(weight_symbols)
+    sym, winding, area2 = trace_circle(cups, caps, n, start, weight_symbols[start])
+    if sym != dict(weight_symbols):
+        raise AssertionError("weight does not orient this circle consistently")
+    return _tag(winding, area2)
+
+
+@lru_cache(maxsize=None)
+def circle_table(S: CupDiagram, T: CupDiagram, n: int) -> tuple:
+    """Both orientations of every circle of S T*, traced once per pair.
+
+    One entry per circle, in the order of circles_of: (vertex tuple,
+    (tag, symbols), (tag, symbols)), where symbols spells the strand
+    directions on the circle's vertices in vertex order; the two entries
+    come from trace_circle started downward and upward at the least vertex.
+    The key is a pair of cup diagrams rather than a basis label or an
+    algebra: multiply_labels is a free function that runs without a built
+    algebra, and the key domain stays len(enumerate_cup_diagrams(n))**2
+    whatever the number of products asked for.  The value is shared by every
+    caller, so it holds only tuples and strings.
+    """
+    out = []
+    for comp in circles_of(S, T):
+        cups = [a for a in S if a.p in comp]
+        caps = [a for a in T if a.p in comp]
+        orientations = []
+        for d0 in (DOWN, UP):
+            sym, winding, area2 = trace_circle(cups, caps, n, comp[0], d0)
+            orientations.append((_tag(winding, area2), "".join(sym[v] for v in comp)))
+        out.append((comp, *orientations))
+    return tuple(out)
+
+
 def classify_diagram(S: CupDiagram, T: CupDiagram, w: str, n: int) -> dict:
     """Tag per circle of S T* under the weight w: {vertex tuple: tag}."""
     out = {}
-    for comp in circles_of(S, T):
-        arcs_c = [a for a in S if a.p in comp]
-        arcs_k = [a for a in T if a.p in comp]
-        syms = {v: w[v - 1] for v in comp}
-        out[comp] = classify_circle(arcs_c, arcs_k, n, syms)
+    for comp, *orientations in circle_table(S, T, n):
+        syms = "".join(w[v - 1] for v in comp)
+        tag = next((tag for tag, sym in orientations if sym == syms), None)
+        if tag is None:
+            raise AssertionError("weight does not orient this circle consistently")
+        out[comp] = tag
     return out
 
 
@@ -329,13 +364,7 @@ def orient_circle_with_tag(cups, caps, n, tag: str) -> dict:
     start = min(min(a.p for a in cups), min(a.p for a in caps))
     for d0 in (DOWN, UP):
         sym, winding, area2 = trace_circle(cups, caps, n, start, d0)
-        if winding > 0:
-            got = RIGHT
-        elif winding < 0:
-            got = LEFT
-        else:
-            got = ACW if area2 > 0 else CW
-        if got == tag:
+        if _tag(winding, area2) == tag:
             return sym
     raise ValueError(f"circle cannot be oriented {tag}")
 

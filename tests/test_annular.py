@@ -1,10 +1,12 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
 from relcell.algebra import BasisLabel, table_to_json
 from relcell.annular import (
+    _available_pairs,
     admissible_orders,
     algebra_dimension,
     build_annular,
@@ -33,6 +35,7 @@ from relcell.diagrams import (
     cup_order_less,
     enumerate_cup_diagrams,
     flip_weight,
+    format_basis_label,
     make_cup,
     orients,
 )
@@ -64,6 +67,38 @@ def test_structure_constants_pinned(request, fixture, size, digest):
     alg, _ = request.getfixturevalue(fixture)
     text = table_to_json(alg).encode()
     assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
+
+
+def test_k3_sampled_products_pinned():
+    # 2,000 seeded Peirce-compatible K_3 products under the default order
+    # (the whole K_3 table takes seconds, so only a sample is pinned)
+    n = 3
+    cups = enumerate_cup_diagrams(n)
+    labels = [(S, w, T) for w in weight_list(n) for S in cups if orients(S, w) for T in cups if orients(T, w)]
+    starting = {}
+    for lab in labels:
+        starting.setdefault(lab[0], []).append(lab)
+    rnd = random.Random(13)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        a = rnd.choice(labels)
+        b = rnd.choice(starting[a[2]])
+        prod = sorted((format_basis_label(*k), c) for k, c in multiply_labels(n, a, b).items())
+        h.update(f"{format_basis_label(*a)} * {format_basis_label(*b)} = {prod}\n".encode())
+    assert h.hexdigest() == "e7d31412fceb75783b655ee643becc808063ec4356c59c23fcdbec5b4b472393"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_available_pairs_match_coverage_definition(n):
+    # a pair is available iff no other unprocessed pair's coverage strictly
+    # contains it, for every middle diagram and every set still to process
+    from itertools import combinations
+
+    for T in enumerate_cup_diagrams(n):
+        for k in range(1, n + 1):
+            for remaining in combinations(T, k):
+                want = [a for a in remaining if not any(a.gaps(n) < b.gaps(n) for b in remaining)]
+                assert _available_pairs(list(remaining), T, n) == want
 
 
 def test_cell_module_dims_are_orientation_counts(k2):

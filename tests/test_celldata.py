@@ -1,3 +1,5 @@
+import random
+
 from relcell.algebra import AlgebraTable, BasisLabel
 from relcell.celldata import (
     CellDatum,
@@ -8,6 +10,9 @@ from relcell.celldata import (
     decomposition_matrix,
     decomposition_support_ok,
     gram_matrix,
+    int_gram,
+    int_matmul,
+    int_transpose,
     is_semisimple,
     report_dict,
     simple_set,
@@ -172,3 +177,11 @@ def test_support_with_parent_idempotents(zigzag_cycs3, k1, k2):
         assert decomposition_support_ok(d, ss, D)
         for lam, e in d.primitive_idempotents.items():
             assert parent_idempotent_index(d, e) is not None
+
+
+def test_int_gram_is_dense_transpose_product():
+    # sparse rows, negative entries, zero rows and columns included
+    rnd = random.Random(4)
+    for rows, cols in ((1, 1), (3, 2), (7, 5), (12, 9)):
+        D = [[rnd.choice((0, 0, 0, 1, 2, -1)) for _ in range(cols)] for _ in range(rows)]
+        assert int_gram(D, cols) == int_matmul(int_transpose(D), D)

@@ -16,6 +16,7 @@ from relcell.diagrams import (
     Arc,
     anticlockwise_weight,
     arcs_cross,
+    circle_table,
     circle_wrapping_parity,
     circles_of,
     classify_circle,
@@ -29,6 +30,7 @@ from relcell.diagrams import (
     make_cup,
     orient_circle_with_tag,
     orientations_of,
+    orients,
     parse_basis_label,
     parse_cup,
     parse_weight,
@@ -111,13 +113,52 @@ def test_essential_iff_odd_wrapping():
                     caps = [a for a in T if a.p in comp]
                     parity = circle_wrapping_parity(S, T, comp)
                     # orient arbitrarily and inspect the winding
-                    w = {}
-                    for m in (cups, caps):
-                        pass
                     sym = orient_circle_with_tag(cups, caps, n, _any_tag(cups, caps, n))
                     tag = classify_circle(cups, caps, n, sym)
                     essential = tag in (LEFT, RIGHT)
                     assert essential == bool(parity)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_diagram_equals_classify_circle(n):
+    # the tabulated classifier against one trace per circle and weight
+    cups_all = enumerate_cup_diagrams(n)
+    weights = {w for S in cups_all for w in orientations_of(S)}
+    checked = 0
+    for S in cups_all:
+        for T in cups_all:
+            for w in weights:
+                if not (orients(S, w) and orients(T, w)):
+                    continue
+                want = {}
+                for comp in circles_of(S, T):
+                    cups = [a for a in S if a.p in comp]
+                    caps = [a for a in T if a.p in comp]
+                    want[comp] = classify_circle(cups, caps, n, {v: w[v - 1] for v in comp})
+                assert classify_diagram(S, T, w, n) == want
+                checked += 1
+    assert checked == {1: 8, 2: 108, 3: 1664}[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_circle_table_orientations_equal_orient_circle_with_tag(n):
+    for S in enumerate_cup_diagrams(n):
+        for T in enumerate_cup_diagrams(n):
+            table = circle_table(S, T, n)
+            assert [entry[0] for entry in table] == circles_of(S, T)
+            for comp, *orientations in table:
+                cups = [a for a in S if a.p in comp]
+                caps = [a for a in T if a.p in comp]
+                assert len({tag for tag, _ in orientations}) == 2
+                for tag, sym in orientations:
+                    want = orient_circle_with_tag(cups, caps, n, tag)
+                    assert sym == "".join(want[v] for v in comp)
+
+
+def test_classify_diagram_rejects_inconsistent_weight():
+    # "vv" puts two downward strands on the one circle of P1 P1*
+    with pytest.raises(AssertionError, match="consistently"):
+        classify_diagram(P1, P1, "vv", 1)
 
 
 def _any_tag(cups, caps, n):

@@ -150,9 +150,11 @@ def flipped_kernel(alg):
 MUTANTS = [("reversed-datum", "zigzag:A:3")]
 MUTANTS += [(kind, spec) for kind in ("orders-reversed", "one-order-reversed")
             for spec in ("usl2:p=5", "zigzag:cycL:4")]
+MUTANTS += [("one-order-reversed", "annular:n=2")]
 MUTANTS += [(kind, spec) for kind in ("swapped-star", "flipped-coefficient")
             for spec in ("zigzag:A:3", "zigzag:cycL:4", "usl2:p=5", "annular:n=2")]
 MUTANTS += [("dropped-idempotent", spec) for spec in ("zigzag:cycL:4", "usl2:p=5", "annular:n=2")]
+MUTANTS += [("merged-idempotent", spec) for spec in ("annular:n=2", "zigzag:cycL:4")]
 
 
 def mutant(kind, spec):
@@ -166,6 +168,7 @@ def mutant(kind, spec):
         "swapped-star": lambda: {"star": swapped_star(alg)},
         "flipped-coefficient": lambda: {"mult_fn": flipped_kernel(alg)},
         "dropped-idempotent": lambda: {"E": d.E[1:]},
+        "merged-idempotent": lambda: {"E": [d.E[0] + d.E[1]] + d.E[2:]},
     }[kind]()
 
 
