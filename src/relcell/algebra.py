@@ -65,7 +65,6 @@ class AlgebraTable:
         basis: list[BasisLabel],
         mult_fn: Callable[[int, int], dict[int, Any]],
         star: tuple[int, ...],
-        generators: Optional[list[tuple[str, "Element"]]] = None,
         name: str = "",
         blocks: Optional[tuple[list, list]] = None,
     ):
@@ -77,7 +76,8 @@ class AlgebraTable:
         self._mult_fn = mult_fn
         self._memo: dict[tuple[int, int], dict[int, Any]] = {}
         self.star_perm = tuple(star)
-        self.generators = generators
+        # builders that know a generating set assign it after construction
+        self.generators: Optional[list[tuple[str, "Element"]]] = None
         self.name = name
         if blocks is None:
             blocks = ((None,) * self.dim, (None,) * self.dim)

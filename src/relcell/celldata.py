@@ -6,6 +6,11 @@ Gram forms and radicals, the simple labels X0, decomposition and Cartan
 matrices with reciprocity C = D^T D checked against the Peirce ranks dim eAf
 of primitive idempotents or of E (see cartan_matrix), semisimplicity,
 idempotent cores.
+
+`verify_cell_datum` is the one place where the conditions of a cell datum
+are checked.  Every stage after it (cell modules, Gram forms, simples, D,
+C, cores) assumes a datum that passes it, and does not check again what
+the axioms certify; it checks only its own computed results.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ from .field import QQ
 from .linalg import Matrix
 
 
-class InconsistentCoefficients(Exception):
-    pass
+class AxiomFailure(Exception):
+    """The datum fails verify_cell_datum; the message lists each failing
+    axiom with its witness."""
 
-
-class DependsOnUV(Exception):
-    pass
+    def __init__(self, report: "VerificationReport"):
+        failed = [str(r) for r in report.results if not r.passed]
+        super().__init__("\n".join(["the datum fails its axioms"] + failed))
 
 
 class RouteMismatch(Exception):
@@ -79,13 +85,12 @@ class StrictOrder:
             for b in xs:
                 if a != b and a in below[b] and b in below[a]:
                     return f"not antisymmetric on ({a},{b})"
-        for a in xs:
-            for b in xs:
-                if a not in below[b]:
-                    continue
-                for c in xs:
-                    if b in below[c] and a not in below[c]:
-                        return f"not transitive on ({a},{b},{c})"
+        # transitive iff below[y] <= below[z] for every y < z
+        for z in xs:
+            for y in xs:
+                if y in below[z] and not below[y] <= below[z]:
+                    x = next(x for x in xs if x in below[y] and x not in below[z])
+                    return f"not transitive on ({x},{y},{z})"
         return None
 
 
@@ -326,34 +331,31 @@ class CellModule:
 
 
 def cell_module(d: CellDatum, lam) -> CellModule:
-    """Delta(lambda) with the action read off from left multiplication."""
+    """Delta(lambda) with the action read off from left multiplication.
+
+    The action of a is read in the one column T = M(lambda)[0]: by axiom (d)
+    the coefficients r_a(S',S) of a C(lam;S,T) do not depend on T, so every
+    column gives the same matrix.
+    """
     alg = d.alg
     f = alg.field
     Ms = d.M[lam]
     pos = {S: i for i, S in enumerate(Ms)}
     m = len(Ms)
+    T = Ms[0]
     cols = _columns(d, lam)
-    keys = {key for key, _ in cols}
     action = {}
     for i in range(alg.dim):
-        key = alg.right_block[i]
-        if key not in keys:  # masked against every C(lam;S,T)
+        column = cols.get((alg.right_block[i], T))
+        if column is None:  # masked against the column, so a acts as zero
             continue
-        per_T = []
-        for T in Ms:
-            mat = [[f.zero] * m for _ in range(m)]
-            for S, j in cols.get((key, T), ()):
-                for k, c in alg.mult_basis(i, j).items():
-                    klab = alg.basis[k]
-                    if klab.lam == lam and klab.T == T:
-                        mat[pos[klab.S]][pos[S]] = c
-            per_T.append(mat)
-        for other in per_T[1:]:
-            if other != per_T[0]:
-                raise InconsistentCoefficients(
-                    f"action of {alg.basis[i]} on Delta({lam}) depends on T"
-                )
-        action[i] = Matrix.from_rows(f, per_T[0])
+        mat = [[f.zero] * m for _ in range(m)]
+        for S, j in column:
+            for k, c in alg.mult_basis(i, j).items():
+                klab = alg.basis[k]
+                if klab.lam == lam and klab.T == T:
+                    mat[pos[klab.S]][pos[S]] = c
+        action[i] = Matrix.from_rows(f, mat)
     return CellModule(lam, RepModule(alg, m, action), list(Ms))
 
 
@@ -365,31 +367,27 @@ class GramForm:
 
 def gram_matrix(d: CellDatum, lam) -> GramForm:
     """Phi_lambda: entry (S,T) is the C(lam;U,V)-coefficient of
-    C(lam;U,S) * C(lam;T,V), independent of the auxiliary pair (U,V)."""
+    C(lam;U,S) * C(lam;T,V), read at the one pair U = V = M(lambda)[0].
+
+    The entry does not depend on V: that is axiom (d) applied to
+    a = C(lam;U,S), whose coefficient r_a(U,T) is the entry.  Axiom (b)
+    maps the product to C(lam;V,T) * C(lam;S,U), so Phi read at (U,V) is
+    the transpose of Phi read at (V,U); with V-independence this makes Phi
+    symmetric and independent of U as well.
+    """
     alg = d.alg
     f = alg.field
     Ms = d.M[lam]
-    m = len(Ms)
-    uv_pairs = [(U, V) for U in Ms for V in Ms]
-    reference = None
-    for (U, V) in uv_pairs:
-        kv = d.label_index(lam, U, V)
-        mat = []
-        for S in Ms:
-            i = d.label_index(lam, U, S)
-            row = []
-            for T in Ms:
-                j = d.label_index(lam, T, V)
-                row.append(alg.mult_basis(i, j).get(kv, f.zero))
-            mat.append(row)
-        if reference is None:
-            reference = mat
-        elif mat != reference:
-            raise DependsOnUV(f"Gram extraction for {lam} differs between (U,V) pairs")
-    M = Matrix.from_rows(f, reference) if m else Matrix(f, 0, 0, [])
-    if M != M.transpose():
-        raise DependsOnUV(f"Gram matrix for {lam} is not symmetric")
-    return GramForm(lam, M)
+    U = V = Ms[0]
+    kv = d.label_index(lam, U, V)
+    rows = [
+        [
+            alg.mult_basis(d.label_index(lam, U, S), d.label_index(lam, T, V)).get(kv, f.zero)
+            for T in Ms
+        ]
+        for S in Ms
+    ]
+    return GramForm(lam, Matrix.from_rows(f, rows))
 
 
 @dataclass
@@ -551,7 +549,14 @@ def is_semisimple(d: CellDatum, ss: Optional[SimpleSet] = None) -> bool:
 
 
 def core_subalgebra(d: CellDatum, eps_idx: int) -> tuple[AlgebraTable, CellDatum]:
-    """The cellular core eps R eps with its single-order cell datum."""
+    """The cellular core eps R eps with its single-order cell datum.
+
+    The core basis is the C(lam;S,T) with eps_S = eps_T = eps: by
+    c:idem-props-2 eps C = C exactly for eps_S = eps, and by (b) C eps = C
+    exactly for eps_T = eps.  The product of two core elements is
+    eps (x y) eps, so it lies in the core, and eps = eps eps eps
+    (c:idempotents) is supported on it.
+    """
     alg = d.alg
     f = alg.field
     keep = [
@@ -563,21 +568,12 @@ def core_subalgebra(d: CellDatum, eps_idx: int) -> tuple[AlgebraTable, CellDatum
     basis = [alg.basis[i] for i in keep]
 
     def mult(i2, j2):
-        prod = alg.mult_basis(keep[i2], keep[j2])
-        out = {}
-        for k, c in prod.items():
-            if k not in old_to_new:
-                raise RouteMismatch(f"core not multiplicatively closed at term {alg.basis[k]}")
-            out[old_to_new[k]] = c
-        return out
+        return {old_to_new[k]: c for k, c in alg.mult_basis(keep[i2], keep[j2]).items()}
 
     star = tuple(old_to_new[alg.star_perm[i]] for i in keep)
     core = AlgebraTable(f, basis, mult, star, name=f"{alg.name}-core-eps{eps_idx}")
 
-    eps = d.E[eps_idx]
-    if any(i not in old_to_new for i in eps.coeffs):
-        raise RouteMismatch("eps is not supported on the core basis")
-    eps_core = core.element({old_to_new[i]: c for i, c in eps.coeffs.items()})
+    eps_core = core.element({old_to_new[i]: c for i, c in d.E[eps_idx].coeffs.items()})
 
     Xc = [lam for lam in d.X if any(d.eps_of(lam, S) == eps_idx for S in d.M[lam])]
     Mc = {

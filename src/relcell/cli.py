@@ -5,6 +5,9 @@
     relcell mult annular:n=1 "1-2|v^|1-2" "1-2|v^|1-2"
 
 Exit codes: 0 success / all checks pass, 1 check failure or other error, 2 usage error.
+cartan, decomp, simples, gram and core verify the cell datum's axioms before
+computing anything from it; a failed axiom exits 1 with each failing axiom
+and its witness on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 from .algebra import BasisLabel, table_to_json
 from .annular import frobenius_gram
 from .celldata import (
+    AxiomFailure,
     cartan_matrix,
     core_subalgebra,
     decomposition_matrix,
@@ -52,6 +56,13 @@ def _scalar_rows(matrix, field):
     return [[field.scalar_to_str(matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)]
 
 
+def _require_axioms(datum):
+    """The stages after the axioms assume a datum that passes them."""
+    report = verify_cell_datum(datum)
+    if not report.all_passed:
+        raise AxiomFailure(report)
+
+
 def cmd_build(args) -> int:
     alg, datum = build_family(args.family, args.max_dim)
     if args.format == "json":
@@ -81,6 +92,7 @@ def cmd_verify(args) -> int:
 
 def cmd_cartan(args) -> int:
     _, datum = build_family(args.family, args.max_dim)
+    _require_axioms(datum)
     C, _, _ = cartan_matrix(datum)
     _emit(_matrix_text(C, args.format, f"Cartan matrix of {args.family}"), args.out)
     return 0
@@ -88,6 +100,7 @@ def cmd_cartan(args) -> int:
 
 def cmd_decomp(args) -> int:
     _, datum = build_family(args.family, args.max_dim)
+    _require_axioms(datum)
     D = decomposition_matrix(datum)
     _emit(_matrix_text(D, args.format, f"decomposition matrix of {args.family}"), args.out)
     return 0
@@ -95,6 +108,7 @@ def cmd_decomp(args) -> int:
 
 def cmd_gram(args) -> int:
     alg, datum = build_family(args.family, args.max_dim)
+    _require_axioms(datum)
     blocks = []
     doc = {}
     for lam in datum.X:
@@ -113,6 +127,7 @@ def cmd_gram(args) -> int:
 
 def cmd_simples(args) -> int:
     _, datum = build_family(args.family, args.max_dim)
+    _require_axioms(datum)
     ss = simple_set(datum)
     if args.format == "json":
         _emit(
@@ -173,6 +188,7 @@ def cmd_core(args) -> int:
     if not 0 <= args.eps < len(datum.E):
         print(f"--eps must be in [0, {len(datum.E)})", file=sys.stderr)
         return 2
+    _require_axioms(datum)
     core, cd = core_subalgebra(datum, args.eps)
     report = verify_cell_datum(cd)
     if args.format == "json":

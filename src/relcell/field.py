@@ -61,9 +61,6 @@ class Field:
     zero = None
     one = None
 
-    def is_zero(self, a) -> bool:
-        return not a
-
     def check_same(self, other: "Field"):
         if self != other:
             raise FieldMismatch(f"mixed fields {self} and {other}")

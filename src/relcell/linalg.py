@@ -1,7 +1,7 @@
 """Dense exact matrices and the one elimination kernel behind them.
 
 `Echelon` keeps an incrementally built reduced row echelon form over any
-field; `Matrix.rref`, `rank`, `nullspace_basis`, `solve` and `det` are all
+field; `Matrix.rref`, `rank`, `nullspace_basis` and `det` are all
 read off it, as are the hom spaces and submodules in `algebra`.  Exactness
 is the only requirement, so there are no fraction-free tricks.
 """
@@ -81,19 +81,12 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def add(self, other: "Matrix") -> "Matrix":
-        self._check_compat(other, same_shape=True)
-        f = self.field
-        return Matrix(f, self.rows, self.cols, [f.add(a, b) for a, b in zip(self.entries, other.entries)])
-
     def scale(self, c) -> "Matrix":
         f = self.field
         return Matrix(f, self.rows, self.cols, [f.mul(c, a) for a in self.entries])
 
-    def _check_compat(self, other: "Matrix", same_shape=False):
+    def _check_compat(self, other: "Matrix"):
         self.field.check_same(other.field)
-        if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def matmul(self, other: "Matrix") -> "Matrix":
         self._check_compat(other)
@@ -143,22 +136,6 @@ class Matrix:
     def nullspace_basis(self):
         """Canonical basis: one vector per free column, -1 in its free slot."""
         return self._echelon().nullspace_basis()
-
-    def solve(self, b):
-        """One solution x of A x = b, or None if inconsistent."""
-        f = self.field
-        b = list(b)
-        if len(b) != self.rows:
-            raise ShapeMismatch("rhs length mismatch")
-        aug = Matrix.from_rows(f, [list(self.row(i)) + [b[i]] for i in range(self.rows)]) \
-            if self.rows else Matrix(f, 0, self.cols + 1, [])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red[r, self.cols]
-        return x
 
     def det(self):
         """Determinant: the product of the pivot values met while inserting

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from relcell.algebra import AlgebraTable, BasisLabel
 from relcell.celldata import (
     CellDatum,
@@ -18,8 +20,9 @@ from relcell.celldata import (
     simple_set,
     verify_cell_datum,
 )
-from relcell.field import QQ
-from relcell.zigzag import reversed_order_datum
+from relcell.annular import build_annular
+from relcell.field import QQ, PrimeField
+from relcell.zigzag import QuiverSpec, build_zigzag, reversed_order_datum
 
 
 def matrix_unit_datum(size):
@@ -73,6 +76,24 @@ def test_strict_order_validation():
     assert reflexive.check_valid() is not None
     cyclic = StrictOrder([1, 2, 3], lambda a, b: (a, b) in {(1, 2), (2, 3), (3, 1)})
     assert cyclic.check_valid() is not None
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        {(1, 2), (2, 3), (3, 1)},
+        {(1, 2), (2, 3), (3, 4), (1, 3)},
+        {(1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (2, 4), (4, 5), (1, 5), (2, 5)},
+    ],
+)
+def test_transitivity_witness(pairs):
+    # irreflexive and antisymmetric, but not transitive
+    xs = sorted({x for pair in pairs for x in pair})
+    order = StrictOrder(xs, lambda a, b: (a, b) in pairs)
+    bad = order.check_valid()
+    assert bad.startswith("not transitive on (")
+    x, y, z = (int(v) for v in bad[len("not transitive on (") : -1].split(","))
+    assert (x, y) in pairs and (y, z) in pairs and (x, z) not in pairs
 
 
 def test_reversed_order_fails_with_witness():
@@ -185,3 +206,18 @@ def test_int_gram_is_dense_transpose_product():
     for rows, cols in ((1, 1), (3, 2), (7, 5), (12, 9)):
         D = [[rnd.choice((0, 0, 0, 1, 2, -1)) for _ in range(cols)] for _ in range(rows)]
         assert int_gram(D, cols) == int_matmul(int_transpose(D), D)
+
+
+@pytest.mark.parametrize("spec", ["zigzag:A:4", "zigzag:cycS:4", "zigzag:cycL:4", "annular:n=1", "annular:n=2"])
+def test_results_do_not_depend_on_the_field(spec):
+    # zigzag and annular have the same X0, simple dims, D and C over Q and over a large F_p
+    kind, _, rest = spec.partition(":")
+    if kind == "zigzag":
+        variant, n = rest.split(":")
+        build = lambda field: build_zigzag(QuiverSpec(variant, int(n)), field)
+    else:
+        build = lambda field: build_annular(int(rest[2:]), field)
+    keys = ("X0", "simple_dims", "D", "C")
+    over_q, over_p = (report_dict(build(field)[1]) for field in (QQ, PrimeField(10007)))
+    assert over_q["D"] is not None
+    assert {k: over_q[k] for k in keys} == {k: over_p[k] for k in keys}

@@ -1,8 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
+from relcell.algebra import AlgebraTable
 from relcell.cli import main
+from relcell.families import build_family
+from relcell.field import QQ
+from relcell.zigzag import reversed_order_datum
 
 
 def run(capsys, *argv):
@@ -52,6 +57,76 @@ def test_verify_json_failed_axioms_certify_nothing(capsys, monkeypatch):
     assert failed == {"c:idem-props-1", "d:mult-left"}
     for key in ("X0", "simple_dims", "D", "C", "reciprocity_ok", "semisimple"):
         assert doc[key] is None, key
+
+
+def uv_mutant():
+    """usl2:p=3 with the C(0;U,V)-coefficient of C(0;U,S) * C(0;S,V) changed
+    for U = 0, S = V = 1 only, and its star mirror changed alike, so that
+    only axiom (d) sees it: the Gram form read at U = V = M(0)[0] is unchanged."""
+    alg, d = build_family("usl2:p=3")
+    i, j, k = (d.label_index(0, S, T) for S, T in ((0, 1), (1, 1), (0, 1)))
+    star = alg.star_perm
+    flips = {(i, j): k, (star[j], star[i]): star[k]}
+
+    def mult(a, b):
+        out = dict(alg._mult_fn(a, b))
+        t = flips.get((a, b))
+        if t is not None and out.pop(t, None) is None:
+            out[t] = alg.field.one
+        return out
+
+    table = AlgebraTable(alg.field, alg.basis, mult, star, blocks=(alg.left_block, alg.right_block))
+    return table, dataclasses.replace(d, alg=table, E=[table.element(e.coeffs) for e in d.E])
+
+
+FAILING = {
+    "reversed-order": (lambda: reversed_order_datum(QQ), {"c:idem-props-1", "d:mult-left"}),
+    "uv-mutant": (uv_mutant, {"d:mult-left"}),
+}
+STAGES = ("simple_set", "decomposition_matrix", "cartan_matrix", "gram_matrix", "core_subalgebra")
+
+
+@pytest.mark.parametrize("command", ["cartan", "decomp", "simples", "gram", "core"])
+@pytest.mark.parametrize("datum", sorted(FAILING))
+def test_failed_axioms_refused_before_any_stage(capsys, monkeypatch, command, datum):
+    import relcell.celldata as celldata
+    import relcell.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a stage after the axioms ran on failed data")
+
+    build, failing = FAILING[datum]
+    monkeypatch.setattr(cli, "build_family", lambda *args: build())
+    for stage in STAGES:
+        monkeypatch.setattr(celldata, stage, never)
+        monkeypatch.setattr(cli, stage, never)
+    code, out, err = run(capsys, command, "zigzag:A:3")
+    assert code == 1 and out == ""
+    assert "AxiomFailure" in err and "AssertionError" not in err
+    named = {line.partition(": FAIL")[0] for line in err.splitlines() if ": FAIL" in line}
+    assert named == failing, err
+
+
+def test_uv_mutant_keeps_the_gram_form():
+    # gram_matrix reads only U = V = M(0)[0], so the axioms are all that see this fault
+    from relcell.celldata import gram_matrix
+
+    _, mutant = uv_mutant()
+    _, d = build_family("usl2:p=3")
+    assert gram_matrix(mutant, 0).matrix == gram_matrix(d, 0).matrix
+
+
+def test_core_eps_usage_error_before_axioms(capsys, monkeypatch):
+    import relcell.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the axioms ran on a usage error")
+
+    monkeypatch.setattr(cli, "build_family", lambda *args: reversed_order_datum(QQ))
+    monkeypatch.setattr(cli, "verify_cell_datum", never)
+    code, out, err = run(capsys, "core", "zigzag:A:3", "--eps", "7")
+    assert code == 2 and out == ""
+    assert "--eps" in err
 
 
 def test_verify_json_reciprocity_usl2(capsys):

@@ -121,15 +121,6 @@ def test_nullspace_canonical_form():
     assert basis[0][1] == f.neg(f.one) and basis[1][2] == f.neg(f.one)
 
 
-def test_solve():
-    f = QQ
-    A = Matrix.from_int_rows(f, [[1, 1], [0, 1]])
-    x = A.solve([f.from_int(3), f.from_int(1)])
-    assert x == [f.from_int(2), f.from_int(1)]
-    B = Matrix.from_int_rows(f, [[1, 0], [1, 0]])
-    assert B.solve([f.from_int(0), f.from_int(1)]) is None
-
-
 def test_shape_mismatch():
     f = QQ
     A = Matrix.from_int_rows(f, [[1, 2]])
