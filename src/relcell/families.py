@@ -31,14 +31,16 @@ DEFAULT_MAX_DIM = 2000
 
 
 def max_dim_limit(cli_value=None) -> int:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("RELCELL_MAX_DIM")
-    if not env:
-        return DEFAULT_MAX_DIM
-    if not env.isdecimal() or int(env) < 1:
-        raise UsageError(f"RELCELL_MAX_DIM must be a positive integer, not {env!r}")
-    return int(env)
+    """The size guard: --max-dim, else RELCELL_MAX_DIM, else the default.
+    Either source must be a positive integer; anything else is a UsageError."""
+    source, value = "--max-dim", cli_value
+    if value is None:
+        source, value = "RELCELL_MAX_DIM", os.environ.get("RELCELL_MAX_DIM")
+        if not value:
+            return DEFAULT_MAX_DIM
+    if not str(value).isdecimal() or int(value) < 1:
+        raise UsageError(f"{source} must be a positive integer, not {value!r}")
+    return int(value)
 
 
 def parse_family(spec: str):

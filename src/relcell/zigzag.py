@@ -3,13 +3,13 @@
 Paths are vertex tuples.  The relation "all 2-cycles at a vertex are
 equal" makes two paths equal when one turns into the other by flips
 (a|b|a) -> (a|c|a).  A flip swaps an adjacent up step and down step, so a
-path's class is fixed by its start and its up and down step counts, and
-the path is zero when one count reaches a forbidden straight run (two
-steps for the short relation, a full cycle for the long one).  Normal form
-is the lexicographically smallest member of a nonzero class, built step
-by step, and the basis is enumerated by closure from the vertex
-idempotents.  A basis path from vertex u to vertex v is e_u . path . e_v,
-so its first and last vertices are its Peirce block keys.
+path's class is fixed by its key (start, ups, downs), and it is zero when
+one count reaches the cap (two steps for the short relation, a full cycle
+for the long one).  Products read class keys only: two meeting paths add
+their counts.  A basis path from u to v is e_u . path . e_v, so u and v
+are its Peirce block keys.  Normal forms (the smallest member of a nonzero
+class, built step by step) only spell the cell labels and serve the tests
+as the reference product.
 """
 
 from __future__ import annotations
@@ -64,24 +64,34 @@ def _is_path(spec: QuiverSpec, p: Path) -> bool:
     return all(b in spec.neighbors(a) for a, b in zip(p, p[1:]))
 
 
+def class_key(spec: QuiverSpec, p: Path) -> tuple[int, int, int]:
+    """(start, ups, downs) of a path: the flip class it lies in."""
+    ups = sum(b == a % spec.n + 1 for a, b in zip(p, p[1:]))
+    return p[0], ups, len(p) - 1 - ups
+
+
+def _cap(spec: QuiverSpec) -> int:
+    """Steps of one kind that make a path zero: n for the long relation, else 2."""
+    return spec.n if spec.variant == CYCLE_LONG else 2
+
+
 def normalize(spec: QuiverSpec, p: Path):
     """Normal form of a path, or None if it is zero in the algebra.
 
     A flip (a|b|a) -> (a|c|a) swaps an adjacent up step and down step, so
     the flip class of p is every arrangement of p's up and down steps that
     starts at p[0] and stays on the quiver.  Some arrangement has a
-    forbidden run exactly when one step kind occurs cap times (two for the
-    short relation, n for the long one); otherwise the smallest member is
-    built greedily, taking the smaller next vertex among the steps left.
+    forbidden run exactly when one step kind occurs cap times; otherwise
+    the smallest member is built greedily, taking the smaller next vertex
+    among the steps left.
     """
     if not _is_path(spec, p):
         raise InvalidSpec(f"{p} is not a path in {spec}")
     n = spec.n
-    left = {1: 0, -1: 0}  # up and down steps still to take
-    for a, b in zip(p, p[1:]):
-        left[1 if b == a % n + 1 else -1] += 1
-    if max(left.values()) >= (n if spec.variant == CYCLE_LONG else 2):
+    _, ups, downs = class_key(spec, p)
+    if max(ups, downs) >= _cap(spec):
         return None
+    left = {1: ups, -1: downs}  # up and down steps still to take
     out = [p[0]]
     for _ in p[1:]:
         v = out[-1]
@@ -147,8 +157,9 @@ def _msets(spec: QuiverSpec):
 
 
 def algebra_dimension(spec: QuiverSpec) -> int:
-    """sum |M(lam)|^2 over the standard datum: the number of basis labels."""
-    return sum(len(Ms) ** 2 for Ms in _msets(spec)[1].values())
+    """sum |M(lam)|^2 over the standard datum, in closed form: the line loses
+    two of its 4n classes (vertex n has no up step, vertex 1 no down step)."""
+    return {LINE: 4 * spec.n - 2, CYCLE_SHORT: 4 * spec.n, CYCLE_LONG: spec.n**3}[spec.variant]
 
 
 def _datum_orders_and_eps(spec: QuiverSpec, X, M, alg, vertex_idem):
@@ -191,47 +202,43 @@ def _datum_orders_and_eps(spec: QuiverSpec, X, M, alg, vertex_idem):
 def build_zigzag(spec: QuiverSpec, field: Field) -> tuple[AlgebraTable, CellDatum]:
     """The algebra with its standard relative cell datum."""
     X, M = _msets(spec)
-    labels = []
-    label_paths = {}
+    labels, keys, ends = [], [], []
     for lam in X:
         for S in M[lam]:
             for T in M[lam]:
                 nf = compose(spec, S, star_path(T))
                 if nf is None:
                     raise InvalidSpec(f"cell label ({lam},{S},{T}) gives the zero path")
-                lab = BasisLabel(lam, S, T)
-                labels.append(lab)
-                label_paths[lab] = nf
-    paths = path_basis(spec)
-    if sorted(label_paths.values()) != sorted(paths):
+                labels.append(BasisLabel(lam, S, T))
+                keys.append(class_key(spec, nf))
+                ends.append(nf[-1])
+    if sorted(keys) != sorted(class_key(spec, p) for p in path_basis(spec)):
         raise InvalidSpec("cell labels do not biject onto the path basis")
-    path_to_idx = {}
-    for i, lab in enumerate(labels):
-        path_to_idx[label_paths[lab]] = i
+    key_index = {k: i for i, k in enumerate(keys)}
 
-    one = field.one
+    one, cap = field.one, _cap(spec)
 
     def mult(i, j):
-        nf = compose(spec, label_paths[labels[i]], label_paths[labels[j]])
-        return {} if nf is None else {path_to_idx[nf]: one}
+        s, u, d = keys[i]
+        t, u2, d2 = keys[j]
+        if ends[i] != t or u + u2 >= cap or d + d2 >= cap:
+            return {}
+        return {key_index[(s, u + u2, d + d2)]: one}
 
     index = {lab: i for i, lab in enumerate(labels)}
     star = tuple(index[BasisLabel(lab.lam, lab.T, lab.S)] for lab in labels)
-    # a path runs from its first to its last vertex; compose is zero unless they meet
-    blocks = (
-        [label_paths[lab][0] for lab in labels],
-        [label_paths[lab][-1] for lab in labels],
-    )
+    # a path runs from its start to its end vertex; a product is zero unless they meet
+    blocks = ([k[0] for k in keys], ends)
     alg = AlgebraTable(
         field, labels, mult, star, name=f"zigzag:{spec.variant}:{spec.n}", blocks=blocks
     )
 
-    # star on labels must agree with path reversal
-    for lab in labels:
-        if path_to_idx[normalize(spec, star_path(label_paths[lab]))] != index[BasisLabel(lab.lam, lab.T, lab.S)]:
+    # star on labels must agree with path reversal: (s, u, d) ending at e -> (e, d, u)
+    for i, (_, u, d) in enumerate(keys):
+        if key_index.get((ends[i], d, u)) != star[i]:
             raise InvalidSpec("star permutation disagrees with path reversal")
 
-    vertex_idem = {v: alg.basis_element(path_to_idx[(v,)]) for v in spec.vertices()}
+    vertex_idem = {v: alg.basis_element(key_index[(v, 0, 0)]) for v in spec.vertices()}
     E, orders, eps_index = _datum_orders_and_eps(spec, X, M, alg, vertex_idem)
     datum = CellDatum(
         alg=alg,
@@ -241,23 +248,16 @@ def build_zigzag(spec: QuiverSpec, field: Field) -> tuple[AlgebraTable, CellDatu
         orders=orders,
         eps_index=eps_index,
         name=alg.name,
+        primitive_idempotents=vertex_idem,
     )
-    if spec.variant == LINE:
-        datum.primitive_idempotents = {i: vertex_idem[i] for i in range(1, spec.n + 1)}
-    else:
-        datum.primitive_idempotents = {i: vertex_idem[i] for i in X}
     return alg, datum
 
 
 def alternate_idempotent_datum(field: Field) -> tuple[AlgebraTable, CellDatum]:
     """The cycle-short n=3 algebra with the finer three-idempotent datum."""
-    spec = QuiverSpec(CYCLE_SHORT, 3)
-    alg, std = build_zigzag(spec, field)
+    alg, std = build_zigzag(QuiverSpec(CYCLE_SHORT, 3), field)
     X, M = std.X, std.M
-    label_paths = {lab: compose(spec, lab.S, star_path(lab.T)) for lab in alg.basis}
-    path_to_idx = {p: i for i, p in enumerate(label_paths[lab] for lab in alg.basis)}
-    vertex_idem = {v: alg.basis_element(path_to_idx[(v,)]) for v in spec.vertices()}
-    E = [vertex_idem[1], vertex_idem[2], vertex_idem[3]]
+    E = [std.primitive_idempotents[i] for i in X]
     # the three rotated orders: 3 < 1 < 2 under e1, 1 < 2 < 3 under e2, 2 < 3 < 1 under e3
     orders = [
         chain_order(X, [3, 1, 2], "<_e1"),
@@ -273,7 +273,7 @@ def alternate_idempotent_datum(field: Field) -> tuple[AlgebraTable, CellDatum]:
         orders=orders,
         eps_index=eps_index,
         name="zigzag:cycS:3-alt",
-        primitive_idempotents={i: vertex_idem[i] for i in X},
+        primitive_idempotents=dict(std.primitive_idempotents),
     )
     return alg, datum
 

@@ -178,6 +178,14 @@ def test_bad_max_dim_env_exit_2(capsys, monkeypatch, value):
     assert "RELCELL_MAX_DIM" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_bad_max_dim_flag_exit_2(capsys, value):
+    code, out, err = run(capsys, "build", "zigzag:A:3", "--max-dim", value)
+    assert code == 2
+    assert out == ""
+    assert "--max-dim must be a positive integer" in err
+
+
 def test_internal_error_exit_1(capsys, monkeypatch):
     import relcell.celldata as celldata
 

@@ -12,10 +12,13 @@ from relcell.celldata import (
     simple_set,
     verify_cell_datum,
 )
+from relcell import zigzag
+from relcell.families import SizeLimit, build_family
 from relcell.field import QQ
 from relcell.zigzag import (
     InvalidSpec,
     QuiverSpec,
+    algebra_dimension,
     alternate_idempotent_datum,
     build_zigzag,
     compose,
@@ -196,6 +199,68 @@ def test_structure_constants_pinned(variant, n, size, digest):
     alg, _ = build_zigzag(QuiverSpec(variant, n), QQ)
     text = table_to_json(alg).encode()
     assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize("variant", ["A", "cycS", "cycL"])
+def test_products_match_path_reference(variant):
+    # the key-arithmetic kernel against compose, the path product, on every pair
+    spec = QuiverSpec(variant, 6)
+    alg, _ = build_zigzag(spec, QQ)
+    paths = [compose(spec, lab.S, star_path(lab.T)) for lab in alg.basis]
+    index = {p: i for i, p in enumerate(paths)}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            nf = compose(spec, paths[i], paths[j])
+            assert alg.mult_basis(i, j) == ({} if nf is None else {index[nf]: QQ.one})
+
+
+def test_products_read_no_paths_after_build(monkeypatch):
+    alg, d = build_zigzag(QuiverSpec("cycL", 5), QQ)
+
+    def no_paths(*args):
+        raise AssertionError("a product rewrote a path")
+
+    monkeypatch.setattr(zigzag, "normalize", no_paths)
+    monkeypatch.setattr(zigzag, "compose", no_paths)
+    assert len(alg.materialize()) == 5**5
+    assert verify_cell_datum(d).all_passed
+
+
+def test_faulty_labels_fail_the_bijection_check(monkeypatch):
+    msets = zigzag._msets
+
+    def one_label_short(spec):
+        X, M = msets(spec)
+        return X, {**M, X[0]: M[X[0]][:-1]}
+
+    monkeypatch.setattr(zigzag, "_msets", one_label_short)
+    with pytest.raises(InvalidSpec, match="biject"):
+        build_zigzag(QuiverSpec("cycL", 3), QQ)
+
+
+def test_faulty_keys_fail_the_star_check(monkeypatch):
+    # keyed by the end vertex instead of the start: still one key per class,
+    # but reversal no longer maps (s, u, d) ending at e to (e, d, u)
+    key = zigzag.class_key
+    monkeypatch.setattr(zigzag, "class_key", lambda spec, p: (p[-1],) + key(spec, p)[1:])
+    with pytest.raises(InvalidSpec, match="star"):
+        build_zigzag(QuiverSpec("cycS", 4), QQ)
+
+
+@pytest.mark.parametrize("variant", ["A", "cycS", "cycL"])
+def test_algebra_dimension_closed_form(variant):
+    for n in range(3, 9):
+        spec = QuiverSpec(variant, n)
+        assert algebra_dimension(spec) == len(path_basis(spec))
+
+
+def test_size_guard_builds_no_msets(monkeypatch):
+    def no_msets(spec):
+        raise AssertionError("the size guard built the M-sets")
+
+    monkeypatch.setattr(zigzag, "_msets", no_msets)
+    with pytest.raises(SizeLimit, match="1000000000000000"):
+        build_family("zigzag:cycL:100000")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
