@@ -50,7 +50,9 @@ class AlgebraTable:
     mult_fn(i, j) returns the structure constants of basis_i * basis_j as a
     sparse {index: scalar} dict.  Products are memoized, so families with a
     large basis (K_3 has dimension 1664) never materialize the full table
-    unless asked to.
+    unless asked to.  The memo keeps the returned dict itself when it holds
+    no zero coefficient (else a filtered copy), and an empty product as
+    ZERO_PRODUCT: memo values are read-only, for the table and for mult_fn.
 
     blocks = (left, right) gives one left and one right block key per basis
     element (the Peirce idempotents e, f with b = e b f).  A pair (i, j) with
@@ -102,8 +104,10 @@ class AlgebraTable:
         key = (i, j)
         got = self._memo.get(key)
         if got is None:
-            got = {k: c for k, c in self._mult_fn(i, j).items() if c} or ZERO_PRODUCT
-            self._memo[key] = got
+            got = self._mult_fn(i, j)
+            if not all(got.values()):
+                got = {k: c for k, c in got.items() if c}
+            got = self._memo[key] = got or ZERO_PRODUCT
         return got
 
     def materialize(self) -> dict:

@@ -161,8 +161,11 @@ def _axiom_a(d: CellDatum) -> Optional[str]:
 def _axiom_b(d: CellDatum) -> Optional[str]:
     """(b) star flips (S,T) and is an anti-automorphism.
 
-    A pair (i, j) is skipped only when both (i, j) and (star j, star i)
-    are masked, since then both sides are zero by the table's definition.
+    A pair (i, j) is skipped when both (i, j) and (star j, star i) are
+    masked, since then both sides are zero by the table's definition, and
+    when its mirror (star j, star i) comes first: with star an involution
+    (checked first) the mirror's equation is this one with star applied to
+    both sides.
     """
     alg = d.alg
     star = alg.star_perm
@@ -176,12 +179,16 @@ def _axiom_b(d: CellDatum) -> Optional[str]:
     for j in range(alg.dim):
         by_star_right.setdefault(alg.right_block[star[j]], []).append(j)
     for i in range(alg.dim):
+        si = star[i]
         direct = alg.partners(i)
-        flipped = by_star_right.get(alg.left_block[star[i]], [])
+        flipped = by_star_right.get(alg.left_block[si], [])
         for j in direct if direct == flipped else sorted(set(direct).union(flipped)):
+            sj = star[j]
+            if sj < i or (sj == i and si < j):
+                continue
             # star(b_i b_j) == star(b_j) star(b_i), on structure constants
             lhs = {star[k]: c for k, c in alg.mult_basis(i, j).items()}
-            if lhs != alg.mult_basis(star[j], star[i]):
+            if lhs != alg.mult_basis(sj, si):
                 return f"star({alg.basis[i]}*{alg.basis[j]}) != star*star"
     return None
 
@@ -260,32 +267,50 @@ def _columns(d: CellDatum, lam) -> dict:
 
 
 def _axiom_d(d: CellDatum) -> Optional[str]:
-    """(d) left multiplication rule, with T-independence of the coefficients."""
+    """(d) left multiplication rule, with T-independence of the coefficients.
+
+    Per lambda the columns are indexed by left block.  An element whose
+    right block meets no column of lambda has the empty row under every T,
+    so it is skipped; one that meets a column visits every T, the T
+    without a column giving the empty row.
+    """
     alg = d.alg
-    cols = {lam: _columns(d, lam) for lam in d.X}
-    eps = {lam: [(T, d.eps_of(lam, T)) for T in d.M[lam]] for lam in d.X}
+    basis = alg.basis
+    eps_k = [d.eps_index.get((lab.lam, lab.T)) for lab in basis]
+    by_key = {}
+    for lam in d.X:
+        # T, eps_T and {mu : mu <_epsT lam}, in M(lam) order
+        per_T = []
+        for T in d.M[lam]:
+            eps_T = d.eps_of(lam, T)
+            per_T.append((T, eps_T, d.orders[eps_T]._below.get(lam, ())))
+        cols = {}
+        for (key, T), column in _columns(d, lam).items():
+            cols.setdefault(key, {})[T] = column
+        by_key[lam] = (per_T, cols)
     for i in range(alg.dim):
         key = alg.right_block[i]
         for lam in d.X:
-            per_T = []
-            for T, eps_T in eps[lam]:
-                order_T = d.orders[eps_T]
+            per_T, cols = by_key[lam]
+            by_T = cols.get(key)
+            if by_T is None:
+                continue
+            rows = []
+            for T, eps_T, below in per_T:
                 row = {}
-                for S, j in cols[lam].get((key, T), ()):
+                for S, j in by_T.get(T, ()):
                     for k, c in alg.mult_basis(i, j).items():
-                        klab = alg.basis[k]
+                        klab = basis[k]
                         if klab.lam == lam and klab.T == T:
                             row[(klab.S, S)] = c
-                        elif not (
-                            order_T.less(klab.lam, lam) and d.eps_of(klab.lam, klab.T) == eps_T
-                        ):
+                        elif not (klab.lam in below and eps_k[k] == eps_T):
                             return (
-                                f"{alg.basis[i]} * C({lam};{S},{T}) has term {klab} "
+                                f"{basis[i]} * C({lam};{S},{T}) has term {klab} "
                                 f"outside sum + R(<_epsT {lam})epsT"
                             )
-                per_T.append(row)
-            if any(row != per_T[0] for row in per_T[1:]):
-                return f"r_a(S',S) depends on T for a={alg.basis[i]}, lambda={lam}"
+                rows.append(row)
+            if any(row != rows[0] for row in rows[1:]):
+                return f"r_a(S',S) depends on T for a={basis[i]}, lambda={lam}"
     return None
 
 

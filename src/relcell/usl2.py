@@ -7,8 +7,11 @@ in [0, p).  Products are normal-ordered through the commutation rule
                           * F^{U-j} E^{T-j} 1_mu
 
 (factorials and binomials mod p), where terms with an exponent >= p vanish
-because E^p = F^p = 0.  The left H-weight of F^S 1_lam E^T is lam - 2S, so
-the weight idempotent fixing it on the left is 1_{lam-2S}.
+because E^p = F^p = 0.  The coefficients are tabulated once per p as
+coeffs[T][U][top], the (j, c) with c != 0 for binomial top T - U + mu
+(mod p); a product reads one list and keeps the j at which both exponents
+stay below p.  The left H-weight of F^S 1_lam E^T is lam - 2S, so the
+weight idempotent fixing it on the left is 1_{lam-2S}.
 """
 
 from __future__ import annotations
@@ -31,31 +34,39 @@ def _check_p(p: int):
 
 
 def structure_constants(p: int, field: PrimeField):
-    """Multiplication rule on labels: (lam,S,T) * (mu,U,V) -> {label: scalar}."""
+    """Multiplication rule on labels: (lam,S,T) * (mu,U,V) -> {label: scalar}.
+
+    The product keeps the terms j >= max(S+U, T+V) - p + 1 of the list for
+    (T, U, top); distinct j give distinct exponents S+U-j, so every term
+    has its own label and every kept coefficient is nonzero.
+    """
     fact = [factorial_mod(k, field) for k in range(p)]
     # falling[t][j] = t!/(t-j)!, and binomial_mod(top, j) depends on top mod p only
     falling = [[field.div(fact[t], fact[t - j]) for j in range(t + 1)] for t in range(p)]
     binom = [[binomial_mod(t, j, field) for j in range(p)] for t in range(p)]
+
+    def terms(T, U, top):
+        """The (j, c), j ascending, with c = T!/(T-j)! * U!/(U-j)! * binom(top, j) != 0."""
+        out = []
+        for j in range(min(T, U) + 1):
+            c = field.mul(field.mul(falling[T][j], falling[U][j]), binom[top][j])
+            if c != field.zero:
+                out.append((j, c))
+        return out
+
+    coeffs = [[[terms(T, U, top) for top in range(p)] for U in range(p)] for T in range(p)]
 
     def mult_labels(a, b):
         lam, S, T = a
         mu, U, V = b
         if (lam - 2 * T) % p != (mu - 2 * U) % p:
             return {}
-        out = {}
-        fall_T, fall_U, binom_top = falling[T], falling[U], binom[(T - U + mu) % p]
-        for j in range(min(T, U) + 1):
-            x = S + U - j
-            z = T - j + V
-            if x >= p or z >= p:
-                continue
-            coeff = field.mul(field.mul(fall_T[j], fall_U[j]), binom_top[j])
-            if coeff == field.zero:
-                continue
-            nu = (mu + 2 * (T - j)) % p
-            key = (nu, x, z)
-            out[key] = field.add(out.get(key, field.zero), coeff)
-        return {k: c for k, c in out.items() if c != field.zero}
+        low = max(S + U, T + V) - p + 1
+        return {
+            ((mu + 2 * (T - j)) % p, S + U - j, T + V - j): c
+            for j, c in coeffs[T][U][(T - U + mu) % p]
+            if j >= low
+        }
 
     return mult_labels
 

@@ -1,9 +1,13 @@
+import json
 import random
 
 import pytest
 
 from relcell.algebra import (
+    ZERO_PRODUCT,
     AlgebraMismatch,
+    AlgebraTable,
+    BasisLabel,
     NotUnital,
     RepModule,
     _restrict_action,
@@ -17,7 +21,7 @@ from relcell.algebra import (
     unit_element,
 )
 from relcell.celldata import cell_module, simple_set
-from relcell.field import QQ
+from relcell.field import QQ, PrimeField
 from relcell.linalg import Matrix
 
 
@@ -279,3 +283,49 @@ def test_star_antihom_all_pairs_k2(k2):
             prod = alg.mult_basis(i, j)
             flipped = alg.mult_basis(star[j], star[i])
             assert {star[k]: c for k, c in prod.items()} == flipped
+
+
+# --- the memo contract: no zero coefficient, ZERO_PRODUCT for empty products --
+
+# F_3[x]/(x^2) on the basis 1, x, with every product spelled with an explicit 0
+DUAL_F3 = {
+    (0, 0): {0: 1, 1: 0},
+    (0, 1): {1: 1, 0: 0},
+    (1, 0): {1: 1},
+    (1, 1): {0: 0},
+}
+
+
+def dual_f3_from_kernel():
+    kernel = {key: dict(sc) for key, sc in DUAL_F3.items()}
+    basis = [BasisLabel(0, 0, 0), BasisLabel(0, 0, 1)]
+    return AlgebraTable(PrimeField(3), basis, lambda i, j: kernel[(i, j)], (0, 1), name="dual-f3"), kernel
+
+
+def dual_f3_from_json():
+    doc = {
+        "field": "F3",
+        "basis": ["1", "x"],
+        "mult": {f"{i},{j}": {str(k): str(c) for k, c in sc.items()} for (i, j), sc in DUAL_F3.items()},
+        "star": [0, 1],
+        "name": "dual-f3",
+    }
+    return table_from_json(json.dumps(doc)), None
+
+
+@pytest.mark.parametrize("make", [dual_f3_from_kernel, dual_f3_from_json])
+def test_memo_holds_no_zero_coefficient(make):
+    alg, kernel = make()
+    want = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}
+    for (i, j), sc in want.items():
+        assert alg.mult_basis(i, j) == sc
+    memo = alg.materialize()
+    assert memo == want
+    assert all(all(sc.values()) for sc in memo.values())
+    assert memo[(1, 1)] is ZERO_PRODUCT
+    if kernel is not None:  # the table filters a copy, never the kernel's own dict
+        assert kernel == DUAL_F3
+    one, x = alg.basis_element(0), alg.basis_element(1)
+    assert (x * x).is_zero()
+    assert (one + x) * (one + x) == alg.element({0: 1, 1: 2})
+    assert (x * (one - x)).coeffs == {1: 1}

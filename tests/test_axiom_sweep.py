@@ -1,0 +1,103 @@
+"""The work the axiom sweeps skip is work that cannot find a witness.
+
+Axiom (b) checks each star-mirror pair once, at its lexicographically first
+member; axiom (d) visits an element only under the lambda whose columns its
+right block meets.  Each mutant here fails with the witness string that the
+full sweeps (every pair, every (element, lambda, T) triple) report for it.
+"""
+
+import dataclasses
+
+from relcell import celldata
+from relcell.algebra import AlgebraTable, BasisLabel
+from relcell.celldata import _columns, verify_cell_datum
+from relcell.families import build_family
+
+
+def retabled(d, mult_fn=None, blocks=None):
+    """d on a fresh table with alg's basis and star, kernel and blocks replaced."""
+    alg = d.alg
+    table = AlgebraTable(
+        alg.field,
+        alg.basis,
+        alg._mult_fn if mult_fn is None else mult_fn,
+        alg.star_perm,
+        name=alg.name,
+        blocks=(alg.left_block, alg.right_block) if blocks is None else blocks,
+    )
+    E = [table.element(e.coeffs) for e in d.E]
+    return dataclasses.replace(d, alg=table, E=E, primitive_idempotents={})
+
+
+def failures(d):
+    return [line for line in str(verify_cell_datum(d)).splitlines() if "FAIL" in line]
+
+
+def test_flip_at_the_later_mirror_member_fails_b():
+    alg, d = build_family("usl2:p=5")
+    f, star = alg.field, alg.star_perm
+    first = next(
+        (i, j)
+        for i in range(alg.dim)
+        for j in alg.partners(i)
+        if alg.mult_basis(i, j) and (star[j], star[i]) != (i, j)
+    )
+    later = max(first, (star[first[1]], star[first[0]]))
+    assert later != first
+
+    def mult(i, j):
+        out = dict(alg._mult_fn(i, j))
+        if (i, j) == later:
+            k = min(out)
+            out[k] = f.neg(out[k])
+        return out
+
+    # the witness names the first member, (1_0, E 1_0) against its mirror (F 1_0, 1_0)
+    assert (first, later) == ((0, 1), (5, 0))
+    assert failures(retabled(d, mult_fn=mult)) == [
+        "b:anti-involution: FAIL  [star(BasisLabel(lam=0, S=0, T=0)*BasisLabel(lam=0, S=0, T=1))"
+        " != star*star]",
+        "d:mult-left: FAIL  [r_a(S',S) depends on T for a=BasisLabel(lam=0, S=1, T=0), lambda=0]",
+        "unit: FAIL  [sum of idempotents is not a unit on basis element BasisLabel(lam=0, S=1, T=0)]",
+    ]
+
+
+def test_column_missing_under_one_T_fails_d():
+    # C(1;(1,),(2,1)) moved out of left block 1: for lambda = 1, block 1 then
+    # has a column under T = (1,) and none under T = (2,1)
+    alg, d = build_family("zigzag:A:3")
+    left = list(alg.left_block)
+    moved = alg.index[BasisLabel(1, (1,), (2, 1))]
+    left[moved] = 3
+    mutant = retabled(d, blocks=(left, alg.right_block))
+    cols = _columns(mutant, 1)
+    assert (1, (1,)) in cols and (1, (2, 1)) not in cols
+    d_lines = [line for line in failures(mutant) if line.startswith("d:")]
+    assert d_lines == [
+        "d:mult-left: FAIL  [r_a(S',S) depends on T for a=BasisLabel(lam=1, S=(1,), T=(1,)),"
+        " lambda=1]"
+    ]
+
+
+def test_mult_left_reads_only_column_entries(monkeypatch):
+    alg, d = build_family("zigzag:A:40")
+    right = alg.right_block
+    cols = [_columns(d, lam) for lam in d.X]
+    entries = sum(
+        len(column)
+        for i in range(alg.dim)
+        for by_key in cols
+        for (key, _), column in by_key.items()
+        if key == right[i]
+    )
+    calls = 0
+    mult_basis = alg.mult_basis
+
+    def counted(i, j):
+        nonlocal calls
+        calls += 1
+        return mult_basis(i, j)
+
+    monkeypatch.setattr(alg, "mult_basis", counted)
+    assert celldata._axiom_d(d) is None
+    assert 0 < calls <= entries

@@ -10,10 +10,11 @@ from relcell.celldata import (
     simple_set,
     verify_cell_datum,
 )
-from relcell.field import PrimeField
+from relcell.field import PrimeField, binomial_mod, factorial_mod
 from relcell.usl2 import (
     UnsupportedCharacteristic,
     build_usl2,
+    structure_constants,
     generator_element,
     gram_diagonal_formula,
     normal_order,
@@ -239,3 +240,48 @@ def test_cell_basis_product_example(u3):
         BasisLabel(2, 2, 2)
     )
     assert x * y == expect
+
+
+def reference_rule(p, field):
+    """The commutation rule summed term by term over j, zeros filtered at
+    the end: the per-j loop the coefficient tables replace."""
+    fact = [factorial_mod(k, field) for k in range(p)]
+    falling = [[field.div(fact[t], fact[t - j]) for j in range(t + 1)] for t in range(p)]
+    binom = [[binomial_mod(t, j, field) for j in range(p)] for t in range(p)]
+
+    def mult_labels(a, b):
+        lam, S, T = a
+        mu, U, V = b
+        if (lam - 2 * T) % p != (mu - 2 * U) % p:
+            return {}
+        out = {}
+        fall_T, fall_U, binom_top = falling[T], falling[U], binom[(T - U + mu) % p]
+        for j in range(min(T, U) + 1):
+            x = S + U - j
+            z = T - j + V
+            if x >= p or z >= p:
+                continue
+            coeff = field.mul(field.mul(fall_T[j], fall_U[j]), binom_top[j])
+            if coeff == field.zero:
+                continue
+            nu = (mu + 2 * (T - j)) % p
+            key = (nu, x, z)
+            out[key] = field.add(out.get(key, field.zero), coeff)
+        return {k: c for k, c in out.items() if c != field.zero}
+
+    return mult_labels
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rule_matches_the_per_j_reference(p):
+    field = PrimeField(p)
+    rule, ref = structure_constants(p, field), reference_rule(p, field)
+    labels = [(lam, S, T) for lam in range(p) for S in range(p) for T in range(p)]
+    zeros = 0
+    for a in labels:
+        for b in labels:
+            got = rule(a, b)
+            assert got == ref(a, b), (a, b)
+            assert all(got.values()), (a, b)
+            zeros += not got
+    assert 0 < zeros < len(labels) ** 2
