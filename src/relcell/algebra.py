@@ -43,6 +43,9 @@ class BasisLabel(NamedTuple):
 # the product of a masked pair; shared, so it must stay read-only
 ZERO_PRODUCT = MappingProxyType({})
 
+# how many distinct products of one support `materialize` shares
+_SHARED_PER_SUPPORT = 32
+
 
 class AlgebraTable:
     """Basis-indexed multiplication table with a star anti-involution.
@@ -52,7 +55,9 @@ class AlgebraTable:
     large basis (K_3 has dimension 1664) never materialize the full table
     unless asked to.  The memo keeps the returned dict itself when it holds
     no zero coefficient (else a filtered copy), and an empty product as
-    ZERO_PRODUCT: memo values are read-only, for the table and for mult_fn.
+    ZERO_PRODUCT.  materialize() also shares equal values between keys: one
+    dict serves every pair with that product.  So memo values are read-only,
+    for the table and for mult_fn.
 
     blocks = (left, right) gives one left and one right block key per basis
     element (the Peirce idempotents e, f with b = e b f).  A pair (i, j) with
@@ -111,11 +116,37 @@ class AlgebraTable:
         return got
 
     def materialize(self) -> dict:
-        """Compute every unmasked product; the memo, which holds no masked pair."""
+        """Compute every unmasked product; the memo, which holds no masked pair.
+
+        Equal nonzero products share one dict.  Candidates are found by
+        support, `tuple(product)`: hashing the indices alone stays in C, where
+        hashing Fraction coefficients would not.  A support keeps at most
+        _SHARED_PER_SUPPORT distinct products; further ones are stored
+        unshared, so a dense table cannot make the search quadratic.
+        """
+        memo, mult_fn = self._memo, self._mult_fn
+        shared: dict[tuple, list] = {}  # support -> the distinct products with it
         for i in range(self.dim):
             for j in self.partners(i):
-                self.mult_basis(i, j)
-        return self._memo
+                key = (i, j)
+                got = memo.get(key)
+                if got is None:
+                    got = mult_fn(i, j)
+                    if not all(got.values()):
+                        got = {k: c for k, c in got.items() if c}
+                if not got:
+                    memo[key] = ZERO_PRODUCT
+                    continue
+                same = shared.setdefault(tuple(got), [])
+                for old in same:
+                    if old == got:
+                        got = old
+                        break
+                else:
+                    if len(same) < _SHARED_PER_SUPPORT:
+                        same.append(got)
+                memo[key] = got
+        return memo
 
     def element(self, coeffs: dict[int, Any]) -> "Element":
         return Element(self, coeffs)

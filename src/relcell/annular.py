@@ -18,6 +18,7 @@ circle table of S V*, so no circle is traced during a product.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Optional
 
 from .algebra import AlgebraTable, BasisLabel, Element
@@ -225,6 +226,17 @@ def admissible_orders(n: int, T: CupDiagram) -> list[list[Arc]]:
 
 
 # --- the algebra and its datum ----------------------------------------------
+
+def dimension_lower_bound(n: int) -> int:
+    """C(2n, n) * 4^n <= dim K_n, without enumerating.
+
+    K_n has C(2n, n) weights and C(2n, n) cup diagrams, and each diagram is
+    oriented by 2^n weights, so the m_w = #{S : S oriented by w} sum to
+    C(2n, n) * 2^n; dim K_n = sum_w m_w^2 is at least that sum squared over
+    the number of weights (Cauchy-Schwarz).
+    """
+    return comb(2 * n, n) * 4**n
+
 
 @lru_cache(maxsize=None)
 def algebra_dimension(n: int) -> int:

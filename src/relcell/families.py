@@ -73,7 +73,11 @@ def build_family(spec: str, max_dim=None) -> tuple[AlgebraTable, CellDatum]:
     elif kind == "usl2":
         dim, build = params[0] ** 3, lambda: usl2.build_usl2(params[0])
     else:
-        dim, build = annular.algebra_dimension(params[0]), lambda: annular.build_annular(params[0], QQ)
+        n = params[0]
+        # counting is exact but grows about tenfold per n; from n = 5 on, the bound refuses first
+        if n >= 5 and (bound := annular.dimension_lower_bound(n)) > limit:
+            raise SizeLimit(f"{spec} has dimension at least {bound} > limit {limit}")
+        dim, build = annular.algebra_dimension(n), lambda: annular.build_annular(n, QQ)
     if dim > limit:
         raise SizeLimit(f"{spec} has dimension {dim} > limit {limit}")
     return build()

@@ -7,11 +7,14 @@ in [0, p).  Products are normal-ordered through the commutation rule
                           * F^{U-j} E^{T-j} 1_mu
 
 (factorials and binomials mod p), where terms with an exponent >= p vanish
-because E^p = F^p = 0.  The coefficients are tabulated once per p as
-coeffs[T][U][top], the (j, c) with c != 0 for binomial top T - U + mu
-(mod p); a product reads one list and keeps the j at which both exponents
-stay below p.  The left H-weight of F^S 1_lam E^T is lam - 2S, so the
-weight idempotent fixing it on the left is 1_{lam-2S}.
+because E^p = F^p = 0.  The kernel works on basis indices, (lam*p + S)*p + T
+for (lam, S, T), the order of the table's basis.  The terms are tabulated
+once per p as coeffs[T][U][mu], the (j, offset, c) with c != 0; the term of
+F^S 1_lam E^T * F^U 1_mu E^V has index offset + S*p + V.  A product reads
+one list, keeps the j at which both exponents stay below p, and builds one
+dict whose keys come from a shared list of the indices.  The left H-weight
+of F^S 1_lam E^T is lam - 2S, so the weight idempotent fixing it on the left
+is 1_{lam-2S}.
 """
 
 from __future__ import annotations
@@ -34,41 +37,45 @@ def _check_p(p: int):
 
 
 def structure_constants(p: int, field: PrimeField):
-    """Multiplication rule on labels: (lam,S,T) * (mu,U,V) -> {label: scalar}.
+    """Multiplication rule on basis indices: a * b -> {index: scalar}.
 
-    The product keeps the terms j >= max(S+U, T+V) - p + 1 of the list for
-    (T, U, top); distinct j give distinct exponents S+U-j, so every term
-    has its own label and every kept coefficient is nonzero.
+    The basis index of (lam, S, T) is (lam*p + S)*p + T.  The product keeps
+    the terms j >= max(S+U, T+V) - p + 1 of the list for (T, U, mu); distinct
+    j give distinct exponents S+U-j, so every term has its own index and
+    every kept coefficient is nonzero.
     """
     fact = [factorial_mod(k, field) for k in range(p)]
     # falling[t][j] = t!/(t-j)!, and binomial_mod(top, j) depends on top mod p only
     falling = [[field.div(fact[t], fact[t - j]) for j in range(t + 1)] for t in range(p)]
     binom = [[binomial_mod(t, j, field) for j in range(p)] for t in range(p)]
 
-    def terms(T, U, top):
-        """The (j, c), j ascending, with c = T!/(T-j)! * U!/(U-j)! * binom(top, j) != 0."""
+    def terms(T, U, mu):
+        """The (j, offset, c), j ascending, with c = T!/(T-j)! * U!/(U-j)! *
+        binom(T-U+mu, j) != 0; offset + S*p + V is the index of the term's
+        F^{S+U-j} 1_nu E^{T+V-j}, nu = mu + 2(T-j)."""
+        top = (T - U + mu) % p
         out = []
         for j in range(min(T, U) + 1):
             c = field.mul(field.mul(falling[T][j], falling[U][j]), binom[top][j])
             if c != field.zero:
-                out.append((j, c))
+                nu = (mu + 2 * (T - j)) % p
+                out.append((j, (nu * p + U - j) * p + T - j, c))
         return out
 
-    coeffs = [[[terms(T, U, top) for top in range(p)] for U in range(p)] for T in range(p)]
+    coeffs = [[[terms(T, U, mu) for mu in range(p)] for U in range(p)] for T in range(p)]
+    labels = [(lam, S, T) for lam in range(p) for S in range(p) for T in range(p)]
+    ids = list(range(p**3))  # one shared int object per index
 
-    def mult_labels(a, b):
-        lam, S, T = a
-        mu, U, V = b
+    def rule(a, b):
+        lam, S, T = labels[a]
+        mu, U, V = labels[b]
         if (lam - 2 * T) % p != (mu - 2 * U) % p:
             return {}
         low = max(S + U, T + V) - p + 1
-        return {
-            ((mu + 2 * (T - j)) % p, S + U - j, T + V - j): c
-            for j, c in coeffs[T][U][(T - U + mu) % p]
-            if j >= low
-        }
+        base = S * p + V
+        return {ids[off + base]: c for j, off, c in coeffs[T][U][mu] if j >= low}
 
-    return mult_labels
+    return rule
 
 
 def weight_idempotent_h_poly(lam: int, p: int) -> list:
@@ -91,19 +98,13 @@ def build_usl2(p: int) -> tuple[AlgebraTable, CellDatum]:
     field = _check_p(p)
     labels = [BasisLabel(lam, S, T) for lam in range(p) for S in range(p) for T in range(p)]
     index = {lab: i for i, lab in enumerate(labels)}
-    rule = structure_constants(p, field)
-
-    def mult(i, j):
-        # a plain (lam, S, T) tuple hashes and compares equal to its BasisLabel
-        return {index[k]: c for k, c in rule(labels[i], labels[j]).items()}
-
     star = tuple(index[BasisLabel(lab.lam, lab.T, lab.S)] for lab in labels)
     # the weights 1_{lam-2S} and 1_{lam-2T} on either side; the rule's zero test
     blocks = (
         [(lab.lam - 2 * lab.S) % p for lab in labels],
         [(lab.lam - 2 * lab.T) % p for lab in labels],
     )
-    alg = AlgebraTable(field, labels, mult, star, name=f"usl2:p={p}", blocks=blocks)
+    alg = AlgebraTable(field, labels, structure_constants(p, field), star, name=f"usl2:p={p}", blocks=blocks)
 
     E_gen = alg.element({index[BasisLabel(lam, 0, 1)]: field.one for lam in range(p)})
     F_gen = alg.element({index[BasisLabel(lam, 1, 0)]: field.one for lam in range(p)})

@@ -10,6 +10,7 @@ from relcell.algebra import (
     BasisLabel,
     NotUnital,
     RepModule,
+    _SHARED_PER_SUPPORT,
     _restrict_action,
     composition_multiplicities,
     hom_space,
@@ -20,7 +21,8 @@ from relcell.algebra import (
     table_to_json,
     unit_element,
 )
-from relcell.celldata import cell_module, simple_set
+from relcell.celldata import cell_module, report_dict, simple_set
+from relcell.families import build_family
 from relcell.field import QQ, PrimeField
 from relcell.linalg import Matrix
 
@@ -329,3 +331,63 @@ def test_memo_holds_no_zero_coefficient(make):
     assert (x * x).is_zero()
     assert (one + x) * (one + x) == alg.element({0: 1, 1: 2})
     assert (x * (one - x)).coeffs == {1: 1}
+
+
+# --- the shared memo: materialize keeps one dict per distinct product -------
+
+FILL_SPECS = ["usl2:p=5", "annular:n=2", "zigzag:cycL:4"]
+
+
+def test_materialize_shares_equal_products():
+    alg, _ = build_family("usl2:p=7")
+    nonzero = [sc for sc in alg.materialize().values() if sc]
+    assert len(nonzero) == 9387
+    assert len({id(sc) for sc in nonzero}) == 2419
+
+
+@pytest.mark.parametrize("spec", FILL_SPECS)
+def test_materialize_equals_a_fill_through_mult_basis(spec):
+    alg, _ = build_family(spec)
+    lazy, _ = build_family(spec)
+    for i in range(lazy.dim):
+        for j in lazy.partners(i):
+            lazy.mult_basis(i, j)
+    filled = dict(lazy._memo)
+    memo = alg.materialize()
+    assert memo == filled
+    # materializing a memo that mult_basis filled shares its values the same way
+    assert lazy.materialize() == filled
+    distinct = {id(sc) for sc in memo.values()}
+    assert len({id(sc) for sc in lazy._memo.values()}) == len(distinct) < len(memo)
+
+
+@pytest.mark.parametrize("spec", FILL_SPECS)
+def test_no_caller_mutates_a_shared_product(spec):
+    alg, d = build_family(spec)
+    report_dict(d)
+    assert alg._memo
+    for (i, j), sc in alg._memo.items():
+        assert sc == {k: c for k, c in alg._mult_fn(i, j).items() if c}, (i, j)
+
+
+def test_materialize_shares_at_most_a_capped_number_per_support():
+    # 7 x 7 products in row-major order: the first 40 are c * b_0 for c = 1..40,
+    # then a repeat of the first and a repeat of the fortieth
+    n, cap = 7, _SHARED_PER_SUPPORT
+    assert cap < 40
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    coeff = {pair: t + 1 for t, pair in enumerate(pairs[:40])}
+    coeff[pairs[40]], coeff[pairs[41]] = 1, 40
+    doc = {
+        "field": "Q",
+        "basis": [f"b{i}" for i in range(n)],
+        "mult": {f"{i},{j}": {"0": str(c)} for (i, j), c in coeff.items()},
+        "star": list(range(n)),
+        "name": "one-support",
+    }
+    memo = table_from_json(json.dumps(doc)).materialize()
+    assert memo == {pair: ({0: coeff[pair]} if pair in coeff else {}) for pair in pairs}
+    assert memo[pairs[40]] is memo[pairs[0]]  # shared: its equal is in the list
+    assert memo[pairs[41]] == memo[pairs[39]]
+    assert memo[pairs[41]] is not memo[pairs[39]]  # past the cap: stored unshared
+    assert len({id(sc) for sc in memo.values() if sc}) == 41

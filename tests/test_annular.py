@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from relcell.annular import (
     admissible_orders,
     algebra_dimension,
     build_annular,
+    dimension_lower_bound,
     decomposition_fastpath,
     frobenius_form,
     frobenius_gram,
@@ -53,6 +55,25 @@ def test_dimensions():
 def test_size_guard():
     with pytest.raises(SizeLimit):
         build_family("annular:n=3", 1000)
+
+
+def test_size_guard_refuses_large_n_without_counting(monkeypatch):
+    def no_count(n):
+        raise AssertionError("the size guard enumerated K_n")
+
+    monkeypatch.setattr("relcell.annular.algebra_dimension", no_count)
+    with pytest.raises(SizeLimit, match="at least 12745441280 > limit 2000"):
+        build_family("annular:n=9")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dimension_lower_bound(n):
+    weights, cups = weight_list(n), enumerate_cup_diagrams(n)
+    assert len(weights) == len(cups) == comb(2 * n, n)
+    assert all(sum(1 for w in weights if orients(S, w)) == 2**n for S in cups)
+    bound, dim = dimension_lower_bound(n), algebra_dimension(n)
+    assert bound <= dim
+    assert (bound == dim) == (n == 1)
 
 
 @pytest.mark.parametrize(

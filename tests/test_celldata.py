@@ -1,10 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 
+from relcell import celldata
+
 from relcell.algebra import AlgebraTable, BasisLabel
 from relcell.celldata import (
     CellDatum,
+    RouteMismatch,
     StrictOrder,
     cartan_matrix,
     cell_module,
@@ -134,6 +138,23 @@ def test_decomposition_support(u3, k1):
         ss = simple_set(d)
         D = decomposition_matrix(d, ss)
         assert decomposition_support_ok(d, ss, D)
+
+
+def test_decomposition_matrix_checks_the_support(zigzag_a3, monkeypatch):
+    alg, d = zigzag_a3
+    ss = simple_set(d)
+    D = decomposition_matrix(d, ss)
+    assert (d.X, ss.X0) == ([0, 1, 2, 3], [1, 2, 3])
+    assert D == [[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    # d[1,2] = 1 moved to d[2,1], across the diagonal; the diagonal stays 1
+    mutant = [row[:] for row in D]
+    mutant[1][1], mutant[2][0] = 0, 1
+    rows = iter(mutant)
+    monkeypatch.setattr(celldata, "composition_multiplicities", lambda *args: next(rows))
+    # without primitives the rank(e*) route is skipped: only the support check sees it
+    bare = dataclasses.replace(d, primitive_idempotents={})
+    with pytest.raises(RouteMismatch, match="below it in lam's order"):
+        decomposition_matrix(bare, ss)
 
 
 def test_report_schema(k1):

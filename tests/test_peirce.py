@@ -46,7 +46,9 @@ def raw_kernel(spec, alg):
     if kind == "usl2":
         p = int(rest[2:])
         rule = usl2.structure_constants(p, alg.field)
-        return lambda i, j: rule(tuple(alg.basis[i]), tuple(alg.basis[j]))
+        # the rule's own index of (lam, S, T), whatever order the table uses
+        idx = [(lab.lam * p + lab.S) * p + lab.T for lab in alg.basis]
+        return lambda i, j: rule(idx[i], idx[j])
     n = int(rest[2:])
     labs = [(lab.S, lab.lam, lab.T) for lab in alg.basis]
     return lambda i, j: annular.multiply_labels(n, labs[i], labs[j])

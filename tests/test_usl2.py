@@ -277,10 +277,12 @@ def test_rule_matches_the_per_j_reference(p):
     field = PrimeField(p)
     rule, ref = structure_constants(p, field), reference_rule(p, field)
     labels = [(lam, S, T) for lam in range(p) for S in range(p) for T in range(p)]
+    index = {lab: i for i, lab in enumerate(labels)}
     zeros = 0
     for a in labels:
         for b in labels:
-            got = rule(a, b)
+            # the rule works on basis indices; compare on labels
+            got = {labels[k]: c for k, c in rule(index[a], index[b]).items()}
             assert got == ref(a, b), (a, b)
             assert all(got.values()), (a, b)
             zeros += not got
