@@ -15,8 +15,9 @@ algebra over the table's field.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from collections.abc import Callable
 from types import MappingProxyType
-from typing import Any, Callable, NamedTuple, Optional
 
 from .field import Field, field_from_str, field_to_str
 from .linalg import Echelon, Matrix, from_columns, stack_rows
@@ -34,10 +35,7 @@ class NonIntegralMultiplicity(Exception):
     pass
 
 
-class BasisLabel(NamedTuple):
-    lam: Any
-    S: Any
-    T: Any
+BasisLabel = namedtuple("BasisLabel", "lam S T")
 
 
 # the product of a masked pair; shared, so it must stay read-only
@@ -70,10 +68,10 @@ class AlgebraTable:
         self,
         field: Field,
         basis: list[BasisLabel],
-        mult_fn: Callable[[int, int], dict[int, Any]],
+        mult_fn: Callable[[int, int], dict[int, object]],
         star: tuple[int, ...],
         name: str = "",
-        blocks: Optional[tuple[list, list]] = None,
+        blocks: tuple[list, list] | None = None,
     ):
         self.field = field
         self.basis = list(basis)
@@ -81,17 +79,17 @@ class AlgebraTable:
         if len(self.index) != len(self.basis):
             raise ValueError("duplicate basis labels")
         self._mult_fn = mult_fn
-        self._memo: dict[tuple[int, int], dict[int, Any]] = {}
+        self._memo: dict[tuple[int, int], dict[int, object]] = {}
         self.star_perm = tuple(star)
         # builders that know a generating set assign it after construction
-        self.generators: Optional[list[tuple[str, "Element"]]] = None
+        self.generators: list[tuple[str, Element]] | None = None
         self.name = name
         if blocks is None:
             blocks = ((None,) * self.dim, (None,) * self.dim)
         self.left_block, self.right_block = (tuple(keys) for keys in blocks)
         if not len(self.left_block) == len(self.right_block) == self.dim:
             raise ValueError("need one left and one right block key per basis element")
-        self._by_left: dict[Any, list[int]] = {}
+        self._by_left: dict[object, list[int]] = {}
         for j, key in enumerate(self.left_block):
             self._by_left.setdefault(key, []).append(j)
 
@@ -103,7 +101,7 @@ class AlgebraTable:
         """The j (ascending) for which b_i * b_j is not masked; a shared list."""
         return self._by_left.get(self.right_block[i], [])
 
-    def mult_basis(self, i: int, j: int) -> dict[int, Any]:
+    def mult_basis(self, i: int, j: int) -> dict[int, object]:
         if self.right_block[i] != self.left_block[j]:
             return ZERO_PRODUCT
         key = (i, j)
@@ -148,7 +146,7 @@ class AlgebraTable:
                 memo[key] = got
         return memo
 
-    def element(self, coeffs: dict[int, Any]) -> "Element":
+    def element(self, coeffs: dict[int, object]) -> "Element":
         return Element(self, coeffs)
 
     def basis_element(self, i: int) -> "Element":
@@ -169,7 +167,7 @@ class Element:
 
     __slots__ = ("alg", "coeffs")
 
-    def __init__(self, alg: AlgebraTable, coeffs: dict[int, Any]):
+    def __init__(self, alg: AlgebraTable, coeffs: dict[int, object]):
         self.alg = alg
         self.coeffs = {i: c for i, c in coeffs.items() if c}
 
@@ -201,7 +199,7 @@ class Element:
         alg = self.alg
         f = alg.field
         left, right = alg.left_block, alg.right_block
-        out: dict[int, Any] = {}
+        out: dict[int, object] = {}
         for i, a in self.coeffs.items():
             ri = right[i]
             for j, b in other.coeffs.items():

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Optional
 
 from .algebra import AlgebraTable, BasisLabel, Element
 from .celldata import CellDatum, StrictOrder
@@ -93,7 +92,7 @@ def _is_essential(comp) -> bool:
     return wraps % 2 == 1
 
 
-def _merge_tag(t1: str, t2: str) -> Optional[str]:
+def _merge_tag(t1: str, t2: str) -> str | None:
     if t1 == ACW:
         return t2
     if t2 == ACW:
@@ -139,7 +138,7 @@ def _available_pairs(remaining: list[Arc], T: CupDiagram, n: int) -> list[Arc]:
     ]
 
 
-def multiply_labels(n: int, a, b, order: Optional[list[Arc]] = None) -> dict:
+def multiply_labels(n: int, a, b, order: list[Arc] | None = None) -> dict:
     """Structure constants of C(lam;S,T) * C(mu;U,V); integer coefficients.
 
     All summands share one list of circles (edge sets) at every step and

@@ -15,10 +15,10 @@ the axioms certify; it checks only its own computed results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cached_property
 from fractions import Fraction
-from typing import Any, Callable, Optional
 
 from .algebra import (
     ZERO_PRODUCT,
@@ -60,7 +60,7 @@ class StrictOrder:
     is needed; from then on every comparison is a set lookup.
     """
 
-    def __init__(self, elements: list, less: Callable[[Any, Any], bool], name: str = ""):
+    def __init__(self, elements: list, less: Callable[[object, object], bool], name: str = ""):
         self.elements = list(elements)
         self._oracle = less
         self.name = name
@@ -76,7 +76,7 @@ class StrictOrder:
     def leq(self, a, b) -> bool:
         return a == b or self.less(a, b)
 
-    def check_valid(self) -> Optional[str]:
+    def check_valid(self) -> str | None:
         """None if a strict partial order; else a short witness string."""
         xs, below = self.elements, self._below
         for a in xs:
@@ -101,17 +101,18 @@ def chain_order(elements: list, chain: list, name: str = "") -> StrictOrder:
     return StrictOrder(elements, lambda a, b: pos[a] < pos[b], name)
 
 
-@dataclass
-class CellDatum:
-    alg: AlgebraTable
-    X: list
-    M: dict
-    E: list[Element]
-    orders: list[StrictOrder]
-    eps_index: dict  # (lam, S) -> index into E
-    name: str = ""
-    # optional per-family registrations
-    primitive_idempotents: dict = dc_field(default_factory=dict)  # lam -> Element
+class CellDatum(namedtuple("CellDatum", "alg X M E orders eps_index name primitive_idempotents")):
+    """alg, the labels X, M: lam -> list of S, E: list of Elements, one
+    StrictOrder per idempotent, eps_index: (lam, S) -> index into E, and
+    the optional per-family registrations primitive_idempotents:
+    lam -> Element (a fresh dict per datum when not given)."""
+
+    __slots__ = ()
+
+    def __new__(cls, alg, X, M, E, orders, eps_index, name="", primitive_idempotents=None):
+        if primitive_idempotents is None:
+            primitive_idempotents = {}
+        return super().__new__(cls, alg, X, M, E, orders, eps_index, name, primitive_idempotents)
 
     def label_index(self, lam, S, T) -> int:
         return self.alg.index[BasisLabel(lam, S, T)]
@@ -120,11 +121,8 @@ class CellDatum:
         return self.eps_index[(lam, S)]
 
 
-@dataclass
-class AxiomResult:
-    axiom: str
-    passed: bool
-    witness: Optional[str] = None
+class AxiomResult(namedtuple("AxiomResult", "axiom passed witness", defaults=(None,))):
+    __slots__ = ()
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -132,9 +130,8 @@ class AxiomResult:
         return f"{self.axiom}: {tag}{extra}"
 
 
-@dataclass
-class VerificationReport:
-    results: list[AxiomResult]
+class VerificationReport(namedtuple("VerificationReport", "results")):
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
@@ -144,7 +141,7 @@ class VerificationReport:
         return "\n".join(str(r) for r in self.results)
 
 
-def _axiom_a(d: CellDatum) -> Optional[str]:
+def _axiom_a(d: CellDatum) -> str | None:
     """(a) the labels enumerate the basis, M-sets nonempty."""
     want = set()
     for lam in d.X:
@@ -159,7 +156,7 @@ def _axiom_a(d: CellDatum) -> Optional[str]:
     return None
 
 
-def _axiom_b(d: CellDatum) -> Optional[str]:
+def _axiom_b(d: CellDatum) -> str | None:
     """(b) star flips (S,T) and is an anti-automorphism.
 
     A pair (i, j) is skipped when both (i, j) and (star j, star i) are
@@ -197,7 +194,7 @@ def _axiom_b(d: CellDatum) -> Optional[str]:
     return None
 
 
-def _axiom_idempotents(d: CellDatum) -> Optional[str]:
+def _axiom_idempotents(d: CellDatum) -> str | None:
     """(c) idempotent set: idempotent, orthogonal, star-fixed."""
     for a, e in enumerate(d.E):
         if e * e != e:
@@ -210,7 +207,7 @@ def _axiom_idempotents(d: CellDatum) -> Optional[str]:
     return None
 
 
-def _axiom_orders(d: CellDatum) -> Optional[str]:
+def _axiom_orders(d: CellDatum) -> str | None:
     """The orders are strict partial orders on X."""
     for a, order in enumerate(d.orders):
         bad = order.check_valid()
@@ -219,7 +216,7 @@ def _axiom_orders(d: CellDatum) -> Optional[str]:
     return None
 
 
-def _axiom_idem_props_2(d: CellDatum) -> Optional[str]:
+def _axiom_idem_props_2(d: CellDatum) -> str | None:
     """(c) eps * C = C if eps_S matches, else 0."""
     alg = d.alg
     for a, e in enumerate(d.E):
@@ -232,7 +229,7 @@ def _axiom_idem_props_2(d: CellDatum) -> Optional[str]:
     return None
 
 
-def _axiom_idem_props_1(d: CellDatum) -> Optional[str]:
+def _axiom_idem_props_1(d: CellDatum) -> str | None:
     """(c) eps R eps * C(lam) lies in R(<=_eps lam); masked pairs add no term."""
     alg = d.alg
     for a in range(len(d.E)):
@@ -270,7 +267,7 @@ def _columns(d: CellDatum, lam) -> dict:
     return cols
 
 
-def _axiom_d(d: CellDatum) -> Optional[str]:
+def _axiom_d(d: CellDatum) -> str | None:
     """(d) left multiplication rule, with T-independence of the coefficients.
 
     Per lambda the columns are indexed by left block.  An element whose
@@ -318,7 +315,7 @@ def _axiom_d(d: CellDatum) -> Optional[str]:
     return None
 
 
-def _axiom_unit(d: CellDatum) -> Optional[str]:
+def _axiom_unit(d: CellDatum) -> str | None:
     """The sum of E is a two-sided identity."""
     try:
         unit_element(d.alg, d.E)
@@ -348,11 +345,10 @@ def verify_cell_datum(d: CellDatum) -> VerificationReport:
     return VerificationReport(results)
 
 
-@dataclass
-class CellModule:
-    lam: Any
-    rep: RepModule
-    basis: list  # the M(lam) labels indexing coordinates
+class CellModule(namedtuple("CellModule", "lam rep basis")):
+    """Delta(lam) as a RepModule; basis: the M(lam) labels indexing coordinates."""
+
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -388,10 +384,7 @@ def cell_module(d: CellDatum, lam) -> CellModule:
     return CellModule(lam, RepModule(alg, m, action), list(Ms))
 
 
-@dataclass
-class GramForm:
-    lam: Any
-    matrix: Matrix
+GramForm = namedtuple("GramForm", "lam matrix")
 
 
 def gram_matrix(d: CellDatum, lam) -> GramForm:
@@ -419,14 +412,9 @@ def gram_matrix(d: CellDatum, lam) -> GramForm:
     return GramForm(lam, Matrix.from_rows(f, rows))
 
 
-@dataclass
-class SimpleSet:
-    X0: list
-    modules: dict  # lam -> RepModule (quotient of Delta(lam))
-    dims: dict  # lam -> int
-    ends: dict  # lam -> dim End L(lam)
-    cell_modules: dict  # lam -> CellModule
-    grams: dict  # lam -> GramForm
+# X0, and per lam: modules (L(lam), a quotient of Delta(lam)), dims,
+# ends (dim End L(lam)), cell_modules (CellModule), grams (GramForm)
+SimpleSet = namedtuple("SimpleSet", "X0 modules dims ends cell_modules grams")
 
 
 def simple_set(d: CellDatum) -> SimpleSet:
@@ -452,7 +440,7 @@ def simple_set(d: CellDatum) -> SimpleSet:
     return SimpleSet(X0, modules, dims, ends, cells, grams)
 
 
-def decomposition_matrix(d: CellDatum, ss: Optional[SimpleSet] = None) -> list[list[int]]:
+def decomposition_matrix(d: CellDatum, ss: SimpleSet | None = None) -> list[list[int]]:
     """d[mu][lam] = [Delta(mu) : L(lam)], rows over X, columns over X0.
 
     Checked: d[lam][lam] = 1, d against rank(e*) on Delta(mu) for each
@@ -489,7 +477,7 @@ def decomposition_matrix(d: CellDatum, ss: Optional[SimpleSet] = None) -> list[l
     return D
 
 
-def parent_idempotent_index(d: CellDatum, e: Element) -> Optional[int]:
+def parent_idempotent_index(d: CellDatum, e: Element) -> int | None:
     """The index of the eps in E with eps e = e = e eps, if any."""
     for a, eps in enumerate(d.E):
         if eps * e == e and e * eps == e:
@@ -544,7 +532,7 @@ def det_int(C: list[list[int]]) -> Fraction:
     return Matrix.from_int_rows(QQ, C).det()
 
 
-def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list[list[int]]] = None):
+def cartan_matrix(d: CellDatum, ss: SimpleSet | None = None, D: list[list[int]] | None = None):
     """C = D^T D, C[lam][mu] = [P(lam):L(mu)]; returns (C, D, P), P the
     Peirce ranks dim eAf that C was checked against.
 
@@ -577,7 +565,7 @@ def cartan_matrix(d: CellDatum, ss: Optional[SimpleSet] = None, D: Optional[list
     return C, D, P
 
 
-def is_semisimple(d: CellDatum, ss: Optional[SimpleSet] = None) -> bool:
+def is_semisimple(d: CellDatum, ss: SimpleSet | None = None) -> bool:
     """Every Gram form has full rank."""
     if ss is None:
         ss = simple_set(d)

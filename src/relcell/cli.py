@@ -14,9 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
+import os
 import sys
 
+# Every family module is imported eagerly, because the benchmark's layer
+# tracer (perfbench/layers.py) looks them up in sys.modules right after
+# `import relcell.cli`.  That import costs every run, so beyond argparse,
+# json and fractions the package loads no stdlib module the interpreter
+# does not already hold: no dataclasses or typing, and random only in
+# cmd_frobenius.
 from .algebra import BasisLabel, table_to_json
 from .annular import frobenius_gram
 from .celldata import (
@@ -207,6 +213,8 @@ def cmd_core(args) -> int:
 
 
 def cmd_frobenius(args) -> int:
+    import random
+
     parsed = parse_family(args.family)
     if parsed[0] != "annular":
         print("the Frobenius form is defined for annular families", file=sys.stderr)
@@ -291,6 +299,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out):
+    """A missing --out directory is a usage error, found before any work."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"--out {out}: no such directory")
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     try:
@@ -298,6 +312,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_out(args.out)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,9 +22,9 @@ classify_diagram only matches a weight against them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 DOWN = "v"
 UP = "^"
@@ -35,10 +35,10 @@ LEFT = "leftwards"
 RIGHT = "rightwards"
 
 
-class Arc(NamedTuple):
-    p: int
-    q: int
-    wrap: bool
+class Arc(namedtuple("Arc", "p q wrap")):
+    """Endpoints p < q, and whether the arc wraps around the seam."""
+
+    __slots__ = ()
 
     def gaps(self, n: int) -> frozenset:
         m = 2 * n

@@ -14,7 +14,7 @@ as the reference product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraTable, BasisLabel
 from .celldata import CellDatum, chain_order
@@ -30,18 +30,17 @@ class InvalidSpec(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuiverSpec:
-    variant: str
-    n: int
+class QuiverSpec(namedtuple("QuiverSpec", "variant n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise InvalidSpec(f"unknown variant {self.variant!r}")
+    def __new__(cls, variant: str, n: int):
+        if variant not in VARIANTS:
+            raise InvalidSpec(f"unknown variant {variant!r}")
         # n = 2 is excluded outright; n = 1 has no edge so the standard
         # labels (the 2-cycle cell) do not exist either
-        if self.n < 3:
-            raise InvalidSpec(f"{self.variant} quiver needs n >= 3 (got {self.n})")
+        if n < 3:
+            raise InvalidSpec(f"{variant} quiver needs n >= 3 (got {n})")
+        return super().__new__(cls, variant, n)
 
     def vertices(self):
         return list(range(1, self.n + 1))

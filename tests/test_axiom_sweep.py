@@ -6,8 +6,6 @@ right block meets.  Each mutant here fails with the witness string that the
 full sweeps (every pair, every (element, lambda, T) triple) report for it.
 """
 
-import dataclasses
-
 from relcell import celldata
 from relcell.algebra import AlgebraTable, BasisLabel
 from relcell.celldata import _columns, verify_cell_datum
@@ -26,7 +24,7 @@ def retabled(d, mult_fn=None, blocks=None):
         blocks=(alg.left_block, alg.right_block) if blocks is None else blocks,
     )
     E = [table.element(e.coeffs) for e in d.E]
-    return dataclasses.replace(d, alg=table, E=E, primitive_idempotents={})
+    return d._replace(alg=table, E=E, primitive_idempotents={})
 
 
 def failures(d):

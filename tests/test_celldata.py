@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -55,6 +54,14 @@ def matrix_unit_datum(size):
         name=f"mat{size}",
     )
     return alg, datum
+
+
+def test_each_datum_gets_its_own_primitive_dict():
+    alg, d = matrix_unit_datum(2)
+    e = CellDatum(alg, d.X, d.M, d.E, d.orders, d.eps_index)
+    assert d.primitive_idempotents == e.primitive_idempotents == {}
+    assert d.primitive_idempotents is not e.primitive_idempotents
+    assert (d.name, e.name) == ("mat2", "")
 
 
 def test_matrix_algebra_is_semisimple():
@@ -152,7 +159,7 @@ def test_decomposition_matrix_checks_the_support(zigzag_a3, monkeypatch):
     rows = iter(mutant)
     monkeypatch.setattr(celldata, "composition_multiplicities", lambda *args: next(rows))
     # without primitives the rank(e*) route is skipped: only the support check sees it
-    bare = dataclasses.replace(d, primitive_idempotents={})
+    bare = d._replace(primitive_idempotents={})
     with pytest.raises(RouteMismatch, match="below it in lam's order"):
         decomposition_matrix(bare, ss)
 

@@ -1,5 +1,8 @@
-import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,7 +79,7 @@ def uv_mutant():
         return out
 
     table = AlgebraTable(alg.field, alg.basis, mult, star, blocks=(alg.left_block, alg.right_block))
-    return table, dataclasses.replace(d, alg=table, E=[table.element(e.coeffs) for e in d.E])
+    return table, d._replace(alg=table, E=[table.element(e.coeffs) for e in d.E])
 
 
 FAILING = {
@@ -198,6 +201,21 @@ def test_internal_error_exit_1(capsys, monkeypatch):
     assert "KeyError" in err
 
 
+def test_out_into_missing_directory_exit_2(tmp_path, capsys, monkeypatch):
+    import relcell.cli as cli
+
+    def never(*args):
+        raise AssertionError("build_family ran before --out was checked")
+
+    monkeypatch.setattr(cli, "build_family", never)
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "verify", "usl2:p=7", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mult_rejects_bad_notation(capsys):
     code, _, err = run(capsys, "mult", "annular:n=1", "1-2|vv|1-2", "1-2|v^|1-2")
     assert code == 2
@@ -272,3 +290,26 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "2,2,0\n2,2,0\n0,0,1\n"
+
+# modules that `import relcell.cli` must not load: dataclasses and the
+# source-inspection modules it pulls in, and typing
+HEAVY_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+# the relcell modules that perfbench/layers.py looks up in sys.modules
+LAYER_MODULES = {"families", "celldata", "cli", "algebra", "linalg", "usl2", "zigzag", "annular", "diagrams"}
+
+
+def test_import_cli_module_set():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import relcell.cli\n"
+        "print(relcell.__file__)\n"
+        "print(*sorted(set(sys.modules) - before), sep='\\n')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    where, *loaded = done.stdout.splitlines()
+    assert Path(where).resolve().is_relative_to(src)
+    assert HEAVY_STDLIB.isdisjoint(loaded), sorted(HEAVY_STDLIB.intersection(loaded))
+    assert {f"relcell.{name}" for name in LAYER_MODULES} <= set(loaded)

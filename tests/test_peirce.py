@@ -8,8 +8,6 @@ the same kernel and star but blocks=None and compare products, axiom
 reports (witnesses included) and cell modules, on the data and on mutants.
 """
 
-import dataclasses
-
 import pytest
 
 from relcell import annular, usl2, zigzag
@@ -92,7 +90,7 @@ def twins(alg, star=None, mult_fn=None):
 def on_table(d, alg, **changes):
     """d moved onto the table alg (same labels), with CellDatum fields replaced."""
     E = [alg.element(e.coeffs) for e in changes.pop("E", d.E)]
-    return dataclasses.replace(d, alg=alg, E=E, primitive_idempotents={}, **changes)
+    return d._replace(alg=alg, E=E, primitive_idempotents={}, **changes)
 
 
 def reports(d, star=None, mult_fn=None, **changes):

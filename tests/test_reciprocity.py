@@ -7,7 +7,6 @@ families that also register primitives, and hand cartan_matrix wrong
 idempotents and wrong D to see the check raise.
 """
 
-import dataclasses
 from itertools import combinations, permutations
 
 import pytest
@@ -50,7 +49,7 @@ def test_peirce_dims_of_unit_is_dim_a(pipeline, spec):
 
 
 def _with_idempotents(d, prims):
-    return dataclasses.replace(d, primitive_idempotents=prims)
+    return d._replace(primitive_idempotents=prims)
 
 
 @pytest.mark.parametrize("spec", ["zigzag:A:3", "zigzag:cycL:3", "annular:n=1", "annular:n=2"])
