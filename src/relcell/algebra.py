@@ -4,8 +4,10 @@ An AlgebraTable stores an ordered basis of (lambda, S, T) labels, a
 multiplication rule on basis pairs (a memoized callback),
 the star permutation and a Peirce-block mask: a left and a right block key
 per basis element, with b_i * b_j = 0 by declaration unless the right key
-of i equals the left key of j.  Masked products never reach the rule or the
-memo, and products, sweeps and materialization visit only unmasked pairs.
+of i equals the left key of j.  The memo is one row per basis element i,
+aligned with the unmasked partners j of i.  Masked products never reach the
+rule or the rows, and products, sweeps and materialization visit only
+unmasked pairs.
 A module stores the action matrices of the basis elements that act by
 nonzero, and nothing for the rest; hom spaces, radicals, composition
 multiplicities and Peirce dimensions dim eAf are computed by exact linear
@@ -51,17 +53,24 @@ class AlgebraTable:
     mult_fn(i, j) returns the structure constants of basis_i * basis_j as a
     sparse {index: scalar} dict.  Products are memoized, so families with a
     large basis (K_3 has dimension 1664) never materialize the full table
-    unless asked to.  The memo keeps the returned dict itself when it holds
-    no zero coefficient (else a filtered copy), and an empty product as
-    ZERO_PRODUCT.  materialize() also shares equal values between keys: one
-    dict serves every pair with that product.  So memo values are read-only,
-    for the table and for mult_fn.
+    unless asked to.
 
     blocks = (left, right) gives one left and one right block key per basis
     element (the Peirce idempotents e, f with b = e b f).  A pair (i, j) with
     right[i] != left[j] is masked: its product is zero without a call to
     mult_fn.  blocks=None puts every element in one block, so nothing is
     masked.
+
+    The memo is a list of rows.  Row i is aligned with partners(i), the j
+    with b_i * b_j unmasked, and pos[j] is j's place in its left block, so
+    b_i * b_j is rows[i][pos[j]].  A row is allocated when one of its
+    products is first asked for, and holds None where a product is not yet
+    computed.  A stored product is the dict mult_fn returned when it holds
+    no zero coefficient (else a filtered copy), and an empty product is
+    ZERO_PRODUCT.  materialize() also shares equal products: one dict serves
+    every pair with that product.  So stored products are read-only, for
+    the table and for mult_fn.  `_memo` reads the rows out as a flat
+    {(i, j): product} dict, for inspection only.
     """
 
     def __init__(
@@ -79,7 +88,6 @@ class AlgebraTable:
         if len(self.index) != len(self.basis):
             raise ValueError("duplicate basis labels")
         self._mult_fn = mult_fn
-        self._memo: dict[tuple[int, int], dict[int, object]] = {}
         self.star_perm = tuple(star)
         # builders that know a generating set assign it after construction
         self.generators: list[tuple[str, Element]] | None = None
@@ -90,8 +98,14 @@ class AlgebraTable:
         if not len(self.left_block) == len(self.right_block) == self.dim:
             raise ValueError("need one left and one right block key per basis element")
         self._by_left: dict[object, list[int]] = {}
+        pos = []
         for j, key in enumerate(self.left_block):
-            self._by_left.setdefault(key, []).append(j)
+            block = self._by_left.setdefault(key, [])
+            pos.append(len(block))
+            block.append(j)
+        self.pos = tuple(pos)
+        self._rows: list[list | None] = [None] * self.dim
+        self._complete = False  # every row filled and its products shared
 
     @property
     def dim(self) -> int:
@@ -104,36 +118,47 @@ class AlgebraTable:
     def mult_basis(self, i: int, j: int) -> dict[int, object]:
         if self.right_block[i] != self.left_block[j]:
             return ZERO_PRODUCT
-        key = (i, j)
-        got = self._memo.get(key)
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = [None] * len(self.partners(i))
+        p = self.pos[j]
+        got = row[p]
         if got is None:
             got = self._mult_fn(i, j)
             if not all(got.values()):
                 got = {k: c for k, c in got.items() if c}
-            got = self._memo[key] = got or ZERO_PRODUCT
+            got = row[p] = got or ZERO_PRODUCT
         return got
 
-    def materialize(self) -> dict:
-        """Compute every unmasked product; the memo, which holds no masked pair.
+    def materialize(self) -> list[list[dict[int, object]]]:
+        """Compute every unmasked product; the rows (read-only), with
+        rows[i][pos[j]] = b_i * b_j.
 
         Equal nonzero products share one dict.  Candidates are found by
         support, `tuple(product)`: hashing the indices alone stays in C, where
         hashing Fraction coefficients would not.  A support keeps at most
         _SHARED_PER_SUPPORT distinct products; further ones are stored
-        unshared, so a dense table cannot make the search quadratic.
+        unshared, so a dense table cannot make the search quadratic.  The
+        first call fills the table; later calls return the rows at once.
         """
-        memo, mult_fn = self._memo, self._mult_fn
+        rows = self._rows
+        if self._complete:
+            return rows
+        mult_fn = self._mult_fn
         shared: dict[tuple, list] = {}  # support -> the distinct products with it
         for i in range(self.dim):
-            for j in self.partners(i):
-                key = (i, j)
-                got = memo.get(key)
+            js = self.partners(i)
+            row = rows[i]
+            if row is None:
+                row = rows[i] = [None] * len(js)
+            for p, j in enumerate(js):
+                got = row[p]
                 if got is None:
                     got = mult_fn(i, j)
                     if not all(got.values()):
                         got = {k: c for k, c in got.items() if c}
                 if not got:
-                    memo[key] = ZERO_PRODUCT
+                    row[p] = ZERO_PRODUCT
                     continue
                 same = shared.setdefault(tuple(got), [])
                 for old in same:
@@ -143,8 +168,24 @@ class AlgebraTable:
                 else:
                     if len(same) < _SHARED_PER_SUPPORT:
                         same.append(got)
-                memo[key] = got
-        return memo
+                row[p] = got
+        self._complete = True
+        return rows
+
+    @property
+    def _memo(self) -> dict[tuple[int, int], dict[int, object]]:
+        """{(i, j): b_i * b_j} for every product computed so far.
+
+        A new dict read out of the rows on each access, for inspection; the
+        product path never builds it.
+        """
+        return {
+            (i, j): got
+            for i, row in enumerate(self._rows)
+            if row is not None
+            for j, got in zip(self.partners(i), row)
+            if got is not None
+        }
 
     def element(self, coeffs: dict[int, object]) -> "Element":
         return Element(self, coeffs)
@@ -440,12 +481,13 @@ def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:
 
 
 def table_to_json(alg: AlgebraTable, label_to_str=str) -> str:
-    alg.materialize()
+    rows = alg.materialize()
     f = alg.field
     entries = {}
-    for (i, j), sc in sorted(alg._memo.items()):
-        if sc:
-            entries[f"{i},{j}"] = {str(k): f.scalar_to_str(c) for k, c in sorted(sc.items())}
+    for i, row in enumerate(rows):
+        for j, sc in zip(alg.partners(i), row):
+            if sc:
+                entries[f"{i},{j}"] = {str(k): f.scalar_to_str(c) for k, c in sorted(sc.items())}
     doc = {
         "field": field_to_str(f),
         "basis": [label_to_str(lab) for lab in alg.basis],

@@ -163,7 +163,8 @@ def _axiom_b(d: CellDatum) -> str | None:
     masked, since then both sides are zero by the table's definition, and
     when its mirror (star j, star i) comes first: with star an involution
     (checked first) the mirror's equation is this one with star applied to
-    both sides.  The products are read from the materialized memo.
+    both sides.  The products are read from the rows of the materialized
+    table; a masked pair reads as zero.
     """
     alg = d.alg
     star = alg.star_perm
@@ -173,20 +174,23 @@ def _axiom_b(d: CellDatum) -> str | None:
             return f"star({lab}) != C({lab.lam};{lab.T},{lab.S})"
         if star[j] != i:
             return f"star not involutive at {lab}"
-    get = alg.materialize().get  # a masked pair is absent: its product is zero
+    prods, pos = alg.materialize(), alg.pos
+    left, right = alg.left_block, alg.right_block
     by_star_right = {}  # key -> the j with right[star j] == key
     for j in range(alg.dim):
-        by_star_right.setdefault(alg.right_block[star[j]], []).append(j)
+        by_star_right.setdefault(right[star[j]], []).append(j)
     for i in range(alg.dim):
         si = star[i]
+        prods_i, ri, lsi, psi = prods[i], right[i], left[si], pos[si]
         direct = alg.partners(i)
-        flipped = by_star_right.get(alg.left_block[si], [])
+        flipped = by_star_right.get(lsi, [])
         for j in direct if direct == flipped else sorted(set(direct).union(flipped)):
             sj = star[j]
             if sj < i or (sj == i and si < j):
                 continue
             # star(b_i b_j) == star(b_j) star(b_i), on structure constants
-            prod, mirror = get((i, j), ZERO_PRODUCT), get((sj, si), ZERO_PRODUCT)
+            prod = prods_i[pos[j]] if left[j] == ri else ZERO_PRODUCT
+            mirror = prods[sj][psi] if right[sj] == lsi else ZERO_PRODUCT
             if not (prod or mirror):
                 continue
             if {star[k]: c for k, c in prod.items()} != mirror:
@@ -232,6 +236,7 @@ def _axiom_idem_props_2(d: CellDatum) -> str | None:
 def _axiom_idem_props_1(d: CellDatum) -> str | None:
     """(c) eps R eps * C(lam) lies in R(<=_eps lam); masked pairs add no term."""
     alg = d.alg
+    prods = alg.materialize()
     for a in range(len(d.E)):
         order = d.orders[a]
         core_idx = [
@@ -240,9 +245,9 @@ def _axiom_idem_props_1(d: CellDatum) -> str | None:
             if d.eps_of(lab.lam, lab.S) == a and d.eps_of(lab.lam, lab.T) == a
         ]
         for i in core_idx:
-            for j in alg.partners(i):
+            for j, prod in zip(alg.partners(i), prods[i]):
                 lab = alg.basis[j]
-                for k in alg.mult_basis(i, j):
+                for k in prod:
                     mu = alg.basis[k].lam
                     if not order.leq(mu, lab.lam):
                         return (
@@ -277,6 +282,7 @@ def _axiom_d(d: CellDatum) -> str | None:
     """
     alg = d.alg
     basis = alg.basis
+    prods, pos = alg.materialize(), alg.pos
     eps_k = [d.eps_index.get((lab.lam, lab.T)) for lab in basis]
     by_key = {}
     for lam in d.X:
@@ -290,7 +296,7 @@ def _axiom_d(d: CellDatum) -> str | None:
             cols.setdefault(key, {})[T] = column
         by_key[lam] = (per_T, cols)
     for i in range(alg.dim):
-        key = alg.right_block[i]
+        key, prods_i = alg.right_block[i], prods[i]
         for lam in d.X:
             per_T, cols = by_key[lam]
             by_T = cols.get(key)
@@ -299,8 +305,8 @@ def _axiom_d(d: CellDatum) -> str | None:
             rows = []
             for T, eps_T, below in per_T:
                 row = {}
-                for S, j in by_T.get(T, ()):
-                    for k, c in alg.mult_basis(i, j).items():
+                for S, j in by_T.get(T, ()):  # left[j] == key: j is a partner of i
+                    for k, c in prods_i[pos[j]].items():
                         klab = basis[k]
                         if klab.lam == lam and klab.T == T:
                             row[(klab.S, S)] = c

@@ -300,9 +300,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(out):
-    """A missing --out directory is a usage error, found before any work."""
-    if out and not os.path.isdir(os.path.dirname(out) or "."):
+    """A missing --out directory, or an --out that names a directory, is a
+    usage error, found before any work."""
+    if not out:
+        return
+    if not os.path.isdir(os.path.dirname(out) or "."):
         raise UsageError(f"--out {out}: no such directory")
+    if os.path.isdir(out):
+        raise UsageError(f"--out {out}: is a directory")
 
 
 def main(argv=None) -> int:

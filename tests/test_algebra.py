@@ -21,7 +21,7 @@ from relcell.algebra import (
     table_to_json,
     unit_element,
 )
-from relcell.celldata import cell_module, report_dict, simple_set
+from relcell.celldata import cell_module, report_dict, simple_set, verify_cell_datum
 from relcell.families import build_family
 from relcell.field import QQ, PrimeField
 from relcell.linalg import Matrix
@@ -321,7 +321,8 @@ def test_memo_holds_no_zero_coefficient(make):
     want = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}
     for (i, j), sc in want.items():
         assert alg.mult_basis(i, j) == sc
-    memo = alg.materialize()
+    alg.materialize()
+    memo = alg._memo
     assert memo == want
     assert all(all(sc.values()) for sc in memo.values())
     assert memo[(1, 1)] is ZERO_PRODUCT
@@ -340,7 +341,8 @@ FILL_SPECS = ["usl2:p=5", "annular:n=2", "zigzag:cycL:4"]
 
 def test_materialize_shares_equal_products():
     alg, _ = build_family("usl2:p=7")
-    nonzero = [sc for sc in alg.materialize().values() if sc]
+    alg.materialize()
+    nonzero = [sc for sc in alg._memo.values() if sc]
     assert len(nonzero) == 9387
     assert len({id(sc) for sc in nonzero}) == 2419
 
@@ -352,11 +354,13 @@ def test_materialize_equals_a_fill_through_mult_basis(spec):
     for i in range(lazy.dim):
         for j in lazy.partners(i):
             lazy.mult_basis(i, j)
-    filled = dict(lazy._memo)
-    memo = alg.materialize()
+    filled = lazy._memo
+    alg.materialize()
+    memo = alg._memo
     assert memo == filled
     # materializing a memo that mult_basis filled shares its values the same way
-    assert lazy.materialize() == filled
+    lazy.materialize()
+    assert lazy._memo == filled
     distinct = {id(sc) for sc in memo.values()}
     assert len({id(sc) for sc in lazy._memo.values()}) == len(distinct) < len(memo)
 
@@ -368,6 +372,51 @@ def test_no_caller_mutates_a_shared_product(spec):
     assert alg._memo
     for (i, j), sc in alg._memo.items():
         assert sc == {k: c for k, c in alg._mult_fn(i, j).items() if c}, (i, j)
+
+
+@pytest.mark.parametrize("spec", FILL_SPECS)
+def test_each_product_is_computed_once(spec, monkeypatch):
+    alg, d = build_family(spec)
+    before = set(alg._memo)
+    pairs = []
+    kernel = alg._mult_fn
+
+    def counted(i, j):
+        pairs.append((i, j))
+        return kernel(i, j)
+
+    alg._mult_fn = counted
+    rows = alg.materialize()
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(alg._memo) - before
+    pairs.clear()
+    # the table is complete: a second fill returns the rows without visiting one
+    with monkeypatch.context() as m:
+        m.setattr(alg, "partners", lambda i: pytest.fail("a second fill visited a row"))
+        assert alg.materialize() is rows
+    assert verify_cell_datum(d).all_passed
+    assert pairs == []
+
+
+def test_lazy_products_allocate_only_the_touched_row():
+    built, _ = build_family("zigzag:A:4")
+    alg = AlgebraTable(
+        built.field,
+        built.basis,
+        built._mult_fn,
+        built.star_perm,
+        blocks=(built.left_block, built.right_block),
+    )
+    i = 0
+    partners = alg.partners(i)
+    masked = next(j for j in range(alg.dim) if j not in partners)
+    assert alg.mult_basis(i, masked) is ZERO_PRODUCT
+    assert alg._rows == [None] * alg.dim
+    j = partners[-1]
+    assert alg.mult_basis(i, j) == built.mult_basis(i, j)
+    assert [t for t, row in enumerate(alg._rows) if row is not None] == [i]
+    assert len(alg._rows[i]) == len(partners)
+    assert list(alg._memo) == [(i, j)]
 
 
 def test_materialize_shares_at_most_a_capped_number_per_support():
@@ -385,7 +434,9 @@ def test_materialize_shares_at_most_a_capped_number_per_support():
         "star": list(range(n)),
         "name": "one-support",
     }
-    memo = table_from_json(json.dumps(doc)).materialize()
+    alg = table_from_json(json.dumps(doc))
+    alg.materialize()
+    memo = alg._memo
     assert memo == {pair: ({0: coeff[pair]} if pair in coeff else {}) for pair in pairs}
     assert memo[pairs[40]] is memo[pairs[0]]  # shared: its equal is in the list
     assert memo[pairs[41]] == memo[pairs[39]]

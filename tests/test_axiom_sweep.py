@@ -81,21 +81,33 @@ def test_mult_left_reads_only_column_entries(monkeypatch):
     alg, d = build_family("zigzag:A:40")
     right = alg.right_block
     cols = [_columns(d, lam) for lam in d.X]
-    entries = sum(
-        len(column)
+    column_pairs = [
+        (i, j)
         for i in range(alg.dim)
         for by_key in cols
         for (key, _), column in by_key.items()
         if key == right[i]
-    )
-    calls = 0
-    mult_basis = alg.mult_basis
+        for _, j in column
+    ]
+    entries = len(column_pairs)
+    reads = []
 
-    def counted(i, j):
-        nonlocal calls
-        calls += 1
-        return mult_basis(i, j)
+    class CountedRow(list):
+        """A row of products that records each entry read from it."""
 
-    monkeypatch.setattr(alg, "mult_basis", counted)
+        def __init__(self, i, products):
+            super().__init__(products)
+            self.i = i
+
+        def __getitem__(self, p):
+            reads.append((self.i, alg.partners(self.i)[p]))
+            return super().__getitem__(p)
+
+        def __iter__(self):
+            raise AssertionError(f"row {self.i} read whole")
+
+    counted = [CountedRow(i, row) for i, row in enumerate(alg.materialize())]
+    monkeypatch.setattr(alg, "materialize", lambda: counted)
     assert celldata._axiom_d(d) is None
-    assert 0 < calls <= entries
+    assert 0 < len(reads) <= entries
+    assert set(reads) <= set(column_pairs)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from relcell.algebra import AlgebraTable, Element
+from relcell.algebra import ZERO_PRODUCT, AlgebraTable, Element
 from relcell.families import build_family
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -47,3 +47,15 @@ def test_patched_methods_resolve():
         alg, _ = build_family(spec)
         alg.materialize()
         assert type(alg._memo) is dict
+
+
+@pytest.mark.parametrize("spec", ["zigzag:A:3", "usl2:p=3", "annular:n=1"])
+def test_memo_reads_out_every_unmasked_pair(spec):
+    # layers.py counts memo entries and zero products off `_memo`
+    alg, _ = build_family(spec)
+    alg.materialize()
+    memo = alg._memo
+    left, right = alg.left_block, alg.right_block
+    unmasked = sum(1 for i in range(alg.dim) for j in range(alg.dim) if right[i] == left[j])
+    assert len(memo) == unmasked
+    assert all(v is ZERO_PRODUCT for v in memo.values() if not v)

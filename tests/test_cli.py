@@ -216,6 +216,22 @@ def test_out_into_missing_directory_exit_2(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_naming_a_directory_exit_2(tmp_path, capsys, monkeypatch):
+    import relcell.cli as cli
+
+    def never(*args):
+        raise AssertionError("build_family ran before --out was checked")
+
+    monkeypatch.setattr(cli, "build_family", never)
+    (tmp_path / "kept.txt").write_text("kept\n")
+    code, out, err = run(capsys, "verify", "zigzag:A:3", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(tmp_path) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
+
+
 def test_mult_rejects_bad_notation(capsys):
     code, _, err = run(capsys, "mult", "annular:n=1", "1-2|vv|1-2", "1-2|v^|1-2")
     assert code == 2

@@ -222,7 +222,8 @@ def test_products_read_no_paths_after_build(monkeypatch):
 
     monkeypatch.setattr(zigzag, "normalize", no_paths)
     monkeypatch.setattr(zigzag, "compose", no_paths)
-    assert len(alg.materialize()) == 5**5
+    alg.materialize()
+    assert len(alg._memo) == 5**5
     assert verify_cell_datum(d).all_passed
 
 
