@@ -4,9 +4,15 @@
 Reports the combinatorial data (20 cup diagrams, dimension 1664, the
 projective dimension split 80/88), then samples random products for
 surgery order-independence and random triples for associativity.
+
+    PYTHONPATH=src python3 scripts/k3_census.py [--seed S] [--products N] [--triples N]
+
+Exits 1 when a sampled product depends on the surgery order or a sampled
+triple is not associative, and 0 otherwise.
 """
 
 import argparse
+import sys
 import random
 from collections import Counter
 
@@ -22,7 +28,7 @@ from relcell.diagrams import enumerate_cup_diagrams, orients
 from relcell.field import QQ
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--products", type=int, default=1000)
@@ -68,7 +74,8 @@ def main():
         if (x * y) * z != x * (y * z):
             bad += 1
     print(f"associativity: {args.triples} random triples, {bad} violations")
+    return 1 if ambiguous or bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,8 +5,15 @@ Prints, per family: dimension, the simple labels with their dimensions,
 the decomposition matrix, the Cartan matrix with its determinant, and the
 semisimplicity verdict.  Everything is computed twice over where a second
 route exists (reciprocity, annular orientation fastpath, Gram formulas).
+
+    PYTHONPATH=src python3 scripts/reproduce_tables.py
+
+Exits 1 when a datum fails its axioms, a Gram diagonal differs from its
+formula or the orientation fastpath differs from the engine's D, and 0
+otherwise.
 """
 
+import sys
 import time
 
 from relcell.annular import build_annular, decomposition_fastpath
@@ -49,19 +56,21 @@ def show(name, datum):
     return ss, D
 
 
-def main():
+def main() -> int:
+    failed = 0
     for variant, ns in (("A", (3, 4, 5)), ("cycS", (3, 4, 5)), ("cycL", (3, 4))):
         for n in ns:
             _, datum = build_zigzag(QuiverSpec(variant, n), QQ)
-            show(f"zigzag:{variant}:{n}", datum)
+            failed += show(f"zigzag:{variant}:{n}", datum) is None
 
     _, alt = alternate_idempotent_datum(QQ)
-    show("zigzag:cycS:3 (three-idempotent datum)", alt)
+    failed += show("zigzag:cycS:3 (three-idempotent datum)", alt) is None
 
     for p in (3, 5, 7):
         _, datum = build_usl2(p)
         shown = show(f"usl2:p={p}", datum)
         if shown is None:
+            failed += 1
             continue
         ss, _ = shown
         formula = gram_diagonal_formula(p)
@@ -69,16 +78,23 @@ def main():
             [ss.grams[lam].matrix[i, i] for i in range(p)] == formula[lam] for lam in range(p)
         )
         print(f"   Gram diagonal matches (S!)^2 * binom(lam, S): {agree}")
+        failed += not agree
 
     for n in (1, 2):
         _, datum = build_annular(n, QQ)
         shown = show(f"annular:n={n}", datum)
         if shown is None:
+            failed += 1
             continue
         ss, D = shown
         fast = decomposition_fastpath(n, datum.X, ss.X0)
         print(f"   orientation fastpath equals engine D: {fast == D}")
+        failed += fast != D
+
+    if failed:
+        print(f"{failed} check(s) failed")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -134,12 +134,16 @@ class AlgebraTable:
         """Compute every unmasked product; the rows (read-only), with
         rows[i][pos[j]] = b_i * b_j.
 
-        Equal nonzero products share one dict.  Candidates are found by
-        support, `tuple(product)`: hashing the indices alone stays in C, where
-        hashing Fraction coefficients would not.  A support keeps at most
-        _SHARED_PER_SUPPORT distinct products; further ones are stored
-        unshared, so a dense table cannot make the search quadratic.  The
-        first call fills the table; later calls return the rows at once.
+        A row is filled in one comprehension over partners(i), calling
+        mult_fn once for each product not yet stored; then one pass
+        drops zero coefficients, stores an empty product as ZERO_PRODUCT
+        and shares equal nonzero products: one dict serves them all.
+        Candidates are found by support, `tuple(product)`: hashing the
+        indices alone stays in C, where hashing Fraction coefficients would
+        not.  A support keeps at most _SHARED_PER_SUPPORT distinct products;
+        further ones are stored unshared, so a dense table cannot make the
+        search quadratic.  The first call fills the table; later calls
+        return the rows at once.
         """
         rows = self._rows
         if self._complete:
@@ -151,23 +155,26 @@ class AlgebraTable:
             row = rows[i]
             if row is None:
                 row = rows[i] = [None] * len(js)
-            for p, j in enumerate(js):
-                got = row[p]
-                if got is None:
-                    got = mult_fn(i, j)
-                    if not all(got.values()):
-                        got = {k: c for k, c in got.items() if c}
+            # filled through a slice, so the row keeps its exact length
+            row[:] = [mult_fn(i, j) if got is None else got for j, got in zip(js, row)]
+            for p, got in enumerate(row):
+                if got and not all(got.values()):
+                    got = {k: c for k, c in got.items() if c}
                 if not got:
                     row[p] = ZERO_PRODUCT
                     continue
-                same = shared.setdefault(tuple(got), [])
-                for old in same:
-                    if old == got:
-                        got = old
-                        break
+                key = tuple(got)
+                same = shared.get(key)
+                if same is None:
+                    shared[key] = [got]
                 else:
-                    if len(same) < _SHARED_PER_SUPPORT:
-                        same.append(got)
+                    for old in same:
+                        if old == got:
+                            got = old
+                            break
+                    else:
+                        if len(same) < _SHARED_PER_SUPPORT:
+                            same.append(got)
                 row[p] = got
         self._complete = True
         return rows
@@ -276,14 +283,48 @@ class Element:
         return " + ".join(bits)
 
 
+def combine(field: Field, terms) -> dict[int, object]:
+    """The sum of c * product over the (c, product) in terms, as {index:
+    nonzero scalar}: a linear combination of products read from the rows."""
+    out: dict[int, object] = {}
+    for c, prod in terms:
+        for k, x in prod.items():
+            v = field.add(out.get(k, field.zero), field.mul(c, x))
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
+
+
+def by_block(x: Element, keys) -> dict[object, list]:
+    """{key: the (k, x_k) with keys[k] == key} over the support of x."""
+    out: dict[object, list] = {}
+    for k, c in x.coeffs.items():
+        out.setdefault(keys[k], []).append((k, c))
+    return out
+
+
 def unit_element(alg: AlgebraTable, idempotents: list[Element]) -> Element:
-    """Sum of the given idempotents, verified to be a two-sided unit."""
+    """Sum u of the given idempotents, verified to be a two-sided unit.
+
+    u b_i and b_i u are read from the rows of the materialized table: the
+    sums over k in supp(u) of u_k rows[k][pos[i]], for the k whose right
+    block is the left block of i, and of u_k rows[i][pos[k]], for the k
+    whose left block is the right block of i (every other term is masked).
+    No Element product is formed.
+    """
     u = alg.zero_element()
     for e in idempotents:
         u = u + e
+    f = alg.field
+    rows, pos = alg.materialize(), alg.pos
+    by_right, by_left = by_block(u, alg.right_block), by_block(u, alg.left_block)
     for i in range(alg.dim):
-        x = alg.basis_element(i)
-        if (u * x) != x or (x * u) != x:
+        row, pi, want = rows[i], pos[i], {i: f.one}
+        ux = combine(f, ((c, rows[k][pi]) for k, c in by_right.get(alg.left_block[i], ())))
+        xu = combine(f, ((c, row[pos[k]]) for k, c in by_left.get(alg.right_block[i], ())))
+        if ux != want or xu != want:
             raise NotUnital(f"sum of idempotents is not a unit on basis element {alg.basis[i]}")
     return u
 
@@ -456,9 +497,43 @@ def composition_multiplicities(M: RepModule, simples: list[RepModule], end_dims:
 
 def peirce_dims(alg: AlgebraTable, idems: list[Element]) -> list[list[int]]:
     """[[dim eAf for f in idems] for e in idems]: the rank of {x f} over the
-    nonzero x = e b_i, each eA computed once."""
-    eAs = [[x for i in range(alg.dim) if not (x := e * alg.basis_element(i)).is_zero()] for e in idems]
-    return [[Echelon(alg.field, alg.dim, ((x * f).coeffs for x in eA)).rank for f in idems] for eA in eAs]
+    nonzero x = e b_j, each eA computed once.
+
+    Only products that can be nonzero are formed.  e b_j is read for the j
+    in partners(k), k in supp(e), and x f for the m in supp(x) and k in
+    supp(f) with b_m b_k unmasked.  An (e, f) pair that no unmasked product
+    joins has dim eAf = 0 and runs no elimination.
+    """
+    field, left, right, mult = alg.field, alg.left_block, alg.right_block, alg.mult_basis
+    f_terms = [by_block(f, left) for f in idems]  # per f: left block -> its terms
+    f_by_key: dict[object, list[int]] = {}  # left block -> the f with terms in it
+    for b, terms in enumerate(f_terms):
+        for key in terms:
+            f_by_key.setdefault(key, []).append(b)
+    out = []
+    for e in idems:
+        eA = []
+        for key, terms in by_block(e, right).items():
+            for j in alg.partners(terms[0][0]):  # the partners of every k in terms
+                x = combine(field, ((c, mult(k, j)) for k, c in terms))
+                if x:
+                    eA.append(x)
+        row = [0] * len(idems)
+        keys = {right[m] for x in eA for m in x}
+        for b in {b for key in keys for b in f_by_key.get(key, ())}:
+            terms = f_terms[b]
+            xf = [
+                combine(
+                    field,
+                    ((field.mul(a, c), mult(m, k)) for m, a in x.items() for k, c in terms.get(right[m], ())),
+                )
+                for x in eA
+            ]
+            xf = [v for v in xf if v]
+            if xf:
+                row[b] = Echelon(field, alg.dim, xf).rank
+        out.append(row)
+    return out
 
 
 def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:

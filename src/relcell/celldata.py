@@ -26,6 +26,8 @@ from .algebra import (
     BasisLabel,
     Element,
     RepModule,
+    by_block,
+    combine,
     composition_multiplicities,
     hom_space,
     peirce_dims,
@@ -221,15 +223,25 @@ def _axiom_orders(d: CellDatum) -> str | None:
 
 
 def _axiom_idem_props_2(d: CellDatum) -> str | None:
-    """(c) eps * C = C if eps_S matches, else 0."""
+    """(c) eps * C = C if eps_S matches, else 0.
+
+    eps * b_i is read from the rows of the materialized table, as the sum
+    over k in supp(eps) of eps_k rows[k][pos[i]] for the k whose right
+    block is the left block of i (every other term is masked); no Element
+    product is formed.
+    """
     alg = d.alg
+    f = alg.field
+    rows, pos, left = alg.materialize(), alg.pos, alg.left_block
+    eps = [d.eps_of(lab.lam, lab.S) for lab in alg.basis]
     for a, e in enumerate(d.E):
+        by_right = by_block(e, alg.right_block)
         for i, lab in enumerate(alg.basis):
-            x = alg.basis_element(i)
-            got = e * x
-            expected = x if d.eps_of(lab.lam, lab.S) == a else alg.zero_element()
-            if got != expected:
-                return f"E[{a}]*{lab} = {got}, expected {expected}"
+            terms = by_right.get(left[i])
+            got = combine(f, ((c, rows[k][pos[i]]) for k, c in terms)) if terms else {}
+            want = {i: f.one} if eps[i] == a else {}
+            if got != want:
+                return f"E[{a}]*{lab} = {alg.element(got)}, expected {alg.element(want)}"
     return None
 
 
@@ -275,54 +287,66 @@ def _columns(d: CellDatum, lam) -> dict:
 def _axiom_d(d: CellDatum) -> str | None:
     """(d) left multiplication rule, with T-independence of the coefficients.
 
-    Per lambda the columns are indexed by left block.  An element whose
-    right block meets no column of lambda has the empty row under every T,
-    so it is skipped; one that meets a column visits every T, the T
-    without a column giving the empty row.
+    Per lambda the column entries are indexed by left block, in T order and
+    then M(lambda) order.  An element whose right block meets no column of
+    lambda has the empty row under every T, so it is skipped; one that
+    meets a column fills one row per T, the T without a column giving the
+    empty row.  Terms are classified through per-index lists, the cell id
+    of (lambda, T) and the id of S of each basis label, so a row is keyed
+    by one int per (S', S).
     """
     alg = d.alg
     basis = alg.basis
     prods, pos = alg.materialize(), alg.pos
+    cells, s_ids = {}, {}
+    cell = [cells.setdefault((lab.lam, lab.T), len(cells)) for lab in basis]
+    sid = [s_ids.setdefault(lab.S, len(s_ids)) for lab in basis]
+    lam_k = [lab.lam for lab in basis]
     eps_k = [d.eps_index.get((lab.lam, lab.T)) for lab in basis]
-    by_key = {}
+    width = len(s_ids)  # the row key of (S', S) is sid[S'] + width * sid[S]
+    by_lam = []
     for lam in d.X:
-        # T, eps_T and {mu : mu <_epsT lam}, in M(lam) order
-        per_T = []
+        # per T: its place t, and at t: T, its cell id, eps_T and {mu : mu <_epsT lam}
+        place, per_T = {}, []
         for T in d.M[lam]:
-            eps_T = d.eps_of(lam, T)
-            per_T.append((T, eps_T, d.orders[eps_T]._below.get(lam, ())))
-        cols = {}
+            if T not in place:
+                eps_T = d.eps_of(lam, T)
+                place[T] = len(per_T)
+                per_T.append((T, cells.get((lam, T)), eps_T, d.orders[eps_T]._below.get(lam, ())))
+        entries = {}  # left block -> its column entries (t, S, j, S key), T-major as _columns lists them
         for (key, T), column in _columns(d, lam).items():
-            cols.setdefault(key, {})[T] = column
-        by_key[lam] = (per_T, cols)
+            t = place[T]
+            entries.setdefault(key, []).extend((t, S, j, width * s_ids[S]) for S, j in column)
+        by_lam.append((lam, per_T, entries))
     for i in range(alg.dim):
         key, prods_i = alg.right_block[i], prods[i]
-        for lam in d.X:
-            per_T, cols = by_key[lam]
-            by_T = cols.get(key)
-            if by_T is None:
+        for lam, per_T, entries in by_lam:
+            flat = entries.get(key)
+            if flat is None:
                 continue
-            rows = []
-            for T, eps_T, below in per_T:
-                row = {}
-                for S, j in by_T.get(T, ()):  # left[j] == key: j is a partner of i
-                    for k, c in prods_i[pos[j]].items():
-                        klab = basis[k]
-                        if klab.lam == lam and klab.T == T:
-                            row[(klab.S, S)] = c
-                        elif not (klab.lam in below and eps_k[k] == eps_T):
-                            return (
-                                f"{basis[i]} * C({lam};{S},{T}) has term {klab} "
-                                f"outside sum + R(<_epsT {lam})epsT"
-                            )
-                rows.append(row)
-            if any(row != rows[0] for row in rows[1:]):
+            rows = [{} for _ in per_T]
+            for t, S, j, skey in flat:  # left[j] == key: j is a partner of i
+                prod = prods_i[pos[j]]
+                if not prod:
+                    continue
+                row = rows[t]
+                T, cid, eps_T, below = per_T[t]
+                for k, c in prod.items():
+                    if cell[k] == cid:
+                        row[sid[k] + skey] = c
+                    elif not (lam_k[k] in below and eps_k[k] == eps_T):
+                        return (
+                            f"{basis[i]} * C({lam};{S},{T}) has term {basis[k]} "
+                            f"outside sum + R(<_epsT {lam})epsT"
+                        )
+            if rows.count(rows[0]) != len(rows):
                 return f"r_a(S',S) depends on T for a={basis[i]}, lambda={lam}"
     return None
 
 
 def _axiom_unit(d: CellDatum) -> str | None:
-    """The sum of E is a two-sided identity."""
+    """The sum of E is a two-sided identity, read from the rows (see
+    unit_element)."""
     try:
         unit_element(d.alg, d.E)
     except Exception as exc:  # NotUnital

@@ -1,0 +1,98 @@
+"""Reference code that only the tests call.
+
+Slow or roundabout routes to what the package computes directly, kept here
+so that `src` holds only what the pipeline uses.
+"""
+
+from relcell.algebra import AlgebraTable, BasisLabel, Element
+from relcell.field import PrimeField
+from relcell.linalg import Echelon, Matrix
+
+# --- restricted sl2 ------------------------------------------------------------
+
+
+def weight_idempotent_h_poly(lam: int, p: int) -> list:
+    """Coefficients of 1_lam = -prod_{mu != lam}(H - mu) in powers of H."""
+    field = PrimeField(p)
+    poly = [field.one]  # constant 1
+    for mu in range(p):
+        if mu == lam:
+            continue
+        # multiply by (H - mu)
+        new = [field.zero] * (len(poly) + 1)
+        for k, c in enumerate(poly):
+            new[k + 1] = field.add(new[k + 1], c)
+            new[k] = field.add(new[k], field.mul(field.neg(field.from_int(mu)), c))
+        poly = new
+    return [field.neg(c) for c in poly]
+
+
+def generator_element(name: str, alg: AlgebraTable) -> Element:
+    for gname, g in alg.generators:
+        if gname == name:
+            return g
+    raise KeyError(name)
+
+
+def normal_order(word, alg: AlgebraTable) -> Element:
+    """Product of a word of generator powers, expressed in the cell basis.
+
+    word is a sequence of (name, exponent) with name in {"E","F","H"} or
+    "1_k" for a weight idempotent.
+    """
+    out = None
+    for name, exp in word:
+        g = generator_element(name, alg)
+        for _ in range(exp):
+            out = g if out is None else out * g
+    if out is None:
+        # empty word = 1 = sum of the weight idempotents
+        p = len({lab.lam for lab in alg.basis})
+        out = alg.zero_element()
+        for lam in range(p):
+            out = out + alg.element_from_label(BasisLabel(lam, 0, 0))
+    return out
+
+
+def cell_to_pbw_matrix(p: int) -> Matrix:
+    """Change of basis C(lam;S,T) -> F^x H^y E^z, block diagonal in (S,T).
+
+    Row index: PBW monomial (x, y, z) flattened; column: label (lam, S, T)
+    flattened the same way the algebra orders its basis.
+    """
+    field = PrimeField(p)
+    h_polys = [weight_idempotent_h_poly(lam, p) for lam in range(p)]
+    n = p * p * p
+    rows = [[field.zero] * n for _ in range(n)]
+
+    def pbw_idx(x, y, z):
+        return (x * p + y) * p + z
+
+    def lab_idx(lam, S, T):
+        return (lam * p + S) * p + T
+
+    for lam in range(p):
+        for S in range(p):
+            for T in range(p):
+                col = lab_idx(lam, S, T)
+                for y, c in enumerate(h_polys[lam]):
+                    if c != field.zero and y < p:
+                        rows[pbw_idx(S, y, T)][col] = c
+    return Matrix.from_rows(field, rows)
+
+
+def verify_pbw_change_of_basis(p: int) -> bool:
+    """The cell basis spans the PBW basis (the conversion is invertible)."""
+    M = cell_to_pbw_matrix(p)
+    return M.rank() == p * p * p
+
+
+# --- Peirce ranks ----------------------------------------------------------------
+
+
+def peirce_dims_dense(alg: AlgebraTable, idems: list[Element]) -> list[list[int]]:
+    """[[dim eAf for f in idems] for e in idems] by Element products over the
+    whole basis and one elimination per pair: the dense reference for
+    `algebra.peirce_dims`."""
+    eAs = [[x for i in range(alg.dim) if not (x := e * alg.basis_element(i)).is_zero()] for e in idems]
+    return [[Echelon(alg.field, alg.dim, ((x * f).coeffs for x in eA)).rank for f in idems] for eA in eAs]

@@ -179,3 +179,50 @@ def test_mutant_fails_alike_on_both_tables(kind, spec):
     assert blocked == flat
     failed = [line for line in blocked.splitlines() if "FAIL" in line]
     assert failed and all(line.endswith("]") for line in failed), blocked
+
+
+# the c:idem-props-2 and unit lines, witnesses included, of the reports on
+# the idempotent mutants; the two axioms read e b_i, u b_i and b_i u from the rows
+IDEMPOTENT_WITNESSES = {
+    ("dropped-idempotent", "zigzag:cycL:4"): [
+        "c:idem-props-2: FAIL  [E[0]*BasisLabel(lam=1, S=(1,), T=(1,)) = 0, "
+        "expected 1*BasisLabel(lam=1, S=(1,), T=(1,))]",
+        "unit: FAIL  [sum of idempotents is not a unit on basis element BasisLabel(lam=1, "
+        "S=(1,), T=(1,))]",
+    ],
+    ("dropped-idempotent", "usl2:p=5"): [
+        "c:idem-props-2: FAIL  [E[0]*BasisLabel(lam=0, S=0, T=0) = 0, "
+        "expected 1*BasisLabel(lam=0, S=0, T=0)]",
+        "unit: FAIL  [sum of idempotents is not a unit on basis element BasisLabel(lam=0, S=0, "
+        "T=0)]",
+    ],
+    ("dropped-idempotent", "annular:n=2"): [
+        "c:idem-props-2: FAIL  [E[0]*BasisLabel(lam='v^v^', S=(Arc(p=1, q=2, wrap=False), "
+        "Arc(p=3, q=4, wrap=False)), T=(Arc(p=1, q=2, wrap=False), Arc(p=3, q=4, "
+        "wrap=False))) = 0, expected 1*BasisLabel(lam='v^v^', S=(Arc(p=1, q=2, wrap=False), "
+        "Arc(p=3, q=4, wrap=False)), T=(Arc(p=1, q=2, wrap=False), Arc(p=3, q=4, wrap=False)))]",
+        "unit: FAIL  [sum of idempotents is not a unit on basis element BasisLabel(lam='v^v^', "
+        "S=(Arc(p=1, q=2, wrap=False), Arc(p=3, q=4, wrap=False)), T=(Arc(p=1, q=2, "
+        "wrap=False), Arc(p=3, q=4, wrap=False)))]",
+    ],
+    ("merged-idempotent", "annular:n=2"): [
+        "c:idem-props-2: FAIL  [E[0]*BasisLabel(lam='v^v^', S=(Arc(p=1, q=2, wrap=False), "
+        "Arc(p=3, q=4, wrap=True)), T=(Arc(p=1, q=2, wrap=False), Arc(p=3, q=4, "
+        "wrap=False))) = 1*BasisLabel(lam='v^v^', S=(Arc(p=1, q=2, wrap=False), Arc(p=3, q=4, "
+        "wrap=True)), T=(Arc(p=1, q=2, wrap=False), Arc(p=3, q=4, wrap=False))), expected 0]",
+        "unit: PASS",
+    ],
+    ("merged-idempotent", "zigzag:cycL:4"): [
+        "c:idem-props-2: FAIL  [E[0]*BasisLabel(lam=1, S=(2, 3, 4, 1), "
+        "T=(1,)) = 1*BasisLabel(lam=1, S=(2, 3, 4, 1), T=(1,)), expected 0]",
+        "unit: PASS",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, spec", IDEMPOTENT_WITNESSES, ids=[f"{k}-{s}" for k, s in IDEMPOTENT_WITNESSES])
+def test_idempotent_mutant_witnesses_pinned(kind, spec):
+    d, changes = mutant(kind, spec)
+    for report in reports(d, **changes):
+        lines = [line for line in report.splitlines() if line.startswith(("c:idem-props-2", "unit"))]
+        assert lines == IDEMPOTENT_WITNESSES[kind, spec]

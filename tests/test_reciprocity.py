@@ -11,9 +11,12 @@ from itertools import combinations, permutations
 
 import pytest
 
+from relcell import algebra
 from relcell.algebra import composition_multiplicities, left_ideal_module, peirce_dims, unit_element
 from relcell.celldata import ReciprocityFailure, cartan_matrix, decomposition_matrix, simple_set
 from relcell.families import build_family
+
+from reference import peirce_dims_dense
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +49,34 @@ def test_peirce_dims_of_unit_is_dim_a(pipeline, spec):
     alg, d, _, _ = pipeline(spec)
     assert peirce_dims(alg, [unit_element(alg, d.E)]) == [[alg.dim]]
     assert sum(map(sum, peirce_dims(alg, d.E))) == alg.dim
+
+
+@pytest.mark.parametrize("spec", ["zigzag:A:5", "zigzag:cycS:4", "zigzag:cycL:4", "usl2:p=5", "annular:n=2"])
+def test_sparse_peirce_dims_equal_the_dense_sweep(spec):
+    alg, d = build_family(spec)
+    for idems in (d.E, list(d.primitive_idempotents.values()), [unit_element(alg, d.E)]):
+        assert peirce_dims(alg, idems) == peirce_dims_dense(alg, idems)
+
+
+def test_peirce_dims_eliminate_only_joined_pairs(monkeypatch):
+    # zigzag:A:40 has 40 primitives and 1,600 (e, f) pairs; an elimination
+    # runs only where some x f is nonzero, and then its rank is positive
+    alg, d = build_family("zigzag:A:40")
+    prims = list(d.primitive_idempotents.values())
+    made = []
+    echelon = algebra.Echelon
+
+    def counted(*args):
+        made.append(args)
+        return echelon(*args)
+
+    monkeypatch.setattr(algebra, "Echelon", counted)
+    P = peirce_dims(alg, prims)
+    monkeypatch.undo()
+    assert len(prims) == 40
+    nonzero = sum(1 for row in P for x in row if x)
+    assert len(made) == nonzero < 40 * 40
+    assert P == peirce_dims_dense(alg, prims)
 
 
 def _with_idempotents(d, prims):

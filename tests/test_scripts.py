@@ -1,0 +1,85 @@
+"""The desk scripts exit 1 when a check they print fails, and 0 otherwise."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from relcell.algebra import AlgebraTable
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tables():
+    return load("reproduce_tables")
+
+
+@pytest.fixture
+def census(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["k3_census.py", "--products", "20", "--triples", "20"])
+    return load("k3_census")
+
+
+def test_reproduce_tables_passes(tables, capsys):
+    assert tables.main() == 0
+    assert "failed" not in capsys.readouterr().out
+
+
+def test_reproduce_tables_fails_on_a_gram_diagonal(tables, monkeypatch, capsys):
+    formula = tables.gram_diagonal_formula
+    monkeypatch.setattr(tables, "gram_diagonal_formula", lambda p: {**formula(p), 0: [None] * p})
+    assert tables.main() == 1
+    out = capsys.readouterr().out
+    assert out.count("Gram diagonal matches (S!)^2 * binom(lam, S): False") == 3
+    assert out.endswith("3 check(s) failed\n")
+
+
+def test_reproduce_tables_fails_on_the_fastpath(tables, monkeypatch):
+    monkeypatch.setattr(tables, "decomposition_fastpath", lambda n, X, X0: None)
+    assert tables.main() == 1
+
+
+def test_reproduce_tables_fails_on_an_axiom(tables, monkeypatch, capsys):
+    verify = tables.verify_cell_datum
+
+    def failing(datum):
+        report = verify(datum)
+        if datum.name == "usl2:p=3":
+            report = report._replace(results=[r._replace(passed=False, witness="x") for r in report.results])
+        return report
+
+    monkeypatch.setattr(tables, "verify_cell_datum", failing)
+    assert tables.main() == 1
+    assert "1 check(s) failed" in capsys.readouterr().out
+
+
+def test_k3_census_passes(census):
+    assert census.main() == 0
+
+
+def test_k3_census_fails_on_an_ambiguous_order(census, monkeypatch):
+    calls = iter(range(10**6))
+    monkeypatch.setattr(census, "multiply_labels", lambda *args, **kwargs: {next(calls): 1})
+    assert census.main() == 1
+
+
+def test_k3_census_fails_on_an_associativity_violation(census, monkeypatch):
+    build = census.build_annular
+
+    def subtraction(n, field):
+        # b_i b_j = b_{i-j} on the whole basis: (b_i b_j) b_k != b_i (b_j b_k) unless k = 0
+        alg, d = build(n, field)
+        table = AlgebraTable(field, alg.basis, lambda i, j: {(i - j) % alg.dim: field.one}, alg.star_perm)
+        return table, d
+
+    monkeypatch.setattr(census, "build_annular", subtraction)
+    assert census.main() == 1

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
-from relcell.algebra import BasisLabel
+from relcell import celldata
+from relcell.algebra import ZERO_PRODUCT, BasisLabel, Element, table_to_json
 from relcell.celldata import (
     cartan_matrix,
     core_subalgebra,
@@ -11,16 +14,9 @@ from relcell.celldata import (
     verify_cell_datum,
 )
 from relcell.field import PrimeField, binomial_mod, factorial_mod
-from relcell.usl2 import (
-    UnsupportedCharacteristic,
-    build_usl2,
-    structure_constants,
-    generator_element,
-    gram_diagonal_formula,
-    normal_order,
-    verify_pbw_change_of_basis,
-    weight_idempotent_h_poly,
-)
+from relcell.usl2 import UnsupportedCharacteristic, build_usl2, gram_diagonal_formula, structure_constants
+
+from reference import generator_element, normal_order, verify_pbw_change_of_basis, weight_idempotent_h_poly
 
 
 def test_p2_rejected():
@@ -287,3 +283,38 @@ def test_rule_matches_the_per_j_reference(p):
             assert all(got.values()), (a, b)
             zeros += not got
     assert 0 < zeros < len(labels) ** 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_empty_products_are_the_shared_zero(p):
+    # a product whose window of j is empty, or whose weights do not match,
+    # is ZERO_PRODUCT itself: the kernel builds no dict for it
+    rule = structure_constants(p, PrimeField(p))
+    n = p**3
+    products = [rule(a, b) for a in range(n) for b in range(n)]
+    assert all(prod or prod is ZERO_PRODUCT for prod in products)
+    assert 0 < sum(1 for prod in products if prod is ZERO_PRODUCT) < n * n
+
+
+@pytest.mark.parametrize(
+    "p, size, digest",
+    [
+        (3, 5768, "8be34bfb4a9a3a545d9ec8bedc3b8ecebf9717ef211d84337f5c152e36937d0f"),
+        (5, 71370, "e8fb5fc06e53ddcdcd656e8c710dd4095ac57e478299fb2eaf7c2d600231ff2e"),
+        (7, 425052, "53bbaf57e1f0a782e13ccfbe6bf20f362143ccc42466ddb5e4d5d362fac4d5e6"),
+    ],
+)
+def test_structure_constants_pinned(p, size, digest):
+    # the serialized table, every structure constant included
+    alg, _ = build_usl2(p)
+    text = table_to_json(alg).encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
+
+
+def test_idem_props_2_and_unit_read_the_rows(monkeypatch):
+    # both axioms read e b_i, b_i u and u b_i out of the materialized rows
+    _, d = build_usl2(5)
+    d.alg.materialize()
+    monkeypatch.setattr(Element, "__mul__", lambda x, y: pytest.fail("an Element product was formed"))
+    assert celldata._axiom_idem_props_2(d) is None
+    assert celldata._axiom_unit(d) is None
