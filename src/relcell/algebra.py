@@ -1,13 +1,20 @@
 """Finite-dimensional algebras by structure constants, with anti-involution.
 
 An AlgebraTable stores an ordered basis of (lambda, S, T) labels, a
-multiplication rule on basis pairs (a memoized callback),
+multiplication rule on basis pairs (a memoized callback, the kernel),
 the star permutation and a Peirce-block mask: a left and a right block key
 per basis element, with b_i * b_j = 0 by declaration unless the right key
 of i equals the left key of j.  The memo is one row per basis element i,
 aligned with the unmasked partners j of i.  Masked products never reach the
 rule or the rows, and products, sweeps and materialization visit only
 unmasked pairs.
+
+The kernel contract: a product is a read-only {index: scalar} dict, and a
+kernel hands out one object per distinct product, so equal products are
+one dict wherever they are stored.  The table keeps what the kernel
+returns and only normalizes zeros: a zero coefficient is filtered out of a
+copy, and an empty product is stored as ZERO_PRODUCT.
+
 A module stores the action matrices of the basis elements that act by
 nonzero, and nothing for the rest; hom spaces, radicals, composition
 multiplicities and Peirce dimensions dim eAf are computed by exact linear
@@ -43,8 +50,15 @@ BasisLabel = namedtuple("BasisLabel", "lam S T")
 # the product of a masked pair; shared, so it must stay read-only
 ZERO_PRODUCT = MappingProxyType({})
 
-# how many distinct products of one support `materialize` shares
-_SHARED_PER_SUPPORT = 32
+
+def _normalized(product: dict[int, object]) -> dict[int, object]:
+    """product with no zero coefficient: itself, a filtered copy, or
+    ZERO_PRODUCT when nothing is left."""
+    if not product:
+        return ZERO_PRODUCT
+    if all(product.values()):
+        return product
+    return {k: c for k, c in product.items() if c} or ZERO_PRODUCT
 
 
 class AlgebraTable:
@@ -53,7 +67,9 @@ class AlgebraTable:
     mult_fn(i, j) returns the structure constants of basis_i * basis_j as a
     sparse {index: scalar} dict.  Products are memoized, so families with a
     large basis (K_3 has dimension 1664) never materialize the full table
-    unless asked to.
+    unless asked to.  mult_fn keeps the kernel contract: its products are
+    read-only, and equal products are one object, built once by the kernel
+    (ZERO_PRODUCT for an empty one).  The table never compares products.
 
     blocks = (left, right) gives one left and one right block key per basis
     element (the Peirce idempotents e, f with b = e b f).  A pair (i, j) with
@@ -67,10 +83,10 @@ class AlgebraTable:
     products is first asked for, and holds None where a product is not yet
     computed.  A stored product is the dict mult_fn returned when it holds
     no zero coefficient (else a filtered copy), and an empty product is
-    ZERO_PRODUCT.  materialize() also shares equal products: one dict serves
-    every pair with that product.  So stored products are read-only, for
-    the table and for mult_fn.  `_memo` reads the rows out as a flat
-    {(i, j): product} dict, for inspection only.
+    ZERO_PRODUCT; that zero normalization is all the table does to a
+    product.  Stored products are read-only, for the table and for
+    mult_fn.  `_memo` reads the rows out as a flat {(i, j): product} dict,
+    for inspection only.
     """
 
     def __init__(
@@ -116,6 +132,8 @@ class AlgebraTable:
         return self._by_left.get(self.right_block[i], [])
 
     def mult_basis(self, i: int, j: int) -> dict[int, object]:
+        """b_i * b_j, read-only: from the rows, else from mult_fn once and
+        stored with its zeros normalized."""
         if self.right_block[i] != self.left_block[j]:
             return ZERO_PRODUCT
         row = self._rows[i]
@@ -124,10 +142,7 @@ class AlgebraTable:
         p = self.pos[j]
         got = row[p]
         if got is None:
-            got = self._mult_fn(i, j)
-            if not all(got.values()):
-                got = {k: c for k, c in got.items() if c}
-            got = row[p] = got or ZERO_PRODUCT
+            got = row[p] = _normalized(self._mult_fn(i, j))
         return got
 
     def materialize(self) -> list[list[dict[int, object]]]:
@@ -135,47 +150,22 @@ class AlgebraTable:
         rows[i][pos[j]] = b_i * b_j.
 
         A row is filled in one comprehension over partners(i), calling
-        mult_fn once for each product not yet stored; then one pass
-        drops zero coefficients, stores an empty product as ZERO_PRODUCT
-        and shares equal nonzero products: one dict serves them all.
-        Candidates are found by support, `tuple(product)`: hashing the
-        indices alone stays in C, where hashing Fraction coefficients would
-        not.  A support keeps at most _SHARED_PER_SUPPORT distinct products;
-        further ones are stored unshared, so a dense table cannot make the
-        search quadratic.  The first call fills the table; later calls
-        return the rows at once.
+        mult_fn once for each product not yet stored and normalizing its
+        zeros as mult_basis does.  Equal products are already one object,
+        since the kernel hands them out shared.  The first call fills the
+        table; later calls return the rows at once.
         """
         rows = self._rows
         if self._complete:
             return rows
         mult_fn = self._mult_fn
-        shared: dict[tuple, list] = {}  # support -> the distinct products with it
         for i in range(self.dim):
             js = self.partners(i)
             row = rows[i]
             if row is None:
                 row = rows[i] = [None] * len(js)
             # filled through a slice, so the row keeps its exact length
-            row[:] = [mult_fn(i, j) if got is None else got for j, got in zip(js, row)]
-            for p, got in enumerate(row):
-                if got and not all(got.values()):
-                    got = {k: c for k, c in got.items() if c}
-                if not got:
-                    row[p] = ZERO_PRODUCT
-                    continue
-                key = tuple(got)
-                same = shared.get(key)
-                if same is None:
-                    shared[key] = [got]
-                else:
-                    for old in same:
-                        if old == got:
-                            got = old
-                            break
-                    else:
-                        if len(same) < _SHARED_PER_SUPPORT:
-                            same.append(got)
-                row[p] = got
+            row[:] = [_normalized(mult_fn(i, j)) if got is None else got for j, got in zip(js, row)]
         self._complete = True
         return rows
 
@@ -237,10 +227,6 @@ class Element:
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
-
-    def scale(self, c) -> "Element":
-        f = self.alg.field
-        return Element(self.alg, {i: f.mul(c, x) for i, x in self.coeffs.items()})
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
@@ -350,20 +336,6 @@ class RepModule:
                 if a:
                     out[t] = f.add(out[t], f.mul(c, a))
         return Matrix(f, self.dim, self.dim, out)
-
-    def check_action(self, pairs=None) -> bool:
-        """rho(x) rho(y) == rho(xy) on the given (default: all) basis pairs."""
-        alg = self.alg
-        n = alg.dim
-        if pairs is None:
-            pairs = [(i, j) for i in range(n) for j in range(n)]
-        zero = Matrix.zero(alg.field, self.dim, self.dim)
-        for i, j in pairs:
-            A, B = self.action.get(i), self.action.get(j)
-            lhs = zero if A is None or B is None else A @ B
-            if lhs != self.act(alg.element(alg.mult_basis(i, j))):
-                return False
-        return True
 
 
 def _span_module(alg: AlgebraTable, ech: Echelon, act, indices) -> tuple[list[list], RepModule]:
@@ -575,14 +547,17 @@ def table_to_json(alg: AlgebraTable, label_to_str=str) -> str:
 
 def table_from_json(text: str) -> AlgebraTable:
     """Inverse of table_to_json; basis labels come back as their strings, so
-    a reloaded table re-serializes to the identical document."""
+    a reloaded table re-serializes to the identical document.  The products
+    are read once, without zero coefficients, and equal ones are one dict."""
     doc = json.loads(text)
     field = field_from_str(doc["field"])
     basis = list(doc["basis"])
-    table = {}
+    table, shared = {}, {}
     for key, sc in doc["mult"].items():
         i, j = (int(x) for x in key.split(","))
-        table[(i, j)] = {int(k): field.scalar_from_str(v) for k, v in sc.items()}
+        got = {int(k): x for k, v in sc.items() if (x := field.scalar_from_str(v))}
+        if got:
+            table[(i, j)] = shared.setdefault(frozenset(got.items()), got)
     return AlgebraTable(
         field, basis, lambda i, j: table.get((i, j), ZERO_PRODUCT), tuple(doc["star"]), name=doc.get("name", "")
     )

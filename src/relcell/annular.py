@@ -12,7 +12,8 @@ Each replacement merges two circles or splits one: the tag tuples are
 rewritten by the merge rules (a)-(d) and split rules (a)-(e); merges may
 kill a summand, splits may double it.  Finally the strands are collapsed
 and each surviving tag tuple is read off as a weight on S V* through the
-circle table of S V*, so no circle is traced during a product.
+circle table of S V*, so no circle is traced during a product.  The table's
+kernel interns products by content, so equal products are one dict.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .algebra import AlgebraTable, BasisLabel, Element
+from .algebra import ZERO_PRODUCT, AlgebraTable, BasisLabel
 from .celldata import CellDatum, StrictOrder
 from .field import Field
 from .diagrams import (
@@ -38,8 +39,6 @@ from .diagrams import (
     enumerate_cup_diagrams,
     orientations_of,
     orients,
-    rotate_cup,
-    rotate_weight,
     weight_sort_key,
 )
 
@@ -263,12 +262,13 @@ def build_annular(n: int, field: Field) -> tuple[AlgebraTable, CellDatum]:
     ]
     index = {lab: i for i, lab in enumerate(labels)}
 
-    one = field.one
+    shared: dict[frozenset, dict] = {}  # content -> the one dict with it
 
     def mult(i, j):
         la, lb = labels[i], labels[j]
         raw = multiply_labels(n, (la.S, la.lam, la.T), (lb.S, lb.lam, lb.T))
-        return {index[BasisLabel(w, S, T)]: field.from_int(c) for (S, w, T), c in raw.items()}
+        got = {index[BasisLabel(w, S, T)]: x for (S, w, T), c in raw.items() if (x := field.from_int(c))}
+        return shared.setdefault(frozenset(got.items()), got) if got else ZERO_PRODUCT
 
     star = tuple(index[BasisLabel(lab.lam, lab.T, lab.S)] for lab in labels)
     # C(w;S,T) = e_S C(w;S,T) e_T: multiply_labels is zero unless T = U
@@ -348,15 +348,4 @@ def frobenius_gram(alg: AlgebraTable):
     n = alg.dim
     return Matrix.from_rows(
         alg.field, [[frobenius_form(alg, i, j) for j in range(n)] for i in range(n)]
-    )
-
-
-def rotate_label(n: int, lab: BasisLabel) -> BasisLabel:
-    return BasisLabel(rotate_weight(lab.lam), rotate_cup(lab.S, n), rotate_cup(lab.T, n))
-
-
-def rotate_element(n: int, x: Element) -> Element:
-    alg = x.alg
-    return alg.element(
-        {alg.index[rotate_label(n, alg.basis[i])]: c for i, c in x.coeffs.items()}
     )

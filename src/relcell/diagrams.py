@@ -312,15 +312,6 @@ def _tag(winding: int, area2: int) -> str:
     return ACW if area2 > 0 else CW
 
 
-def classify_circle(cups, caps, n, weight_symbols: dict) -> str:
-    """Tag of one circle given the strand direction at each of its vertices."""
-    start = min(weight_symbols)
-    sym, winding, area2 = trace_circle(cups, caps, n, start, weight_symbols[start])
-    if sym != dict(weight_symbols):
-        raise AssertionError("weight does not orient this circle consistently")
-    return _tag(winding, area2)
-
-
 @lru_cache(maxsize=None)
 def circle_table(S: CupDiagram, T: CupDiagram, n: int) -> tuple:
     """Both orientations of every circle of S T*, traced once per pair.
@@ -357,16 +348,6 @@ def classify_diagram(S: CupDiagram, T: CupDiagram, w: str, n: int) -> dict:
             raise AssertionError("weight does not orient this circle consistently")
         out[comp] = tag
     return out
-
-
-def orient_circle_with_tag(cups, caps, n, tag: str) -> dict:
-    """Vertex symbols giving this circle the requested tag."""
-    start = min(min(a.p for a in cups), min(a.p for a in caps))
-    for d0 in (DOWN, UP):
-        sym, winding, area2 = trace_circle(cups, caps, n, start, d0)
-        if _tag(winding, area2) == tag:
-            return sym
-    raise ValueError(f"circle cannot be oriented {tag}")
 
 
 # --- text notation ----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Exact scalar arithmetic over Q and over prime fields F_p.
 
-Scalars are plain Python values (Fraction for Q, int residues in [0, p) for
-F_p); all operations go through a field object so that structures built on
-top (matrices, algebra elements) can carry a single field reference and
-stay exact.  No floating point anywhere.
+Scalars are plain Python values (ints and Fractions for Q, int residues in
+[0, p) for F_p); all operations go through a field object so that
+structures built on top (matrices, algebra elements) can carry a single
+field reference and stay exact.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -74,11 +74,14 @@ class Field:
 
 
 class Rationals(Field):
-    """The field Q; scalars are fractions.Fraction (arbitrary precision)."""
+    """The field Q; scalars are ints and fractions.Fraction (arbitrary
+    precision).  Only inv and div make a Fraction, and scalar_from_str reads
+    an integral string as an int, so integral values stay ints: they add,
+    multiply, test and hash in C."""
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def add(self, a, b):
         return a + b
@@ -95,13 +98,14 @@ class Rationals(Field):
         return 1 / Fraction(a)
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def scalar_to_str(self, a) -> str:
         return str(Fraction(a))
 
     def scalar_from_str(self, s: str):
-        return Fraction(s)
+        q = Fraction(s)
+        return q.numerator if q.denominator == 1 else q
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

@@ -81,10 +81,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, [f.mul(c, a) for a in self.entries])
-
     def _check_compat(self, other: "Matrix"):
         self.field.check_same(other.field)
 

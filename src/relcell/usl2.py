@@ -9,10 +9,14 @@ in [0, p).  Products are normal-ordered through the commutation rule
 (factorials and binomials mod p), where terms with an exponent >= p vanish
 because E^p = F^p = 0.  The kernel works on basis indices, (lam*p + S)*p + T
 for (lam, S, T), the order of the table's basis.  The terms are tabulated
-once per p as coeffs[T][U][mu], the (j, offset, c) with c != 0; the term of
-F^S 1_lam E^T * F^U 1_mu E^V has index offset + S*p + V.  A product reads
-one list, keeps the j at which both exponents stay below p, and builds one
-dict whose keys come from a shared list of the indices.  A product whose
+once per p as coeffs[T][U][mu], one (offset, c, shape) per j with c != 0
+(those j run from 0 without a gap); the term j of F^S 1_lam E^T *
+F^U 1_mu E^V has index offset + S*p + V.  A product reads one list and
+keeps the j at which both exponents stay below p.  Its first kept term's
+index and the shape id of the kept coefficients determine it exactly, so
+the rule hands out one dict per distinct product, built on the first
+lookup that misses (21,973 dicts for the 89,133 nonzero products at
+p = 11), with keys from a shared list of the indices.  A product whose
 window of j is empty is the shared ZERO_PRODUCT and builds no dict (71,918
 of the 161,051 unmasked pairs at p = 11).  The left H-weight of
 F^S 1_lam E^T is lam - 2S, so the weight idempotent fixing it on the left
@@ -40,31 +44,52 @@ def _check_p(p: int):
 def structure_constants(p: int, field: PrimeField):
     """Multiplication rule on basis indices: a * b -> {index: scalar}.
 
-    The basis index of (lam, S, T) is (lam*p + S)*p + T.  The product keeps
-    the terms j >= max(S+U, T+V) - p + 1 of the list for (T, U, mu); distinct
-    j give distinct exponents S+U-j, so every term has its own index and
-    every kept coefficient is nonzero.  The list's largest j is its last
-    term's: when the window starts above it the product is ZERO_PRODUCT,
-    with no dict built, and when it starts at 0 every term is kept
-    untested.  A pair whose weights do not match (a masked pair of the
+    The basis index of (lam, S, T) is (lam*p + S)*p + T.  The list for
+    (T, U, mu) holds the terms j = 0, 1, ..., m with nonzero coefficient:
+    T!/(T-j)! and U!/(U-j)! are units for j <= min(T, U) < p, and
+    binom(top, j) with 0 <= top < p is nonzero exactly for j <= top, so
+    those j run from 0 without a gap and the term j sits at position j.
+    The product keeps the terms from low = max(S+U, T+V) - p + 1 on (all
+    of them when low <= 0); distinct j give distinct exponents S+U-j, so
+    every term has its own index and every kept coefficient is nonzero.
+    When low is past the list's end the product is ZERO_PRODUCT, with no
+    dict built.  A pair whose weights do not match (a masked pair of the
     table) is ZERO_PRODUCT too.
+
+    Equal products are one dict.  A product is fixed by its first kept
+    term, at j0 = max(low, 0), whose index (nu0, s0, t0) it carries, and by
+    its shape, the coefficients of its kept terms in order of j: the term
+    at r = j - j0 has index ((nu0 - 2r) mod p, s0 - r, t0 - r).  Conversely
+    the first kept term is the product's term of largest S exponent, so
+    equal products have equal first index and shape.  Each list entry
+    carries the shape id of the suffix it starts (interned from the end of
+    the list, one pair per entry), and the rule looks the product up by
+    (first index, shape id), building its dict only on a miss.
     """
     fact = [factorial_mod(k, field) for k in range(p)]
     # falling[t][j] = t!/(t-j)!, and binomial_mod(top, j) depends on top mod p only
     falling = [[field.div(fact[t], fact[t - j]) for j in range(t + 1)] for t in range(p)]
     binom = [[binomial_mod(t, j, field) for j in range(p)] for t in range(p)]
+    shape_ids: dict[tuple, int] = {}  # (c, shape id of the rest) -> shape id
 
     def terms(T, U, mu):
-        """The (j, offset, c), j ascending, with c = T!/(T-j)! * U!/(U-j)! *
-        binom(T-U+mu, j) != 0; offset + S*p + V is the index of the term's
-        F^{S+U-j} 1_nu E^{T+V-j}, nu = mu + 2(T-j)."""
+        """The (offset, c, shape) for j = 0, 1, ... while c = T!/(T-j)! *
+        U!/(U-j)! * binom(T-U+mu, j) != 0; offset + S*p + V is the index of
+        the term's F^{S+U-j} 1_nu E^{T+V-j}, nu = mu + 2(T-j), and shape is
+        the id of the coefficients from this term on."""
         top = (T - U + mu) % p
         out = []
         for j in range(min(T, U) + 1):
             c = field.mul(field.mul(falling[T][j], falling[U][j]), binom[top][j])
-            if c != field.zero:
-                nu = (mu + 2 * (T - j)) % p
-                out.append((j, (nu * p + U - j) * p + T - j, c))
+            if c == field.zero:
+                break
+            nu = (mu + 2 * (T - j)) % p
+            out.append(((nu * p + U - j) * p + T - j, c))
+        rest = -1  # the empty suffix
+        for k in range(len(out) - 1, -1, -1):
+            off, c = out[k]
+            rest = shape_ids.setdefault((c, rest), len(shape_ids))
+            out[k] = (off, c, rest)
         return out
 
     coeffs = [[[terms(T, U, mu) for mu in range(p)] for U in range(p)] for T in range(p)]
@@ -73,6 +98,7 @@ def structure_constants(p: int, field: PrimeField):
     right_weight = [(lam - 2 * T) % p for lam, S, T in labels]
     left_weight = [(mu - 2 * U) % p for mu, U, V in labels]
     ids = list(range(p**3))  # one shared int object per index
+    shared = [{} for _ in ids]  # per first index: {shape id: product}
     q = p - 1
 
     def rule(a, b):
@@ -83,12 +109,17 @@ def structure_constants(p: int, field: PrimeField):
         x, z = S + U, T + V
         low = (x if x > z else z) - q
         listed = coeffs[T][U][mu]
-        if not listed or low > listed[-1][0]:  # the window starts above the largest j
+        if low < 0:
+            low = 0
+        if low >= len(listed):  # the window starts past the last term
             return ZERO_PRODUCT
         base = S * p + V
-        if low <= 0:
-            return {ids[off + base]: c for _, off, c in listed}
-        return {ids[off + base]: c for j, off, c in listed if j >= low}
+        off0, _, shape = listed[low]
+        slot = shared[off0 + base]
+        got = slot.get(shape)
+        if got is None:
+            got = slot[shape] = {ids[off + base]: c for off, c, _ in listed[low:]}
+        return got
 
     return rule
 

@@ -6,17 +6,18 @@ equal" makes two paths equal when one turns into the other by flips
 path's class is fixed by its key (start, ups, downs), and it is zero when
 one count reaches the cap (two steps for the short relation, a full cycle
 for the long one).  Products read class keys only: two meeting paths add
-their counts.  A basis path from u to v is e_u . path . e_v, so u and v
-are its Peirce block keys.  Normal forms (the smallest member of a nonzero
-class, built step by step) only spell the cell labels and serve the tests
-as the reference product.
+their counts, and the product is the one prebuilt {index: 1} of the basis
+path with the summed key.  A basis path from u to v is e_u . path . e_v,
+so u and v are its Peirce block keys.  Normal forms (the smallest member
+of a nonzero class, built step by step) only spell the cell labels and
+serve the tests as the reference product.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import AlgebraTable, BasisLabel
+from .algebra import ZERO_PRODUCT, AlgebraTable, BasisLabel
 from .celldata import CellDatum, chain_order
 from .field import Field
 
@@ -215,14 +216,16 @@ def build_zigzag(spec: QuiverSpec, field: Field) -> tuple[AlgebraTable, CellDatu
         raise InvalidSpec("cell labels do not biject onto the path basis")
     key_index = {k: i for i, k in enumerate(keys)}
 
-    one, cap = field.one, _cap(spec)
+    cap = _cap(spec)
+    # a product is one basis path or zero: one shared dict per basis index
+    units = [{k: field.one} for k in range(len(keys))]
 
     def mult(i, j):
         s, u, d = keys[i]
         t, u2, d2 = keys[j]
         if ends[i] != t or u + u2 >= cap or d + d2 >= cap:
-            return {}
-        return {key_index[(s, u + u2, d + d2)]: one}
+            return ZERO_PRODUCT
+        return units[key_index[(s, u + u2, d + d2)]]
 
     index = {lab: i for i, lab in enumerate(labels)}
     star = tuple(index[BasisLabel(lab.lam, lab.T, lab.S)] for lab in labels)

@@ -4,9 +4,74 @@ Slow or roundabout routes to what the package computes directly, kept here
 so that `src` holds only what the pipeline uses.
 """
 
-from relcell.algebra import AlgebraTable, BasisLabel, Element
+from relcell.algebra import AlgebraTable, BasisLabel, Element, RepModule
+from relcell.diagrams import DOWN, UP, _tag, rotate_cup, rotate_weight, trace_circle
 from relcell.field import PrimeField
 from relcell.linalg import Echelon, Matrix
+
+
+# --- scalars times elements and matrices ----------------------------------------
+
+
+def scale_element(x: Element, c) -> Element:
+    f = x.alg.field
+    return Element(x.alg, {i: f.mul(c, a) for i, a in x.coeffs.items()})
+
+
+def scale_matrix(A: Matrix, c) -> Matrix:
+    f = A.field
+    return Matrix(f, A.rows, A.cols, [f.mul(c, a) for a in A.entries])
+
+
+# --- modules ---------------------------------------------------------------------
+
+
+def check_action(M: RepModule, pairs=None) -> bool:
+    """rho(x) rho(y) == rho(xy) on the given (default: all) basis pairs."""
+    alg = M.alg
+    n = alg.dim
+    if pairs is None:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    zero = Matrix.zero(alg.field, M.dim, M.dim)
+    for i, j in pairs:
+        A, B = M.action.get(i), M.action.get(j)
+        lhs = zero if A is None or B is None else A @ B
+        if lhs != M.act(alg.element(alg.mult_basis(i, j))):
+            return False
+    return True
+
+
+# --- annular diagrams --------------------------------------------------------------
+
+
+def classify_circle(cups, caps, n, weight_symbols: dict) -> str:
+    """Tag of one circle given the strand direction at each of its vertices."""
+    start = min(weight_symbols)
+    sym, winding, area2 = trace_circle(cups, caps, n, start, weight_symbols[start])
+    if sym != dict(weight_symbols):
+        raise AssertionError("weight does not orient this circle consistently")
+    return _tag(winding, area2)
+
+
+def orient_circle_with_tag(cups, caps, n, tag: str) -> dict:
+    """Vertex symbols giving this circle the requested tag."""
+    start = min(min(a.p for a in cups), min(a.p for a in caps))
+    for d0 in (DOWN, UP):
+        sym, winding, area2 = trace_circle(cups, caps, n, start, d0)
+        if _tag(winding, area2) == tag:
+            return sym
+    raise ValueError(f"circle cannot be oriented {tag}")
+
+
+def rotate_label(n: int, lab: BasisLabel) -> BasisLabel:
+    return BasisLabel(rotate_weight(lab.lam), rotate_cup(lab.S, n), rotate_cup(lab.T, n))
+
+
+def rotate_element(n: int, x: Element) -> Element:
+    alg = x.alg
+    return alg.element(
+        {alg.index[rotate_label(n, alg.basis[i])]: c for i, c in x.coeffs.items()}
+    )
 
 # --- restricted sl2 ------------------------------------------------------------
 

@@ -10,7 +10,6 @@ from relcell.algebra import (
     BasisLabel,
     NotUnital,
     RepModule,
-    _SHARED_PER_SUPPORT,
     _restrict_action,
     composition_multiplicities,
     hom_space,
@@ -25,6 +24,8 @@ from relcell.celldata import cell_module, report_dict, simple_set, verify_cell_d
 from relcell.families import build_family
 from relcell.field import QQ, PrimeField
 from relcell.linalg import Matrix
+
+from reference import check_action, scale_matrix
 
 
 def check_associativity(alg, limit=30, samples=10_000, seed=0):
@@ -101,7 +102,7 @@ def test_hom_space_contains_identity(u3):
         if homs[0][i, i]:
             scale = homs[0][i, i]
             break
-    assert homs[0].scale(f.inv(scale)) == ident
+    assert scale_matrix(homs[0], f.inv(scale)) == ident
 
 
 def test_radical_of_simple_is_zero(u3):
@@ -176,7 +177,7 @@ def test_modules_store_only_nonzero_actions(family, request):
     alg, d = request.getfixturevalue(family)
     for M in cell_and_simple_modules(d):
         assert all(not A.is_zero() for A in M.action.values())
-        assert M.check_action()
+        assert check_action(M)
 
 
 @pytest.mark.parametrize("family", SPARSE_FAMILIES)
@@ -195,7 +196,7 @@ def test_dropped_action_is_caught(zigzag_a3):
     delta = cell_module(d, 1).rep
     k = next(i for e in d.E for i in e.coeffs if i in delta.action)
     mutant = RepModule(alg, delta.dim, {i: A for i, A in delta.action.items() if i != k})
-    assert delta.check_action() and not mutant.check_action()
+    assert check_action(delta) and not check_action(mutant)
     # the identity Delta -> Delta stops intertwining once b_k acts by zero
     honest = [delta.act(alg.basis_element(i)) for i in range(alg.dim)]
     assert hom_space(mutant, delta) != dense_hom_space(mutant, delta, honest, honest)
@@ -208,14 +209,14 @@ def test_quotient_module_dims(u3):
     rad = ss.grams[0].matrix.nullspace_basis()
     Q, P = quotient_module(delta.rep, rad)
     assert Q.dim == delta.dim - len(rad)
-    assert Q.check_action()
+    assert check_action(Q)
 
 
 def test_regular_module_action(zigzag_a3):
     alg, d = zigzag_a3
     reg = left_ideal_module(alg, unit_element(alg, d.E))
     assert reg.dim == alg.dim
-    assert reg.check_action()
+    assert check_action(reg)
 
 
 def test_restrict_to_unstable_subspace_raises(zigzag_a3):
@@ -419,11 +420,10 @@ def test_lazy_products_allocate_only_the_touched_row():
     assert list(alg._memo) == [(i, j)]
 
 
-def test_materialize_shares_at_most_a_capped_number_per_support():
+def test_materialize_shares_every_repeat_of_one_support():
     # 7 x 7 products in row-major order: the first 40 are c * b_0 for c = 1..40,
     # then a repeat of the first and a repeat of the fortieth
-    n, cap = 7, _SHARED_PER_SUPPORT
-    assert cap < 40
+    n = 7
     pairs = [(i, j) for i in range(n) for j in range(n)]
     coeff = {pair: t + 1 for t, pair in enumerate(pairs[:40])}
     coeff[pairs[40]], coeff[pairs[41]] = 1, 40
@@ -440,5 +440,5 @@ def test_materialize_shares_at_most_a_capped_number_per_support():
     assert memo == {pair: ({0: coeff[pair]} if pair in coeff else {}) for pair in pairs}
     assert memo[pairs[40]] is memo[pairs[0]]  # shared: its equal is in the list
     assert memo[pairs[41]] == memo[pairs[39]]
-    assert memo[pairs[41]] is not memo[pairs[39]]  # past the cap: stored unshared
-    assert len({id(sc) for sc in memo.values() if sc}) == 41
+    assert memo[pairs[41]] is memo[pairs[39]]  # every repeat is shared
+    assert len({id(sc) for sc in memo.values() if sc}) == 40

@@ -17,7 +17,6 @@ from relcell.annular import (
     frobenius_gram,
     multiply_labels,
     projective_dimension,
-    rotate_element,
     weight_list,
 )
 from relcell.celldata import (
@@ -44,6 +43,8 @@ from relcell.diagrams import (
 from relcell.families import SizeLimit, build_family
 from relcell.field import QQ
 from relcell.algebra import left_ideal_module
+
+from reference import rotate_element
 
 
 def test_dimensions():

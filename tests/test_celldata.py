@@ -27,6 +27,8 @@ from relcell.annular import build_annular
 from relcell.field import QQ, PrimeField
 from relcell.zigzag import QuiverSpec, build_zigzag, reversed_order_datum
 
+from reference import check_action
+
 
 def matrix_unit_datum(size):
     """Cell datum of the size x size matrix algebra: X = {0}, C(S,T) = E_ST."""
@@ -121,7 +123,7 @@ def test_gram_and_cell_module_consistency(u3):
     for lam in d.X:
         delta = cell_module(d, lam)
         assert delta.dim == len(d.M[lam])
-        assert delta.rep.check_action()
+        assert check_action(delta.rep)
         g = gram_matrix(d, lam)
         assert g.matrix == g.matrix.transpose()
 

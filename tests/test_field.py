@@ -106,3 +106,19 @@ def test_field_roundtrip():
         assert field_from_str(field_to_str(f)) == f
     s = QQ.scalar_to_str(Fraction(-3, 7))
     assert QQ.scalar_from_str(s) == Fraction(-3, 7)
+
+
+def test_integral_rationals_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(-4)) is int
+    assert type(QQ.mul(QQ.from_int(3), QQ.add(QQ.one, QQ.one))) is int
+    assert QQ.inv(QQ.from_int(2)) == Fraction(1, 2)
+    assert QQ.div(QQ.one, QQ.from_int(3)) == Fraction(1, 3)
+    # an integral string reads back as an int, any other as a Fraction
+    for text, want, kind in (("0", 0, int), ("-12", -12, int), ("4/2", 2, int), ("-3/7", Fraction(-3, 7), Fraction)):
+        got = QQ.scalar_from_str(text)
+        assert got == want and type(got) is kind
+    # ints and Fractions of one value print the same bytes
+    for x in (0, 1, -5, Fraction(-3, 7)):
+        assert QQ.scalar_to_str(x) == QQ.scalar_to_str(Fraction(x)) == str(Fraction(x))
+        assert QQ.scalar_to_str(QQ.scalar_from_str(QQ.scalar_to_str(x))) == QQ.scalar_to_str(x)

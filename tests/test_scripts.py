@@ -1,12 +1,14 @@
 """The desk scripts exit 1 when a check they print fails, and 0 otherwise."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from relcell.algebra import AlgebraTable
+from relcell.celldata import AXIOMS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -83,3 +85,16 @@ def test_k3_census_fails_on_an_associativity_violation(census, monkeypatch):
 
     monkeypatch.setattr(census, "build_annular", subtraction)
     assert census.main() == 1
+
+
+def test_stage_times_on_zigzag_a3(tmp_path, capsys):
+    stages = load("stage_times")
+    out = tmp_path / "stages.json"
+    assert stages.main(["zigzag:A:3", "--json", str(out), "--label", "after"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("zigzag:A:3")
+    rec = json.loads(out.read_text())["after"]["specs"]["zigzag:A:3"]
+    assert rec["dim"] == 10 and rec["failed_axioms"] == []
+    assert set(rec["stages"]) == {"build", "products", "simples", "D", "C"} | {
+        f"axiom {axiom}" for axiom, _ in AXIOMS
+    }
+    assert rec["hom_space_calls"]["D"] > 0
