@@ -11,9 +11,12 @@ unmasked pairs.
 
 The kernel contract: a product is a read-only {index: scalar} dict, and a
 kernel hands out one object per distinct product, so equal products are
-one dict wherever they are stored.  The table keeps what the kernel
-returns and only normalizes zeros: a zero coefficient is filtered out of a
-copy, and an empty product is stored as ZERO_PRODUCT.
+one dict wherever they are stored.  A kernel shares its products through
+intern_product, by content, unless it can name each product up front:
+zigzag's products are single basis paths, one prebuilt dict each, and
+usl2's kernel looks its products up by shape.  The table keeps what the
+kernel returns and only normalizes zeros: a zero coefficient is filtered
+out of a copy, and an empty product is stored as ZERO_PRODUCT.
 
 A module stores the action matrices of the basis elements that act by
 nonzero, and nothing for the rest; hom spaces, radicals, composition
@@ -59,6 +62,15 @@ def _normalized(product: dict[int, object]) -> dict[int, object]:
     if all(product.values()):
         return product
     return {k: c for k, c in product.items() if c} or ZERO_PRODUCT
+
+
+def intern_product(shared: dict, product: dict[int, object]) -> dict[int, object]:
+    """The one dict equal to product that shared holds, product itself the
+    first time it is seen; ZERO_PRODUCT when product is empty.  product
+    holds no zero coefficient, and shared maps a product's content to it."""
+    if not product:
+        return ZERO_PRODUCT
+    return shared.setdefault(frozenset(product.items()), product)
 
 
 class AlgebraTable:
@@ -555,9 +567,9 @@ def table_from_json(text: str) -> AlgebraTable:
     table, shared = {}, {}
     for key, sc in doc["mult"].items():
         i, j = (int(x) for x in key.split(","))
-        got = {int(k): x for k, v in sc.items() if (x := field.scalar_from_str(v))}
+        got = intern_product(shared, {int(k): x for k, v in sc.items() if (x := field.scalar_from_str(v))})
         if got:
-            table[(i, j)] = shared.setdefault(frozenset(got.items()), got)
+            table[(i, j)] = got
     return AlgebraTable(
         field, basis, lambda i, j: table.get((i, j), ZERO_PRODUCT), tuple(doc["star"]), name=doc.get("name", "")
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .algebra import ZERO_PRODUCT, AlgebraTable, BasisLabel
+from .algebra import AlgebraTable, BasisLabel, intern_product
 from .celldata import CellDatum, StrictOrder
 from .field import Field
 from .diagrams import (
@@ -262,13 +262,13 @@ def build_annular(n: int, field: Field) -> tuple[AlgebraTable, CellDatum]:
     ]
     index = {lab: i for i, lab in enumerate(labels)}
 
-    shared: dict[frozenset, dict] = {}  # content -> the one dict with it
+    shared: dict = {}  # the products handed out, by content
 
     def mult(i, j):
         la, lb = labels[i], labels[j]
         raw = multiply_labels(n, (la.S, la.lam, la.T), (lb.S, lb.lam, lb.T))
         got = {index[BasisLabel(w, S, T)]: x for (S, w, T), c in raw.items() if (x := field.from_int(c))}
-        return shared.setdefault(frozenset(got.items()), got) if got else ZERO_PRODUCT
+        return intern_product(shared, got)
 
     star = tuple(index[BasisLabel(lab.lam, lab.T, lab.S)] for lab in labels)
     # C(w;S,T) = e_S C(w;S,T) e_T: multiply_labels is zero unless T = U

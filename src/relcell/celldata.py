@@ -30,6 +30,7 @@ from .algebra import (
     combine,
     composition_multiplicities,
     hom_space,
+    intern_product,
     peirce_dims,
     quotient_module,
     unit_element,
@@ -620,16 +621,11 @@ def core_subalgebra(d: CellDatum, eps_idx: int) -> tuple[AlgebraTable, CellDatum
     ]
     old_to_new = {i: k for k, i in enumerate(keep)}
     basis = [alg.basis[i] for i in keep]
-    # id(parent product) -> its renumbered copy: equal parent products are one
-    # object, which the parent's rows keep alive, so the copies are shared too
-    shared: dict[int, dict] = {}
+    shared: dict = {}  # the renumbered products handed out, by content
 
     def mult(i2, j2):
         got = alg.mult_basis(keep[i2], keep[j2])
-        out = shared.get(id(got))
-        if out is None:
-            out = shared[id(got)] = {old_to_new[k]: c for k, c in got.items()} or ZERO_PRODUCT
-        return out
+        return intern_product(shared, {old_to_new[k]: c for k, c in got.items()})
 
     star = tuple(old_to_new[alg.star_perm[i]] for i in keep)
     core = AlgebraTable(f, basis, mult, star, name=f"{alg.name}-core-eps{eps_idx}")

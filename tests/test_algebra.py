@@ -335,7 +335,7 @@ def test_memo_holds_no_zero_coefficient(make):
     assert (x * (one - x)).coeffs == {1: 1}
 
 
-# --- the shared memo: materialize keeps one dict per distinct product -------
+# --- the shared memo: the kernels hand out one dict per distinct product ---
 
 FILL_SPECS = ["usl2:p=5", "annular:n=2", "zigzag:cycL:4"]
 
@@ -369,10 +369,12 @@ def test_materialize_equals_a_fill_through_mult_basis(spec):
 @pytest.mark.parametrize("spec", FILL_SPECS)
 def test_no_caller_mutates_a_shared_product(spec):
     alg, d = build_family(spec)
+    # a second build has its own kernel, which hands out its own products
+    fresh, _ = build_family(spec)
     report_dict(d)
     assert alg._memo
     for (i, j), sc in alg._memo.items():
-        assert sc == {k: c for k, c in alg._mult_fn(i, j).items() if c}, (i, j)
+        assert sc == {k: c for k, c in fresh._mult_fn(i, j).items() if c}, (i, j)
 
 
 @pytest.mark.parametrize("spec", FILL_SPECS)
@@ -420,9 +422,10 @@ def test_lazy_products_allocate_only_the_touched_row():
     assert list(alg._memo) == [(i, j)]
 
 
-def test_materialize_shares_every_repeat_of_one_support():
+def test_table_from_json_shares_every_repeat_of_one_support():
     # 7 x 7 products in row-major order: the first 40 are c * b_0 for c = 1..40,
-    # then a repeat of the first and a repeat of the fortieth
+    # then a repeat of the first and a repeat of the fortieth; the reloaded
+    # table's kernel hands out each repeat as its first occurrence
     n = 7
     pairs = [(i, j) for i in range(n) for j in range(n)]
     coeff = {pair: t + 1 for t, pair in enumerate(pairs[:40])}
