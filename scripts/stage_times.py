@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Stage table: the time of each pipeline stage and the peak memory, per spec.
 
-Each spec runs in a child interpreter of its own, so its peak memory is its
-own.  The stages are build (`build_family`), products (`materialize`), each
-axiom of `celldata.AXIOMS`, simples (`simple_set`), D
-(`decomposition_matrix`) and C (`cartan_matrix`); a spec whose datum fails
-an axiom stops after the axioms.  Each child also records its VmHWM, read
-from /proc/self/status at the end (null where that file does not exist),
-and the number of `hom_space` calls made in each stage.
+Each spec runs in SAMPLES = 3 child interpreters of its own, one after the
+other, so its peak memory is its own and every sample starts cold (a second
+run in the same process would find the lru_caches warm).  The stages are
+build (`build_family`), products (`materialize`), each axiom of
+`celldata.AXIOMS`, simples (`simple_set`), D (`decomposition_matrix`) and C
+(`cartan_matrix`); a spec whose datum fails an axiom stops after the
+axioms.  Each child also records its VmHWM, read from /proc/self/status at
+the end (null where that file does not exist), and the number of
+`hom_space` calls made in each stage.  A spec's record holds the median
+over its samples of each stage time and of the VmHWM.
 
     PYTHONPATH=src python3 scripts/stage_times.py [SPEC ...] [--json PATH [--label NAME]]
 
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -36,6 +40,7 @@ TABLE_SPECS = [
 ]
 FRONTIER_SPECS = ["zigzag:A:500", "zigzag:cycS:500", "annular:n=3", "zigzag:cycL:12", "usl2:p=11"]
 SUMMARY = ("build", "products", "axioms", "simples", "D", "C")
+SAMPLES = 3
 
 
 def vm_hwm_mib():
@@ -108,6 +113,22 @@ def child(spec: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def sampled(spec: str) -> dict:
+    """The record of spec over SAMPLES cold children: each stage time and
+    the VmHWM are the median of the samples, the rest is the same in every
+    sample; the first failed child's error, if one fails."""
+    recs = [child(spec) for _ in range(SAMPLES)]
+    for rec in recs:
+        if "error" in rec:
+            return rec
+    rec = recs[0]
+    rec["stages"] = {name: statistics.median(r["stages"][name] for r in recs) for name in rec["stages"]}
+    hwm = [r["vm_hwm_mib"] for r in recs]
+    rec["vm_hwm_mib"] = None if None in hwm else statistics.median(hwm)
+    rec["samples"] = SAMPLES
+    return rec
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("specs", nargs="*", help="family specs (default: the table families and the frontier)")
@@ -123,7 +144,7 @@ def main(argv=None) -> int:
     records, bad = {}, 0
     print(f"{'spec':<18} {'dim':>5} " + " ".join(f"{name:>8}" for name in SUMMARY) + "    VmHWM  homs in D")
     for spec in specs:
-        rec = records[spec] = child(spec)
+        rec = records[spec] = sampled(spec)
         if "error" in rec:
             bad += 1
             print(f"{spec:<18} failed: {rec['error']}")

@@ -32,7 +32,7 @@ from collections.abc import Callable
 from types import MappingProxyType
 
 from .field import Field, field_from_str, field_to_str
-from .linalg import Echelon, Matrix, from_columns, stack_rows
+from .linalg import Echelon, Matrix, axpy, from_columns, stack_rows
 
 
 class AlgebraMismatch(Exception):
@@ -213,7 +213,9 @@ class AlgebraTable:
 
 
 class Element:
-    """Sparse algebra element {basis index: nonzero scalar}."""
+    """Sparse algebra element {basis index: nonzero scalar}.  Sums and
+    products accumulate with linalg.axpy; a product reads each b_i b_j from
+    mult_basis, whose Peirce mask is the one Peirce test on this path."""
 
     __slots__ = ("alg", "coeffs")
 
@@ -228,38 +230,25 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
         f = self.alg.field
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = f.add(out.get(i, f.zero), c)
-        return Element(self.alg, out)
+        return Element(self.alg, combine(f, ((f.one, self.coeffs), (f.one, other.coeffs))))
 
     def __neg__(self) -> "Element":
         f = self.alg.field
         return Element(self.alg, {i: f.neg(c) for i, c in self.coeffs.items()})
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        self._check(other)
+        f = self.alg.field
+        return Element(self.alg, combine(f, ((f.one, self.coeffs), (f.neg(f.one), other.coeffs))))
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
         alg = self.alg
-        f = alg.field
-        left, right = alg.left_block, alg.right_block
+        f, mult = alg.field, alg.mult_basis
         out: dict[int, object] = {}
         for i, a in self.coeffs.items():
-            ri = right[i]
             for j, b in other.coeffs.items():
-                if left[j] != ri:
-                    continue
-                ab = f.mul(a, b)
-                if not ab:
-                    continue
-                for k, c in alg.mult_basis(i, j).items():
-                    v = f.add(out.get(k, f.zero), f.mul(ab, c))
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
+                axpy(f, out, f.mul(a, b), mult(i, j))
         return Element(alg, out)
 
     def star(self) -> "Element":
@@ -282,16 +271,12 @@ class Element:
 
 
 def combine(field: Field, terms) -> dict[int, object]:
-    """The sum of c * product over the (c, product) in terms, as {index:
-    nonzero scalar}: a linear combination of products read from the rows."""
+    """The sum of c * x over the (c, x) in terms, x a sparse {index:
+    scalar} dict (a product, or an element's coefficients), as {index:
+    nonzero scalar}: one linalg.axpy per term."""
     out: dict[int, object] = {}
-    for c, prod in terms:
-        for k, x in prod.items():
-            v = field.add(out.get(k, field.zero), field.mul(c, x))
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+    for c, x in terms:
+        axpy(field, out, c, x)
     return out
 
 
@@ -312,10 +297,8 @@ def unit_element(alg: AlgebraTable, idempotents: list[Element]) -> Element:
     whose left block is the right block of i (every other term is masked).
     No Element product is formed.
     """
-    u = alg.zero_element()
-    for e in idempotents:
-        u = u + e
     f = alg.field
+    u = alg.element(combine(f, ((f.one, e.coeffs) for e in idempotents)))
     rows, pos = alg.materialize(), alg.pos
     by_right, by_left = by_block(u, alg.right_block), by_block(u, alg.left_block)
     for i in range(alg.dim):
@@ -539,7 +522,7 @@ def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:
 # --- serialization ----------------------------------------------------------
 
 
-def table_to_json(alg: AlgebraTable, label_to_str=str) -> str:
+def table_to_json(alg: AlgebraTable) -> str:
     rows = alg.materialize()
     f = alg.field
     entries = {}
@@ -549,7 +532,7 @@ def table_to_json(alg: AlgebraTable, label_to_str=str) -> str:
                 entries[f"{i},{j}"] = {str(k): f.scalar_to_str(c) for k, c in sorted(sc.items())}
     doc = {
         "field": field_to_str(f),
-        "basis": [label_to_str(lab) for lab in alg.basis],
+        "basis": [str(lab) for lab in alg.basis],
         "mult": entries,
         "star": list(alg.star_perm),
         "name": alg.name,

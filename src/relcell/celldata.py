@@ -167,7 +167,8 @@ def _axiom_b(d: CellDatum) -> str | None:
     when its mirror (star j, star i) comes first: with star an involution
     (checked first) the mirror's equation is this one with star applied to
     both sides.  The products are read from the rows of the materialized
-    table; a masked pair reads as zero.
+    table; a masked pair reads as zero.  A product is compared with its
+    mirror term by term, with no star-mapped copy.
     """
     alg = d.alg
     star = alg.star_perm
@@ -196,8 +197,14 @@ def _axiom_b(d: CellDatum) -> str | None:
             mirror = prods[sj][psi] if right[sj] == lsi else ZERO_PRODUCT
             if not (prod or mirror):
                 continue
-            if {star[k]: c for k, c in prod.items()} != mirror:
-                return f"star({alg.basis[i]}*{alg.basis[j]}) != star*star"
+            if len(prod) == len(mirror):
+                get = mirror.get
+                for k, c in prod.items():
+                    if get(star[k]) != c:
+                        break
+                else:
+                    continue
+            return f"star({alg.basis[i]}*{alg.basis[j]}) != star*star"
     return None
 
 

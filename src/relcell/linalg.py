@@ -1,9 +1,12 @@
-"""Dense exact matrices and the one elimination kernel behind them.
+"""Dense exact matrices, the one elimination kernel and the one sparse
+accumulation behind them.
 
 `Echelon` keeps an incrementally built reduced row echelon form over any
 field; `Matrix.rref`, `rank`, `nullspace_basis` and `det` are all
-read off it, as are the hom spaces and submodules in `algebra`.  Exactness
-is the only requirement, so there are no fraction-free tricks.
+read off it, as are the hom spaces and submodules in `algebra`.  `axpy`,
+out += a * x on sparse dicts, reduces its rows and sums algebra elements
+and products.  Exactness is the only requirement, so there are no
+fraction-free tricks.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ class Echelon:
         # stored rows vanish at every other pivot, so the pivot entries of
         # `row` are not changed by eliminating the ones before them
         for c in [c for c in row if c in rows]:
-            _axpy(f, row, row[c], rows[c])
+            axpy(f, row, f.neg(row[c]), rows[c])
         if not row:
             return None
         c = min(row)
@@ -203,7 +206,7 @@ class Echelon:
         for other in rows.values():
             y = other.get(c)
             if y:
-                _axpy(f, other, y, row)
+                axpy(f, other, f.neg(y), row)
         rows[c] = row
         return c, x
 
@@ -234,14 +237,15 @@ class Echelon:
         return list(basis.values())
 
 
-def _axpy(f: Field, row: dict, a, pivot_row: dict):
-    """row -= a * pivot_row, in place, keeping row free of zero entries."""
-    for j, y in pivot_row.items():
-        v = f.sub(row.get(j, f.zero), f.mul(a, y))
+def axpy(f: Field, out: dict, a, x: dict) -> None:
+    """out += a * x on sparse {key: scalar} dicts, in place; a key whose
+    sum reaches zero is dropped, so out gains no zero entry."""
+    for k, y in x.items():
+        v = f.add(out.get(k, f.zero), f.mul(a, y))
         if v:
-            row[j] = v
+            out[k] = v
         else:
-            row.pop(j, None)
+            out.pop(k, None)
 
 
 def stack_rows(field: Field, matrices) -> Matrix:

@@ -445,3 +445,40 @@ def test_table_from_json_shares_every_repeat_of_one_support():
     assert memo[pairs[41]] == memo[pairs[39]]
     assert memo[pairs[41]] is memo[pairs[39]]  # every repeat is shared
     assert len({id(sc) for sc in memo.values() if sc}) == 40
+
+
+def straddling(alg, keys, blocks, rnd):
+    """An element with up to three terms in each of the given blocks of keys."""
+    f = alg.field
+    members = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    support = [i for key in blocks for i in rnd.sample(members[key], min(3, len(members[key])))]
+    return alg.element({i: f.from_int(rnd.randrange(1, 4)) for i in support})
+
+
+@pytest.mark.parametrize("spec", ["zigzag:cycS:4", "usl2:p=5", "annular:n=2"])
+def test_element_products_equal_the_naive_double_sum(spec):
+    # x has terms in several right blocks and y in several left blocks, so
+    # x * y meets masked and unmasked pairs; the reference sums every pair
+    # through the kernel itself, with no mask, and filters zeros at the end
+    alg, _ = build_family(spec)
+    f = alg.field
+    rnd = random.Random(spec)
+    left = set(alg.left_block)
+    shared = [key for key in dict.fromkeys(alg.right_block) if key in left]
+    checked = 0
+    for _ in range(20):
+        x = straddling(alg, alg.right_block, rnd.sample(shared, 3), rnd)
+        y = straddling(alg, alg.left_block, rnd.sample(shared, 3), rnd)
+        assert len({alg.right_block[i] for i in x.coeffs}) > 1 < len({alg.left_block[j] for j in y.coeffs})
+        for a, b in ((x, y), (y, x), (x, x)):
+            naive = {}
+            for i, s in a.coeffs.items():
+                for j, t in b.coeffs.items():
+                    for k, c in alg._mult_fn(i, j).items():
+                        naive[k] = f.add(naive.get(k, f.zero), f.mul(f.mul(s, t), c))
+            want = {k: v for k, v in naive.items() if v}
+            assert (a * b).coeffs == want
+            checked += bool(want)
+    assert checked > 10

@@ -6,6 +6,8 @@ right block meets.  Each mutant here fails with the witness string that the
 full sweeps (every pair, every (element, lambda, T) triple) report for it.
 """
 
+import pytest
+
 from relcell import celldata
 from relcell.algebra import AlgebraTable, BasisLabel
 from relcell.celldata import _columns, verify_cell_datum
@@ -111,3 +113,27 @@ def test_mult_left_reads_only_column_entries(monkeypatch):
     assert celldata._axiom_d(d) is None
     assert 0 < len(reads) <= entries
     assert set(reads) <= set(column_pairs)
+
+
+@pytest.mark.parametrize("change", ["drop", "extra", "move"])
+def test_b_compares_every_term_with_the_mirror(change):
+    # the term-by-term comparison catches a product whose mirror lost a
+    # term, gained one, or holds a coefficient under another key
+    alg, d = build_family("usl2:p=5")
+    later = (5, 0)  # the later member of the pair ((0, 1), (5, 0)), as above
+    product = dict(alg._mult_fn(*later))
+    k = min(product)
+    other = next(m for m in range(alg.dim) if m not in product)
+    if change == "drop":
+        del product[k]
+    elif change == "extra":
+        product[other] = alg.field.one
+    else:
+        product[other] = product.pop(k)
+
+    def mult(i, j):
+        return product if (i, j) == later else alg._mult_fn(i, j)
+
+    assert celldata._axiom_b(retabled(d, mult_fn=mult)) == (
+        "star(BasisLabel(lam=0, S=0, T=0)*BasisLabel(lam=0, S=0, T=1)) != star*star"
+    )

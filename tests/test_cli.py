@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -329,3 +330,32 @@ def test_import_cli_module_set():
     assert Path(where).resolve().is_relative_to(src)
     assert HEAVY_STDLIB.isdisjoint(loaded), sorted(HEAVY_STDLIB.intersection(loaded))
     assert {f"relcell.{name}" for name in LAYER_MODULES} <= set(loaded)
+
+
+# verify --format json on the 13 small-rank table families, as printed at
+# the commit that recorded them: (spec, byte length, sha256).  The report
+# holds only ints, strings and booleans, so the bytes do not depend on the
+# Python version.
+VERIFY_JSON_DIGESTS = [
+    ("zigzag:A:3", 962, "812883b6a031944bb20ee975b29e90423b04aca95b060da9356c44cda8ab2b71"),
+    ("zigzag:A:4", 1085, "6e2e1e5d29f89c2fb42855ebac64768b5b883dec917238eee0d6686ed518b3fa"),
+    ("zigzag:A:5", 1232, "4236c06ac75fa667217961ea347fac254e85c231ca9545edff12864d2aae28a0"),
+    ("zigzag:cycS:3", 936, "e0bc785c757f44b32f6c3bea4602fae649542e375b36201062e268ae565e766f"),
+    ("zigzag:cycS:4", 1053, "b0c40da6d96538ae55071f203e17a461b269797297411f0781d353121b9c673e"),
+    ("zigzag:cycS:5", 1194, "2cd68ffb9c95e221c89a670e48a60a7e1a7e7b66d08d5294f5b751380c9023c4"),
+    ("zigzag:cycL:3", 936, "e35b054b662d61212909c4bf54079fb2686a9c6534fec570cb108215cb1061f8"),
+    ("zigzag:cycL:4", 1053, "aad7b7787aaa65375c939b79965c7bba1cefde126ea6a5063a26e9483beae24a"),
+    ("usl2:p=3", 936, "8821e493c254a10a46292dbad3198e471b8d9e42f1bb0c33ea95fc572e60b045"),
+    ("usl2:p=5", 1194, "6184565225ab0d8086c965b6fa1d76a778118acc7b7921b05ee975c579535905"),
+    ("usl2:p=7", 1548, "4ef4b1146044a18e74dacaa85d142fdcbe37c5304f7281acd28f2966b5433218"),
+    ("annular:n=1", 847, "4b98ec8cf1dd2f9dd24a40a4b55dbc28899b9c36c5d6d3c6881fe5c92f5b459e"),
+    ("annular:n=2", 1395, "d2061a41c67fb9152eef4a104c21ef0afd4ef480b789adf8b1d4c462cd73051f"),
+]
+
+
+@pytest.mark.parametrize("spec, size, digest", VERIFY_JSON_DIGESTS)
+def test_verify_json_pinned(capsys, spec, size, digest):
+    code, out, _ = run(capsys, "verify", spec, "--format", "json")
+    assert code == 0
+    out = out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)

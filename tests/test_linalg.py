@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcell.field import PrimeField, QQ
-from relcell.linalg import Echelon, Matrix, ShapeMismatch
+from relcell.linalg import Echelon, Matrix, ShapeMismatch, axpy
 
 
 def diag(field, values):
@@ -134,3 +135,27 @@ def test_matmul_identity():
     A = Matrix.from_int_rows(f, [[1, 2], [3, 4]])
     assert A @ Matrix.identity(f, 2) == A
     assert Matrix.identity(f, 2) @ A == A
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), QQ])
+def test_axpy_in_place_drops_the_keys_that_reach_zero(field):
+    one, two = field.one, field.from_int(2)
+    half = field.inv(two)
+    out = {0: one, 1: two, 3: one}
+    x = {1: one, 2: one, 3: two}
+    same = out
+    assert axpy(field, out, field.neg(two), x) is None
+    # key 1 reached zero and is gone; key 2 is new; x is untouched
+    assert out is same and out == {0: one, 2: field.neg(two), 3: field.sub(one, field.from_int(4))}
+    assert x == {1: one, 2: one, 3: two}
+    axpy(field, out, field.neg(half), {3: field.mul(two, out[3])})
+    assert out == {0: one, 2: field.neg(two)}
+    axpy(field, out, half, {})
+    assert out == {0: one, 2: field.neg(two)}
+    assert all(out.values())
+
+
+def test_axpy_over_q_keeps_fractions_exact():
+    out = {0: Fraction(1, 3)}
+    axpy(QQ, out, Fraction(1, 2), {0: Fraction(-2, 3), 1: 1})
+    assert out == {1: Fraction(1, 2)}

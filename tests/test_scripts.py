@@ -98,3 +98,19 @@ def test_stage_times_on_zigzag_a3(tmp_path, capsys):
         f"axiom {axiom}" for axiom, _ in AXIOMS
     }
     assert rec["hom_space_calls"]["D"] > 0
+
+
+def test_stage_times_reports_the_median_of_its_samples(monkeypatch):
+    stages = load("stage_times")
+    samples = iter([(0.3, 20.0), (0.1, 22.0), (0.2, 21.0)])
+
+    def child(spec):
+        t, hwm = next(samples)
+        return {"dim": 10, "failed_axioms": [], "stages": {"build": t, "D": 2 * t},
+                "hom_space_calls": {"D": 4}, "vm_hwm_mib": hwm}
+
+    monkeypatch.setattr(stages, "child", child)
+    rec = stages.sampled("zigzag:A:3")
+    assert rec["samples"] == stages.SAMPLES == 3
+    assert rec["stages"] == {"build": 0.2, "D": 0.4}
+    assert rec["vm_hwm_mib"] == 21.0 and rec["hom_space_calls"] == {"D": 4}
