@@ -18,10 +18,12 @@ usl2's kernel looks its products up by shape.  The table keeps what the
 kernel returns and only normalizes zeros: a zero coefficient is filtered
 out of a copy, and an empty product is stored as ZERO_PRODUCT.
 
-A module stores the action matrices of the basis elements that act by
-nonzero, and nothing for the rest; hom spaces, radicals, composition
-multiplicities and Peirce dimensions dim eAf are computed by exact linear
-algebra over the table's field.
+A module stores the actions of the basis elements that act by nonzero, as
+sparse column maps {col: {row: scalar}}, and nothing for the rest.  Hom
+spaces, radicals, submodules, quotients, composition multiplicities and
+Peirce dimensions dim eAf are computed on sparse vectors by exact linear
+algebra over the table's field: linalg.Echelon for elimination and
+linalg.axpy for every sum, with no dense matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections.abc import Callable
 from types import MappingProxyType
 
 from .field import Field, field_from_str, field_to_str
-from .linalg import Echelon, Matrix, axpy, from_columns, stack_rows
+from .linalg import Echelon, apply, axpy, transpose
 
 
 class AlgebraMismatch(Exception):
@@ -312,88 +314,96 @@ def unit_element(alg: AlgebraTable, idempotents: list[Element]) -> Element:
 
 class RepModule:
     """Left module: its dimension and action[i] = rho(b_i) for each basis index
-    i that acts by nonzero.  An index with no entry acts by zero; zero
-    matrices are dropped here, which is the only zero test an action gets."""
+    i that acts by nonzero, as a sparse column map {col: {row: scalar}} that
+    holds no zero entry and no empty column.  An index with no entry acts by
+    zero; the builders keep their maps sparse, and an empty map is dropped
+    here, which is the only zero test an action gets."""
 
-    def __init__(self, alg: AlgebraTable, dim: int, action: dict[int, Matrix]):
+    def __init__(self, alg: AlgebraTable, dim: int, action: dict[int, dict]):
         self.alg = alg
         self.dim = dim
-        self.action = {i: A for i, A in action.items() if not A.is_zero()}
+        self.action = {i: A for i, A in action.items() if A}
 
-    def act(self, x: Element) -> Matrix:
+    def act(self, x: Element) -> dict:
+        """rho(x) as a sparse column map: one axpy per column of each term."""
         f = self.alg.field
-        out = [f.zero] * (self.dim * self.dim)
+        out: dict[int, dict] = {}
         for i, c in x.coeffs.items():
-            A = self.action.get(i)
-            if A is None:
-                continue
-            for t, a in enumerate(A.entries):
-                if a:
-                    out[t] = f.add(out[t], f.mul(c, a))
-        return Matrix(f, self.dim, self.dim, out)
+            for col, v in self.action.get(i, {}).items():
+                axpy(f, out.setdefault(col, {}), c, v)
+        return {col: v for col, v in out.items() if v}
+
+    def rank(self, x: Element) -> int:
+        """The rank of rho(x), eliminated over its columns."""
+        return Echelon(self.alg.field, self.dim, self.act(x).values()).rank
 
 
-def _span_module(alg: AlgebraTable, ech: Echelon, act, indices) -> tuple[list[list], RepModule]:
+def _span_module(alg: AlgebraTable, ech: Echelon, images, indices) -> RepModule:
     """Module structure on the row space of `ech`, which must be stable.
 
-    The basis is the RREF rows; `act(i, B)` returns the images under basis
-    element i of the columns of B, and only the given indices act (every
-    other one must act by zero).  Basis vector j is 1 at pivot column p_j
-    and every other basis vector is 0 there, so the coordinates of an image
-    in the span are its entries at the pivot columns.  Returns (basis rows,
-    module).
+    The basis is the RREF rows; `images(i)` returns the images of the basis
+    rows under basis element i as sparse vectors, and only the given indices
+    act (every other one must act by zero).  Basis vector j is 1 at pivot
+    column p_j and every other basis vector is 0 there, so the coordinates
+    of an image in the span are its entries at the pivot columns, and the
+    image lies in the span exactly when `ech` reduces it to zero.
     """
-    f = alg.field
-    red = ech.matrix()
-    B = red.transpose()
-    pivots = ech.pivots()
+    where = {p: k for k, p in enumerate(ech.pivots())}
     action = {}
     for i in indices:
-        img = act(i, B)
-        X = Matrix(f, len(pivots), len(pivots), [x for p in pivots for x in img.row(p)])
-        if B @ X != img:
-            raise AlgebraMismatch("subspace is not action-stable")
-        action[i] = X
-    return red.to_rows(), RepModule(alg, len(pivots), action)
+        A = {}
+        for j, v in enumerate(images(i)):
+            if ech.reduce(v):
+                raise AlgebraMismatch("subspace is not action-stable")
+            col = {where[p]: x for p, x in v.items() if p in where}
+            if col:
+                A[j] = col
+        action[i] = A
+    return RepModule(alg, len(where), action)
 
 
-def _restrict_action(M: RepModule, vectors) -> tuple[list[list], RepModule]:
+def _restrict_action(M: RepModule, vectors) -> RepModule:
     """The submodule of M spanned by the given vectors (must be stable)."""
-    ech = Echelon(M.alg.field, M.dim, vectors)
-    return _span_module(M.alg, ech, lambda i, B: M.action[i] @ B, M.action)
+    f = M.alg.field
+    ech = Echelon(f, M.dim, vectors)
+    basis = ech.rows()
+    return _span_module(M.alg, ech, lambda i: [apply(f, M.action[i], u) for u in basis], M.action)
 
 
-def quotient_module(M: RepModule, sub_vectors: list[list]) -> tuple[RepModule, Matrix]:
-    """Quotient of M by the span of sub_vectors; returns (module, projection).
+def quotient_module(M: RepModule, sub_vectors: list[list]) -> tuple[RepModule, dict]:
+    """Quotient of M by the span of sub_vectors; returns (module, projection),
+    the projection a sparse column map from M to the quotient.
 
-    Quotient coordinates are the non-pivot coordinates of the relation rref:
-    each pivot coordinate pc satisfies e_pc == -sum_f red[r,f] e_f mod N.
+    Quotient coordinates are the non-pivot coordinates of the relation RREF,
+    quotient basis vector k lifting to e_free[k]: each pivot coordinate pc
+    satisfies e_pc == -sum_f red[pc][f] e_f mod N.
     """
     f = M.alg.field
-    if not sub_vectors:
-        P = Matrix.identity(f, M.dim)
-        return RepModule(M.alg, M.dim, M.action), P
-    red, pivots = Matrix.from_rows(f, sub_vectors).rref()
+    ech = Echelon(f, M.dim, sub_vectors)
+    pivots = ech.pivots()
     pivset = set(pivots)
-    free = [j for j in range(M.dim) if j not in pivset]
-    proj_rows = []
-    for fi in free:
-        row = [f.zero] * M.dim
-        row[fi] = f.one
-        for r, pc in enumerate(pivots):
-            row[pc] = f.neg(red[r, fi])
-        proj_rows.append(row)
-    P = Matrix.from_rows(f, proj_rows) if free else Matrix(f, 0, M.dim, [])
-    S = from_columns(f, [[f.one if i == fi else f.zero for i in range(M.dim)] for fi in free], M.dim)
-    action = {i: P @ A @ S for i, A in M.action.items()}
-    return RepModule(M.alg, len(free), action), P
+    where = {j: k for k, j in enumerate(j for j in range(M.dim) if j not in pivset)}
+    P = {j: {k: f.one} for j, k in where.items()}
+    for pc, row in zip(pivots, ech.rows()):
+        col = {where[j]: f.neg(x) for j, x in row.items() if j != pc}
+        if col:
+            P[pc] = col
+    action = {
+        i: {where[j]: v for j, col in A.items() if j in where and (v := apply(f, P, col))}
+        for i, A in M.action.items()
+    }
+    return RepModule(M.alg, len(where), action), P
 
 
-def hom_space(M: RepModule, N: RepModule) -> list[Matrix]:
-    """Basis of {X : X rho_M(g) = rho_N(g) X for all generators g}.
+def hom_space(M: RepModule, N: RepModule) -> list[dict]:
+    """Basis of {X : X rho_M(g) = rho_N(g) X for all generators g}, each X a
+    sparse column map from M to N.
 
     Without registered generators, g runs over the basis elements that act
-    by nonzero on M or on N: the rest impose 0 = 0.
+    by nonzero on M or on N: the rest impose 0 = 0.  The unknowns are the
+    X[r][c], flattened r*nm+c; the constraint at (r, c) is built from the
+    nonzeros of column c of rho_M(g) and of row r of rho_N(g), and a place
+    where both are empty imposes nothing.
     """
     alg = M.alg
     if M.alg is not N.alg:
@@ -403,38 +413,45 @@ def hom_space(M: RepModule, N: RepModule) -> list[Matrix]:
     if nm == 0 or nn == 0:
         return []
     if alg.generators is None:
-        zm, zn = Matrix.zero(f, nm, nm), Matrix.zero(f, nn, nn)
-        pairs = [(M.action.get(i, zm), N.action.get(i, zn)) for i in sorted(M.action.keys() | N.action.keys())]
+        pairs = [(M.action.get(i, {}), N.action.get(i, {})) for i in sorted(M.action.keys() | N.action.keys())]
     else:
-        acts = ((M.act(g), N.act(g)) for _, g in alg.generators)
-        pairs = [(A, B) for A, B in acts if not (A.is_zero() and B.is_zero())]
+        pairs = [(A, B) for A, B in ((M.act(g), N.act(g)) for _, g in alg.generators) if A or B]
     nunk = nn * nm
     ech = Echelon(f, nunk)
     for A, B in pairs:
-        # constraint: X A - B X = 0, unknowns X[r][c] flattened r*nm+c
+        b_rows = transpose(B)
         for r in range(nn):
-            for c in range(nm):
-                row = {r * nm + k: A[k, c] for k in range(nm) if A[k, c]}
-                for k in range(nn):
-                    b = B[r, k]
-                    if b:
-                        j = k * nm + c
-                        row[j] = f.sub(row.get(j, f.zero), b)
+            # X A - B X at (r, c): X[r][k] A[k][c] less B[r][k] X[k][c]
+            base = r * nm
+            minus_b = [(k * nm, f.neg(b)) for k, b in b_rows.get(r, {}).items()]
+            for c in range(nm) if minus_b else A:
+                row = {base + k: a for k, a in A.get(c, {}).items()}
+                for kb, b in minus_b:
+                    j = kb + c
+                    row[j] = f.add(row.get(j, f.zero), b)
                 ech.insert(row)
         if ech.rank == nunk:
             return []
-    return [Matrix(f, nn, nm, v) for v in ech.nullspace_basis()]
+    homs = []
+    for v in ech.nullspace_basis():
+        X: dict[int, dict] = {}
+        for j, x in enumerate(v):
+            if x:
+                r, c = divmod(j, nm)
+                X.setdefault(c, {})[r] = x
+        homs.append(X)
+    return homs
 
 
-def radical_of_module(M: RepModule, simples: list[RepModule]) -> tuple[list[list[Matrix]], RepModule]:
+def radical_of_module(M: RepModule, simples: list[RepModule]) -> tuple[list[list[dict]], RepModule]:
     """rad M, the intersection of the kernels of all maps to the given
-    (complete) simples; returns (the basis of Hom(M, L) for each simple L,
-    rad M)."""
+    (complete) simples, eliminated over the rows of the maps; returns (the
+    basis of Hom(M, L) for each simple L, rad M)."""
     homs = [hom_space(M, L) for L in simples]
-    maps = [h for hs in homs for h in hs]
-    if not maps:
+    rows = [row for hs in homs for X in hs for row in transpose(X).values()]
+    if not rows:
         return homs, M
-    return homs, _restrict_action(M, stack_rows(M.alg.field, maps).nullspace_basis())[1]
+    return homs, _restrict_action(M, Echelon(M.alg.field, M.dim, rows).nullspace_basis())
 
 
 def composition_multiplicities(M: RepModule, simples: list[RepModule], end_dims: list[int]) -> list[int]:
@@ -506,17 +523,15 @@ def peirce_dims(alg: AlgebraTable, idems: list[Element]) -> list[list[int]]:
 def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:
     """The left module R*e on the RREF basis of {b_i * e}, b_i acting by the
     algebra product; the tests' reference for P(lambda) = A e_lambda."""
-    f = alg.field
     n = alg.dim
-    ech = Echelon(f, n, ((alg.basis_element(i) * e).coeffs for i in range(n)))
-    basis = [alg.element(dict(enumerate(v))) for v in ech.matrix().to_rows()]
+    ech = Echelon(alg.field, n, ((alg.basis_element(i) * e).coeffs for i in range(n)))
+    basis = [alg.element(v) for v in ech.rows()]
 
-    def act(i, B):  # the columns of B are `basis`
+    def images(i):
         x = alg.basis_element(i)
-        prods = [(x * y).coeffs for y in basis]
-        return from_columns(f, [[p.get(r, f.zero) for r in range(n)] for p in prods], n)
+        return [(x * y).coeffs for y in basis]
 
-    return _span_module(alg, ech, act, range(n))[1]
+    return _span_module(alg, ech, images, range(n))
 
 
 # --- serialization ----------------------------------------------------------

@@ -401,25 +401,26 @@ def cell_module(d: CellDatum, lam) -> CellModule:
     column gives the same matrix.
     """
     alg = d.alg
-    f = alg.field
     Ms = d.M[lam]
     pos = {S: i for i, S in enumerate(Ms)}
-    m = len(Ms)
     T = Ms[0]
     cols = _columns(d, lam)
+    basis = alg.basis
     action = {}
     for i in range(alg.dim):
         column = cols.get((alg.right_block[i], T))
         if column is None:  # masked against the column, so a acts as zero
             continue
-        mat = [[f.zero] * m for _ in range(m)]
+        A = action[i] = {}
         for S, j in column:
-            for k, c in alg.mult_basis(i, j).items():
-                klab = alg.basis[k]
-                if klab.lam == lam and klab.T == T:
-                    mat[pos[klab.S]][pos[S]] = c
-        action[i] = Matrix.from_rows(f, mat)
-    return CellModule(lam, RepModule(alg, m, action), list(Ms))
+            col = {
+                pos[klab.S]: c
+                for k, c in alg.mult_basis(i, j).items()
+                if (klab := basis[k]).lam == lam and klab.T == T
+            }
+            if col:
+                A[pos[S]] = col
+    return CellModule(lam, RepModule(alg, len(Ms), action), list(Ms))
 
 
 GramForm = namedtuple("GramForm", "lam matrix")
@@ -505,7 +506,7 @@ def decomposition_matrix(d: CellDatum, ss: SimpleSet | None = None) -> list[list
                 continue
             estar = e.star()
             for ri, mu in enumerate(d.X):
-                rk = ss.cell_modules[mu].rep.act(estar).rank()
+                rk = ss.cell_modules[mu].rep.rank(estar)
                 if rk != D[ri][ci]:
                     raise RouteMismatch(
                         f"[Delta({mu}):L({lam})] = {D[ri][ci]} but rank(e*|Delta) = {rk}"
@@ -543,14 +544,6 @@ def decomposition_support_ok(d: CellDatum, ss: SimpleSet, D: list[list[int]]) ->
             if not any(d.orders[a].less(mu, lam) for a in candidates):
                 return False
     return True
-
-
-def int_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
-
-
-def int_transpose(A: list[list[int]]) -> list[list[int]]:
-    return [list(r) for r in zip(*A)]
 
 
 def int_gram(D: list[list[int]], width: int) -> list[list[int]]:
@@ -593,7 +586,7 @@ def cartan_matrix(d: CellDatum, ss: SimpleSet | None = None, D: list[list[int]] 
         mults = [{a: 1} for a in range(len(X0))]
     else:
         idems, names = d.E, [f"E[{a}]" for a in range(len(d.E))]
-        mults = [{i: Fraction(L.act(e).rank(), c) for i, (L, c) in enumerate(zip(simples, ends))} for e in idems]
+        mults = [{i: Fraction(L.rank(e), c) for i, (L, c) in enumerate(zip(simples, ends))} for e in idems]
     P = peirce_dims(d.alg, idems)
     for a, row in enumerate(P):
         for b, got in enumerate(row):

@@ -11,10 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class FieldMismatch(Exception):
-    """Raised when two structures over different fields are combined."""
-
-
 class UnsupportedBinomial(Exception):
     """Raised for binomial_mod with k >= p over F_p (k! not invertible)."""
 
@@ -60,10 +56,6 @@ class Field:
     # for both Fraction and int, which the hot loops rely on
     zero = None
     one = None
-
-    def check_same(self, other: "Field"):
-        if self != other:
-            raise FieldMismatch(f"mixed fields {self} and {other}")
 
     # serialization of scalars (exact round-trip)
     def scalar_to_str(self, a) -> str:

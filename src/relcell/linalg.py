@@ -1,12 +1,14 @@
-"""Dense exact matrices, the one elimination kernel and the one sparse
-accumulation behind them.
+"""Dense exact matrices for the Gram forms, the one elimination kernel and
+the one sparse accumulation behind them.
 
 `Echelon` keeps an incrementally built reduced row echelon form over any
-field; `Matrix.rref`, `rank`, `nullspace_basis` and `det` are all
-read off it, as are the hom spaces and submodules in `algebra`.  `axpy`,
-out += a * x on sparse dicts, reduces its rows and sums algebra elements
-and products.  Exactness is the only requirement, so there are no
-fraction-free tricks.
+field, its rows sparse {column: scalar} dicts; `Matrix.rref`, `rank`,
+`nullspace_basis` and `det` are all read off it, and the module code in
+`algebra` inserts and reduces sparse vectors with it directly.  `axpy`,
+out += a * x on sparse dicts, reduces its rows, sums algebra elements and
+products, and applies linear maps stored as sparse column maps
+{column: {row: scalar}} (`apply`, `transpose`).  Exactness is the only
+requirement, so there are no fraction-free tricks.
 """
 
 from __future__ import annotations
@@ -45,26 +47,12 @@ class Matrix:
     def from_int_rows(cls, field: Field, rows) -> "Matrix":
         return cls.from_rows(field, [[field.from_int(x) for x in r] for r in rows])
 
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        e = [field.zero] * (n * n)
-        for i in range(n):
-            e[i * n + i] = field.one
-        return cls(field, n, n, e)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
 
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other):
         return (
@@ -74,47 +62,12 @@ class Matrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
         return not any(self.entries)
-
-    def _check_compat(self, other: "Matrix"):
-        self.field.check_same(other.field)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        self._check_compat(other)
-        if self.cols != other.rows:
-            raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
-        out = [f.zero] * (self.rows * other.cols)
-        oc = other.cols
-        for i in range(self.rows):
-            arow = self.row(i)
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = other.entries[k * oc : (k + 1) * oc]
-                base = i * oc
-                for j, b in enumerate(brow):
-                    if b:
-                        out[base + j] = f.add(out[base + j], f.mul(a, b))
-        return Matrix(f, self.rows, other.cols, out)
-
-    __matmul__ = matmul
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def _echelon(self) -> "Echelon":
         return Echelon(self.field, self.cols, map(self.row, range(self.rows)))
@@ -182,6 +135,23 @@ class Echelon:
     def pivots(self) -> tuple:
         return tuple(sorted(self._rows))
 
+    def rows(self) -> list[dict]:
+        """The stored rows, sparse, in pivot order: the nonzero rows of the RREF."""
+        return [self._rows[c] for c in self.pivots()]
+
+    def reduce(self, row) -> dict:
+        """A new sparse dict: row, given densely or as a sparse {column:
+        scalar} dict, minus its combination of the stored rows; empty
+        exactly when row lies in their span."""
+        f = self.field
+        rows = self._rows
+        row = {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+        # stored rows vanish at every other pivot, so the pivot entries of
+        # `row` are not changed by eliminating the ones before them
+        for c in [c for c in row if c in rows]:
+            axpy(f, row, f.neg(row[c]), rows[c])
+        return row
+
     def insert(self, row):
         """Add a row, given densely or as a sparse {column: scalar} dict.
 
@@ -191,11 +161,7 @@ class Echelon:
         """
         f = self.field
         rows = self._rows
-        row = {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
-        # stored rows vanish at every other pivot, so the pivot entries of
-        # `row` are not changed by eliminating the ones before them
-        for c in [c for c in row if c in rows]:
-            axpy(f, row, f.neg(row[c]), rows[c])
+        row = self.reduce(row)
         if not row:
             return None
         c = min(row)
@@ -214,9 +180,9 @@ class Echelon:
         """The nonzero rows of the RREF, in pivot order."""
         f = self.field
         entries = []
-        for c in self.pivots():
+        for row in self.rows():
             dense = [f.zero] * self.width
-            for j, x in self._rows[c].items():
+            for j, x in row.items():
                 dense[j] = x
             entries.extend(dense)
         return Matrix(f, self.rank, self.width, entries)
@@ -248,20 +214,21 @@ def axpy(f: Field, out: dict, a, x: dict) -> None:
             out.pop(k, None)
 
 
-def stack_rows(field: Field, matrices) -> Matrix:
-    mats = list(matrices)
-    if not mats:
-        raise ShapeMismatch("nothing to stack")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ShapeMismatch("column mismatch in stack")
-    rows = []
-    for m in mats:
-        rows.extend(m.to_rows())
-    return Matrix.from_rows(field, rows) if rows else Matrix(field, 0, cols, [])
+def apply(f: Field, A: dict, v: dict) -> dict:
+    """A v for a sparse column map A = {column: {row: scalar}} and a sparse
+    vector v: one axpy per term of v whose column A holds."""
+    out: dict = {}
+    for c, x in v.items():
+        col = A.get(c)
+        if col:
+            axpy(f, out, x, col)
+    return out
 
 
-def from_columns(field: Field, columns, nrows: int) -> Matrix:
-    cols = list(columns)
-    return Matrix.from_rows(field, [[c[i] for c in cols] for i in range(nrows)]) \
-        if cols else Matrix(field, nrows, 0, [])
+def transpose(A: dict) -> dict:
+    """The rows {row: {column: scalar}} of a sparse column map."""
+    out: dict = {}
+    for c, col in A.items():
+        for r, x in col.items():
+            out.setdefault(r, {})[c] = x
+    return out

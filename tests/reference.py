@@ -7,7 +7,7 @@ so that `src` holds only what the pipeline uses.
 from relcell.algebra import AlgebraTable, BasisLabel, Element, RepModule
 from relcell.diagrams import DOWN, UP, _tag, rotate_cup, rotate_weight, trace_circle
 from relcell.field import PrimeField
-from relcell.linalg import Echelon, Matrix
+from relcell.linalg import Echelon, Matrix, ShapeMismatch
 
 
 # --- scalars times elements and matrices ----------------------------------------
@@ -23,20 +23,61 @@ def scale_matrix(A: Matrix, c) -> Matrix:
     return Matrix(f, A.rows, A.cols, [f.mul(c, a) for a in A.entries])
 
 
+# --- dense matrices: the reference for the sparse module layer --------------------
+
+
+def as_matrix(f, nrows: int, ncols: int, A: dict) -> Matrix:
+    """The dense Matrix of a sparse column map {col: {row: scalar}}: a module
+    action, an `act` result or a hom."""
+    entries = [f.zero] * (nrows * ncols)
+    for c, col in A.items():
+        for r, x in col.items():
+            entries[r * ncols + c] = x
+    return Matrix(f, nrows, ncols, entries)
+
+
+def matmul(A: Matrix, B: Matrix) -> Matrix:
+    """The dense product A B, entry by entry."""
+    if A.cols != B.rows:
+        raise ShapeMismatch(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
+    f = A.field
+    out = []
+    for i in range(A.rows):
+        for j in range(B.cols):
+            total = f.zero
+            for k in range(A.cols):
+                total = f.add(total, f.mul(A[i, k], B[k, j]))
+            out.append(total)
+    return Matrix(f, A.rows, B.cols, out)
+
+
+def transpose(A: Matrix) -> Matrix:
+    return Matrix(A.field, A.cols, A.rows, [A[i, j] for j in range(A.cols) for i in range(A.rows)])
+
+
+def int_matmul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def int_transpose(A: list[list[int]]) -> list[list[int]]:
+    return [list(r) for r in zip(*A)]
+
+
 # --- modules ---------------------------------------------------------------------
 
 
 def check_action(M: RepModule, pairs=None) -> bool:
     """rho(x) rho(y) == rho(xy) on the given (default: all) basis pairs."""
     alg = M.alg
-    n = alg.dim
+    f, n, m = alg.field, alg.dim, M.dim
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(n)]
-    zero = Matrix.zero(alg.field, M.dim, M.dim)
+    rho = {i: as_matrix(f, m, m, A) for i, A in M.action.items()}
+    zero = as_matrix(f, m, m, {})
     for i, j in pairs:
-        A, B = M.action.get(i), M.action.get(j)
-        lhs = zero if A is None or B is None else A @ B
-        if lhs != M.act(alg.element(alg.mult_basis(i, j))):
+        A, B = rho.get(i), rho.get(j)
+        lhs = zero if A is None or B is None else matmul(A, B)
+        if lhs != as_matrix(f, m, m, M.act(alg.element(alg.mult_basis(i, j)))):
             return False
     return True
 

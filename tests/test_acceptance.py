@@ -28,8 +28,6 @@ from relcell.celldata import (
     cartan_matrix,
     decomposition_matrix,
     det_int,
-    int_matmul,
-    int_transpose,
     is_semisimple,
     simple_set,
     verify_cell_datum,
@@ -43,6 +41,8 @@ from relcell.zigzag import (
     build_zigzag,
     reversed_order_datum,
 )
+
+from reference import int_matmul, int_transpose
 
 EXPECTED_CARTAN = {
     "zigzag:A:3": [[2, 1, 0], [1, 2, 1], [0, 1, 2]],

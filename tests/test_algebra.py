@@ -20,12 +20,20 @@ from relcell.algebra import (
     table_to_json,
     unit_element,
 )
-from relcell.celldata import cell_module, report_dict, simple_set, verify_cell_datum
+from relcell.celldata import (
+    cartan_matrix,
+    cell_module,
+    decomposition_matrix,
+    int_gram,
+    report_dict,
+    simple_set,
+    verify_cell_datum,
+)
 from relcell.families import build_family
 from relcell.field import QQ, PrimeField
 from relcell.linalg import Matrix
 
-from reference import check_action, scale_matrix
+from reference import as_matrix, check_action, scale_matrix
 
 
 def check_associativity(alg, limit=30, samples=10_000, seed=0):
@@ -90,11 +98,10 @@ def test_star_antihom_small(zigzag_a3, zigzag_cycl3, u3, k1):
 def test_hom_space_contains_identity(u3):
     alg, d = u3
     delta = cell_module(d, 1).rep
-    homs = hom_space(delta, delta)
     f = alg.field
-    from relcell.linalg import Matrix
-
-    ident = Matrix.identity(f, delta.dim)
+    n = delta.dim
+    homs = [as_matrix(f, n, n, X) for X in hom_space(delta, delta)]
+    ident = as_matrix(f, n, n, {i: {i: f.one} for i in range(n)})
     # identity must be in the span: End contains it; here End is 1-dimensional
     assert len(homs) == 1
     scale = None
@@ -156,9 +163,9 @@ def dense_hom_space(M, N, acts_M=None, acts_N=None):
     alg = M.alg
     f = alg.field
     basis = [alg.basis_element(i) for i in range(alg.dim)]
-    acts_M = acts_M or [M.act(x) for x in basis]
-    acts_N = acts_N or [N.act(x) for x in basis]
     nm, nn = M.dim, N.dim
+    acts_M = acts_M or [as_matrix(f, nm, nm, M.act(x)) for x in basis]
+    acts_N = acts_N or [as_matrix(f, nn, nn, N.act(x)) for x in basis]
     rows = []
     for A, B in zip(acts_M, acts_N):
         for r in range(nn):
@@ -172,12 +179,66 @@ def dense_hom_space(M, N, acts_M=None, acts_N=None):
     return [Matrix(f, nn, nm, v) for v in Matrix.from_rows(f, rows).nullspace_basis()]
 
 
+def dense_homs(M, N):
+    """hom_space(M, N) as dense Matrices."""
+    return [as_matrix(M.alg.field, N.dim, M.dim, X) for X in hom_space(M, N)]
+
+
 @pytest.mark.parametrize("family", SPARSE_FAMILIES)
 def test_modules_store_only_nonzero_actions(family, request):
     alg, d = request.getfixturevalue(family)
     for M in cell_and_simple_modules(d):
-        assert all(not A.is_zero() for A in M.action.values())
+        assert all(not as_matrix(alg.field, M.dim, M.dim, A).is_zero() for A in M.action.values())
         assert check_action(M)
+
+
+def sparse_map_ok(A):
+    """A sparse column map holds no empty column and no zero scalar."""
+    return all(col and all(col.values()) for col in A.values())
+
+
+@pytest.mark.parametrize("family", SPARSE_FAMILIES)
+def test_actions_hold_no_zero_scalar_and_no_empty_column(family, request):
+    # every builder: cell modules, quotients (the simples), radicals and left ideals
+    alg, d = request.getfixturevalue(family)
+    ss = simple_set(d)
+    simples = [ss.modules[lam] for lam in ss.X0]
+    cells = [ss.cell_modules[lam].rep for lam in d.X]
+    modules = cells + simples + [radical_of_module(M, simples)[1] for M in cells]
+    modules += [left_ideal_module(alg, e) for e in d.E]
+    elements = d.E + [alg.basis_element(i) for i in range(alg.dim)]
+    for M in modules:
+        assert all(A and sparse_map_ok(A) for A in M.action.values())
+        assert all(sparse_map_ok(M.act(x)) for x in elements)
+    for M in cells:
+        for L in simples:
+            assert all(X and sparse_map_ok(X) for X in hom_space(M, L))
+
+
+def test_act_drops_a_column_that_cancels(zigzag_a3):
+    alg, _ = zigzag_a3
+    f = alg.field
+    one, minus_one = f.one, f.neg(f.one)
+    M = RepModule(alg, 2, {0: {0: {1: one}}, 1: {0: {1: minus_one}, 1: {0: one}}, 2: {}})
+    assert set(M.action) == {0, 1}
+    assert M.act(alg.element({0: one, 1: one})) == {1: {0: one}}
+    assert M.act(alg.element({0: one, 2: one})) == {0: {1: one}}
+
+
+@pytest.mark.parametrize("spec", ["zigzag:cycL:4", "usl2:p=5", "annular:n=2"])
+def test_module_layer_reads_no_dense_matrix(spec, monkeypatch):
+    # the Gram forms stay dense; nothing multiplies or indexes a Matrix
+    alg, d = build_family(spec)
+
+    def refuse(*args):
+        raise AssertionError("dense Matrix arithmetic in the module layer")
+
+    for name in ("matmul", "__matmul__", "__getitem__"):
+        monkeypatch.setattr(Matrix, name, refuse, raising=False)
+    ss = simple_set(d)
+    D = decomposition_matrix(d, ss)
+    C, _, _ = cartan_matrix(d, ss, D)
+    assert C == int_gram(D, len(ss.X0))
 
 
 @pytest.mark.parametrize("family", SPARSE_FAMILIES)
@@ -187,7 +248,7 @@ def test_hom_space_matches_dense_reference(family, request):
     modules = cell_and_simple_modules(d)
     for M in modules:
         for N in modules:
-            assert hom_space(M, N) == dense_hom_space(M, N)
+            assert dense_homs(M, N) == dense_hom_space(M, N)
 
 
 def test_dropped_action_is_caught(zigzag_a3):
@@ -198,8 +259,8 @@ def test_dropped_action_is_caught(zigzag_a3):
     mutant = RepModule(alg, delta.dim, {i: A for i, A in delta.action.items() if i != k})
     assert check_action(delta) and not check_action(mutant)
     # the identity Delta -> Delta stops intertwining once b_k acts by zero
-    honest = [delta.act(alg.basis_element(i)) for i in range(alg.dim)]
-    assert hom_space(mutant, delta) != dense_hom_space(mutant, delta, honest, honest)
+    honest = [as_matrix(alg.field, delta.dim, delta.dim, delta.act(alg.basis_element(i))) for i in range(alg.dim)]
+    assert dense_homs(mutant, delta) != dense_hom_space(mutant, delta, honest, honest)
 
 
 def test_quotient_module_dims(u3):

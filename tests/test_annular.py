@@ -406,9 +406,9 @@ def test_k1_gram_matrices(k1):
     one, zero = QQ.one, QQ.zero
     # M(v^) = [staying, wrapping]: only the staying self-pairing survives
     g = gram_matrix(d, "v^").matrix
-    assert g.to_rows() == [[one, zero], [zero, zero]]
+    assert [list(g.row(i)) for i in range(g.rows)] == [[one, zero], [zero, zero]]
     g = gram_matrix(d, "^v").matrix
-    assert g.to_rows() == [[zero, zero], [zero, one]]
+    assert [list(g.row(i)) for i in range(g.rows)] == [[zero, zero], [zero, one]]
 
 
 def test_k1_hom_between_cell_modules(k1):

@@ -350,6 +350,9 @@ VERIFY_JSON_DIGESTS = [
     ("usl2:p=7", 1548, "4ef4b1146044a18e74dacaa85d142fdcbe37c5304f7281acd28f2966b5433218"),
     ("annular:n=1", 847, "4b98ec8cf1dd2f9dd24a40a4b55dbc28899b9c36c5d6d3c6881fe5c92f5b459e"),
     ("annular:n=2", 1395, "d2061a41c67fb9152eef4a104c21ef0afd4ef480b789adf8b1d4c462cd73051f"),
+    # radical series on larger modules than the table families reach
+    ("usl2:p=11", 2548, "35f3ac04c8f3491b7a9ae76c0dc3e22a5b068f79ce3e9e63106327a57f986e03"),
+    ("zigzag:cycL:6", 1359, "376574b00fb3e2490f3cdceda2f4fe6bd2fea7f59000d296b1d4ced98ec6f014"),
 ]
 
 

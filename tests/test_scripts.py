@@ -114,3 +114,14 @@ def test_stage_times_reports_the_median_of_its_samples(monkeypatch):
     assert rec["samples"] == stages.SAMPLES == 3
     assert rec["stages"] == {"build": 0.2, "D": 0.4}
     assert rec["vm_hwm_mib"] == 21.0 and rec["hom_space_calls"] == {"D": 4}
+
+
+def test_stage_times_compiles_relcell_once_before_its_children(monkeypatch, capsys):
+    stages = load("stage_times")
+    events = []
+    monkeypatch.setattr(stages.compileall, "compile_dir", lambda path, **kw: events.append(("compile", path)) or True)
+    monkeypatch.setattr(stages, "child", lambda spec: events.append(("child", spec)) or {"error": "stub"})
+    assert stages.main(["zigzag:A:3", "usl2:p=3"]) == 1
+    assert events[0] == ("compile", stages.relcell_dir())
+    assert [e for e in events if e[0] == "compile"] == events[:1]
+    assert [e[1] for e in events[1:]] == ["zigzag:A:3"] * stages.SAMPLES + ["usl2:p=3"] * stages.SAMPLES
