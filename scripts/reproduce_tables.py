@@ -17,14 +17,7 @@ import sys
 import time
 
 from relcell.annular import build_annular, decomposition_fastpath
-from relcell.celldata import (
-    cartan_matrix,
-    decomposition_matrix,
-    det_int,
-    is_semisimple,
-    simple_set,
-    verify_cell_datum,
-)
+from relcell.celldata import det_int, run_pipeline
 from relcell.field import QQ
 from relcell.usl2 import build_usl2, gram_diagonal_formula
 from relcell.zigzag import QuiverSpec, alternate_idempotent_datum, build_zigzag
@@ -33,26 +26,22 @@ from relcell.zigzag import QuiverSpec, alternate_idempotent_datum, build_zigzag
 def show(name, datum):
     """Print the tables of datum; (ss, D), or None when an axiom fails, since
     X0, D and C of a datum that fails its axioms would certify nothing."""
-    t0 = time.time()
-    report = verify_cell_datum(datum)
-    if not report.all_passed:
-        print(f"== {name}  (dim {datum.alg.dim}, {time.time() - t0:.1f}s)")
+    t0 = time.perf_counter()
+    res = run_pipeline(datum)
+    print(f"== {name}  (dim {datum.alg.dim}, {time.perf_counter() - t0:.1f}s)")
+    if not res["axioms"].all_passed:
         print("   axioms: FAILURES; X0, D and C skipped")
-        for r in report.results:
+        for r in res["axioms"].results:
             if not r.passed:
                 print(f"   {r}")
         return None
-    ss = simple_set(datum)
-    D = decomposition_matrix(datum, ss)
-    C, _, _ = cartan_matrix(datum, ss, D)
-    dt = time.time() - t0
-    print(f"== {name}  (dim {datum.alg.dim}, {dt:.1f}s)")
+    ss, D, (C, _, _) = res["simples"], res["D"], res["C"]
     print("   axioms: all pass")
     print(f"   X0: {ss.X0}")
     print(f"   simple dims: {[ss.dims[lam] for lam in ss.X0]}")
     print(f"   D = {D}")
     print(f"   C = {C}   det C = {det_int(C)}")
-    print(f"   semisimple: {is_semisimple(datum, ss)}")
+    print(f"   semisimple: {res['semisimple']}")
     return ss, D
 
 

@@ -4,13 +4,14 @@
 Each spec runs in SAMPLES = 3 child interpreters of its own, one after the
 other, so its peak memory is its own and every sample starts cold (a second
 run in the same process would find the lru_caches warm).  The stages are
-build (`build_family`), products (`materialize`), each axiom of
-`celldata.AXIOMS`, simples (`simple_set`), D (`decomposition_matrix`) and C
-(`cartan_matrix`); a spec whose datum fails an axiom stops after the
-axioms.  Each child also records its VmHWM, read from /proc/self/status at
-the end (null where that file does not exist), and the number of
-`hom_space` calls made in each stage.  A spec's record holds the median
-over its samples of each stage time and of the VmHWM.
+build (`build_family`), products (`materialize`), then the stages of
+`celldata.run_pipeline` through C, timed through its `run` hook: each axiom,
+simples, D and C (none after a failed axiom).  Each child also records its
+VmHWM, read from /proc/self/status at the end (null where that file does
+not exist), and the number of `hom_space` calls in each stage, which the
+hook cannot see: `hom_space` is the one thing patched, for the run only.
+A spec's record holds the median over its samples of each stage time and
+of the VmHWM.
 
     PYTHONPATH=src python3 scripts/stage_times.py [SPEC ...] [--json PATH [--label NAME]]
 
@@ -62,13 +63,12 @@ def run_stages(spec: str) -> dict:
     from relcell import algebra, celldata, families
 
     calls = [0]
-    hom_space = algebra.hom_space
+    saved = algebra.hom_space, celldata.hom_space
 
     def counted(M, N):
         calls[0] += 1
-        return hom_space(M, N)
+        return saved[0](M, N)
 
-    algebra.hom_space = celldata.hom_space = counted
     times, homs = {}, {}
 
     def stage(name, fn, *args):
@@ -79,13 +79,14 @@ def run_stages(spec: str) -> dict:
             homs[name] = calls[0] - before
         return out
 
-    alg, d = stage("build", families.build_family, spec)
-    stage("products", alg.materialize)
-    failed = [axiom for axiom, check in celldata.AXIOMS if stage(f"axiom {axiom}", check, d) is not None]
-    if not failed:
-        ss = stage("simples", celldata.simple_set, d)
-        D = stage("D", celldata.decomposition_matrix, d, ss)
-        stage("C", celldata.cartan_matrix, d, ss, D)
+    algebra.hom_space = celldata.hom_space = counted
+    try:
+        alg, d = stage("build", families.build_family, spec)
+        stage("products", alg.materialize)
+        report = celldata.run_pipeline(d, "C", stage)["axioms"]
+    finally:
+        algebra.hom_space, celldata.hom_space = saved
+    failed = [r.axiom for r in report.results if not r.passed]
     return {"dim": alg.dim, "failed_axioms": failed, "stages": times, "hom_space_calls": homs, "vm_hwm_mib": vm_hwm_mib()}
 
 

@@ -11,6 +11,7 @@ idempotent cores.
 are checked.  Every stage after it (cell modules, Gram forms, simples, D,
 C, cores) assumes a datum that passes it, and does not check again what
 the axioms certify; it checks only its own computed results.
+`run_pipeline` alone orders the stages and hands each one its inputs.
 """
 
 from __future__ import annotations
@@ -374,11 +375,17 @@ AXIOMS = (
 )
 
 
-def verify_cell_datum(d: CellDatum) -> VerificationReport:
-    """Run the full axiom suite; failures come with a concrete witness."""
+def _call(name: str, fn, *args):
+    """The default `run` hook of run_pipeline: call fn on args."""
+    return fn(*args)
+
+
+def verify_cell_datum(d: CellDatum, run=_call) -> VerificationReport:
+    """Run the full axiom suite; failures come with a concrete witness.
+    Each check runs as run(f"axiom {name}", check, d) (see run_pipeline)."""
     results = []
     for axiom, check in AXIOMS:
-        witness = check(d)
+        witness = run(f"axiom {axiom}", check, d)
         results.append(AxiomResult(axiom, witness is None, witness))
     return VerificationReport(results)
 
@@ -479,15 +486,13 @@ def simple_set(d: CellDatum) -> SimpleSet:
     return SimpleSet(X0, modules, dims, ends, cells, grams)
 
 
-def decomposition_matrix(d: CellDatum, ss: SimpleSet | None = None) -> list[list[int]]:
+def decomposition_matrix(d: CellDatum, ss: SimpleSet) -> list[list[int]]:
     """d[mu][lam] = [Delta(mu) : L(lam)], rows over X, columns over X0.
 
     Checked: d[lam][lam] = 1, d against rank(e*) on Delta(mu) for each
     registered primitive e, and the support theorem (d[mu][lam] = 0 unless
     mu = lam or mu < lam); RouteMismatch if any check fails.
     """
-    if ss is None:
-        ss = simple_set(d)
     simples = [ss.modules[lam] for lam in ss.X0]
     ends = [ss.ends[lam] for lam in ss.X0]
     D = []
@@ -563,7 +568,7 @@ def det_int(C: list[list[int]]) -> Fraction:
     return Matrix.from_int_rows(QQ, C).det()
 
 
-def cartan_matrix(d: CellDatum, ss: SimpleSet | None = None, D: list[list[int]] | None = None):
+def cartan_matrix(d: CellDatum, ss: SimpleSet, D: list[list[int]]):
     """C = D^T D, C[lam][mu] = [P(lam):L(mu)]; returns (C, D, P), P the
     Peirce ranks dim eAf that C was checked against.
 
@@ -573,10 +578,6 @@ def cartan_matrix(d: CellDatum, ss: SimpleSet | None = None, D: list[list[int]] 
     lam in X0 has one (m = delta: every entry of C is checked), else E, with
     m_e(lam) = dim e L(lam) / c(lam).  A mismatch raises ReciprocityFailure.
     """
-    if ss is None:
-        ss = simple_set(d)
-    if D is None:
-        D = decomposition_matrix(d, ss)
     X0, prims = ss.X0, d.primitive_idempotents
     C = int_gram(D, len(X0))
     simples = [ss.modules[lam] for lam in X0]
@@ -596,10 +597,8 @@ def cartan_matrix(d: CellDatum, ss: SimpleSet | None = None, D: list[list[int]] 
     return C, D, P
 
 
-def is_semisimple(d: CellDatum, ss: SimpleSet | None = None) -> bool:
+def is_semisimple(d: CellDatum, ss: SimpleSet) -> bool:
     """Every Gram form has full rank."""
-    if ss is None:
-        ss = simple_set(d)
     return all(ss.grams[lam].matrix.rank() == len(d.M[lam]) for lam in d.X)
 
 
@@ -650,6 +649,32 @@ def core_subalgebra(d: CellDatum, eps_idx: int) -> tuple[AlgebraTable, CellDatum
     return core, datum
 
 
+# The stages after the axioms: (name, its function's name in this module, the
+# earlier results it takes after d); a function rebound here is the one run.
+STAGES = (
+    ("simples", "simple_set", ()),
+    ("D", "decomposition_matrix", ("simples",)),
+    ("C", "cartan_matrix", ("simples", "D")),
+    ("semisimple", "is_semisimple", ("simples",)),
+)
+
+
+def run_pipeline(d: CellDatum, upto: str = "semisimple", run=_call) -> dict:
+    """The results on d by stage name, through the stage `upto`: "axioms"
+    (the VerificationReport), "simples" (the SimpleSet), "D", "C"
+    (cartan_matrix's (C, D, P)) and "semisimple".  Nothing after the axioms
+    runs when one fails.  Each stage runs as run(name, fn, *args), and each
+    axiom as run("axiom <name>", check, d) inside verify_cell_datum.
+    """
+    out = {"axioms": verify_cell_datum(d, run)}
+    if out["axioms"].all_passed:
+        for name, fn, needs in STAGES:
+            if upto in out:
+                break
+            out[name] = run(name, globals()[fn], d, *(out[k] for k in needs))
+    return out
+
+
 def report_dict(d: CellDatum) -> dict:
     """The JSON report: axioms, X0, simple dims, D, C, reciprocity, ss.
 
@@ -657,30 +682,18 @@ def report_dict(d: CellDatum) -> dict:
     later field is null: D and C of a datum that is not cellular would
     certify nothing.
     """
-    rep = verify_cell_datum(d)
-    doc = {
-        "axioms": [
-            {"axiom": r.axiom, "passed": r.passed, "witness": r.witness} for r in rep.results
-        ],
-        "X0": None,
-        "simple_dims": None,
-        "D": None,
-        "C": None,
-        "reciprocity_ok": None,
-        "semisimple": None,
-    }
-    if not rep.all_passed:
+    res = run_pipeline(d)
+    doc = dict.fromkeys(("X0", "simple_dims", "D", "C", "reciprocity_ok", "semisimple"))
+    doc["axioms"] = [r._asdict() for r in res["axioms"].results]
+    if not res["axioms"].all_passed:
         return doc
-    ss = simple_set(d)
-    D = decomposition_matrix(d, ss)
-    C, _, _ = cartan_matrix(d, ss, D)
+    ss = res["simples"]
     doc.update(
         X0=[str(lam) for lam in ss.X0],
         simple_dims={str(lam): ss.dims[lam] for lam in ss.X0},
-        D=D,
-        C=C,
+        D=res["D"],
+        C=res["C"][0],
         reciprocity_ok=True,  # cartan_matrix raises on a failed check
-        semisimple=is_semisimple(d, ss),
+        semisimple=res["semisimple"],
     )
     return doc
-

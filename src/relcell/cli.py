@@ -5,9 +5,9 @@
     relcell mult annular:n=1 "1-2|v^|1-2" "1-2|v^|1-2"
 
 Exit codes: 0 success / all checks pass, 1 check failure or other error, 2 usage error.
-cartan, decomp, simples, gram and core verify the cell datum's axioms before
-computing anything from it; a failed axiom exits 1 with each failing axiom
-and its witness on stderr and nothing on stdout.
+cartan, decomp, simples, gram and core verify the datum's axioms in
+celldata.run_pipeline before computing anything from it; a failed axiom exits
+1 with each failing axiom and its witness on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from .algebra import BasisLabel, table_to_json
 from .annular import frobenius_gram
 from .celldata import (
     AxiomFailure,
-    cartan_matrix,
     core_subalgebra,
-    decomposition_matrix,
     gram_matrix,
     report_dict,
-    simple_set,
+    run_pipeline,
     verify_cell_datum,
 )
 from .diagrams import circle_decomposition_dict, format_basis_label, parse_basis_label
@@ -62,11 +60,12 @@ def _scalar_rows(matrix, field):
     return [[field.scalar_to_str(matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)]
 
 
-def _require_axioms(datum):
-    """The stages after the axioms assume a datum that passes them."""
-    report = verify_cell_datum(datum)
-    if not report.all_passed:
-        raise AxiomFailure(report)
+def _pipeline(datum, upto: str) -> dict:
+    """run_pipeline through `upto`; AxiomFailure when an axiom fails."""
+    res = run_pipeline(datum, upto)
+    if not res["axioms"].all_passed:
+        raise AxiomFailure(res["axioms"])
+    return res
 
 
 def cmd_build(args) -> int:
@@ -98,23 +97,21 @@ def cmd_verify(args) -> int:
 
 def cmd_cartan(args) -> int:
     _, datum = build_family(args.family, args.max_dim)
-    _require_axioms(datum)
-    C, _, _ = cartan_matrix(datum)
+    C, _, _ = _pipeline(datum, "C")["C"]
     _emit(_matrix_text(C, args.format, f"Cartan matrix of {args.family}"), args.out)
     return 0
 
 
 def cmd_decomp(args) -> int:
     _, datum = build_family(args.family, args.max_dim)
-    _require_axioms(datum)
-    D = decomposition_matrix(datum)
+    D = _pipeline(datum, "D")["D"]
     _emit(_matrix_text(D, args.format, f"decomposition matrix of {args.family}"), args.out)
     return 0
 
 
 def cmd_gram(args) -> int:
     alg, datum = build_family(args.family, args.max_dim)
-    _require_axioms(datum)
+    _pipeline(datum, "axioms")
     blocks = []
     doc = {}
     for lam in datum.X:
@@ -133,8 +130,7 @@ def cmd_gram(args) -> int:
 
 def cmd_simples(args) -> int:
     _, datum = build_family(args.family, args.max_dim)
-    _require_axioms(datum)
-    ss = simple_set(datum)
+    ss = _pipeline(datum, "simples")["simples"]
     if args.format == "json":
         _emit(
             json.dumps(
@@ -194,7 +190,7 @@ def cmd_core(args) -> int:
     if not 0 <= args.eps < len(datum.E):
         print(f"--eps must be in [0, {len(datum.E)})", file=sys.stderr)
         return 2
-    _require_axioms(datum)
+    _pipeline(datum, "axioms")
     core, cd = core_subalgebra(datum, args.eps)
     report = verify_cell_datum(cd)
     if args.format == "json":

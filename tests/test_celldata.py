@@ -6,6 +6,7 @@ from relcell import celldata
 
 from relcell.algebra import AlgebraTable, BasisLabel
 from relcell.celldata import (
+    AXIOMS,
     CellDatum,
     RouteMismatch,
     StrictOrder,
@@ -18,6 +19,7 @@ from relcell.celldata import (
     int_gram,
     is_semisimple,
     report_dict,
+    run_pipeline,
     simple_set,
     verify_cell_datum,
 )
@@ -70,14 +72,14 @@ def test_matrix_algebra_is_semisimple():
     ss = simple_set(d)
     assert ss.X0 == [0] and ss.dims[0] == 2
     assert is_semisimple(d, ss)
-    C, D, minors = cartan_matrix(d, ss)
+    C, D, minors = cartan_matrix(d, ss, decomposition_matrix(d, ss))
     assert C == [[1]] and D == [[1]]
 
 
 def test_trivial_algebra_semisimple():
     alg, d = matrix_unit_datum(1)
     assert verify_cell_datum(d).all_passed
-    assert is_semisimple(d)
+    assert is_semisimple(d, simple_set(d))
 
 
 def test_strict_order_validation():
@@ -170,6 +172,53 @@ def test_report_schema(k1):
     assert set(doc) == {"axioms", "X0", "simple_dims", "D", "C", "reciprocity_ok", "semisimple"}
     assert doc["semisimple"] is False
     assert all(a["passed"] for a in doc["axioms"])
+
+
+def test_pipeline_runs_each_stage_in_order_through_its_hook(zigzag_a3):
+    alg, d = zigzag_a3
+    seen = []
+
+    def run(name, fn, *args):
+        seen.append(name)
+        return fn(*args)
+
+    res = run_pipeline(d, run=run)
+    assert seen == [f"axiom {axiom}" for axiom, _ in AXIOMS] + ["simples", "D", "C", "semisimple"]
+    assert set(res) == {"axioms", "simples", "D", "C", "semisimple"}
+    assert res["C"][1] == res["D"] and res["semisimple"] is False
+
+
+def test_pipeline_stops_at_upto(zigzag_a3, monkeypatch):
+    alg, d = zigzag_a3
+
+    def never(*args):
+        raise AssertionError("a stage after upto ran")
+
+    monkeypatch.setattr(celldata, "cartan_matrix", never)
+    res = run_pipeline(d, "D")
+    assert set(res) == {"axioms", "simples", "D"}
+    assert set(run_pipeline(d, "axioms")) == {"axioms"}
+
+
+def test_pipeline_stops_after_a_failed_axiom():
+    alg, bad = reversed_order_datum(QQ)
+    res = run_pipeline(bad)
+    assert set(res) == {"axioms"} and not res["axioms"].all_passed
+
+
+def test_report_computes_each_stage_once(zigzag_a3, monkeypatch):
+    # a counting wrapper bound over the module attribute, as the benchmark's tracer binds it
+    alg, d = zigzag_a3
+    calls = []
+    decomposition = celldata.decomposition_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return decomposition(*args)
+
+    monkeypatch.setattr(celldata, "decomposition_matrix", counted)
+    assert report_dict(d)["D"] == [[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    assert len(calls) == 1
 
 
 def test_right_multiplication_same_scalars(u3, k1, zigzag_cycs3):

@@ -103,7 +103,8 @@ def test_failed_axioms_refused_before_any_stage(capsys, monkeypatch, command, da
     monkeypatch.setattr(cli, "build_family", lambda *args: build())
     for stage in STAGES:
         monkeypatch.setattr(celldata, stage, never)
-        monkeypatch.setattr(cli, stage, never)
+        if hasattr(cli, stage):
+            monkeypatch.setattr(cli, stage, never)
     code, out, err = run(capsys, command, "zigzag:A:3")
     assert code == 1 and out == ""
     assert "AxiomFailure" in err and "AssertionError" not in err

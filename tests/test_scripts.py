@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from relcell import celldata
 from relcell.algebra import AlgebraTable
 from relcell.celldata import AXIOMS
 
@@ -51,15 +52,15 @@ def test_reproduce_tables_fails_on_the_fastpath(tables, monkeypatch):
 
 
 def test_reproduce_tables_fails_on_an_axiom(tables, monkeypatch, capsys):
-    verify = tables.verify_cell_datum
+    verify = celldata.verify_cell_datum
 
-    def failing(datum):
-        report = verify(datum)
+    def failing(datum, *args):
+        report = verify(datum, *args)
         if datum.name == "usl2:p=3":
             report = report._replace(results=[r._replace(passed=False, witness="x") for r in report.results])
         return report
 
-    monkeypatch.setattr(tables, "verify_cell_datum", failing)
+    monkeypatch.setattr(celldata, "verify_cell_datum", failing)
     assert tables.main() == 1
     assert "1 check(s) failed" in capsys.readouterr().out
 
@@ -98,6 +99,15 @@ def test_stage_times_on_zigzag_a3(tmp_path, capsys):
         f"axiom {axiom}" for axiom, _ in AXIOMS
     }
     assert rec["hom_space_calls"]["D"] > 0
+
+
+def test_stage_times_restores_the_hom_space_counter():
+    from relcell import algebra
+
+    hom_space = algebra.hom_space
+    rec = load("stage_times").run_stages("zigzag:A:3")
+    assert rec["hom_space_calls"] == {"simples": 3, "D": 18}
+    assert algebra.hom_space is hom_space and celldata.hom_space is hom_space
 
 
 def test_stage_times_reports_the_median_of_its_samples(monkeypatch):

@@ -9,6 +9,7 @@ from relcell.celldata import (
     core_subalgebra,
     decomposition_matrix,
     det_int,
+    run_pipeline,
     is_semisimple,
     simple_set,
     verify_cell_datum,
@@ -179,17 +180,17 @@ def test_composition_pattern(u3, u5):
 
 def test_cartan_p3(u3):
     alg, d = u3
-    C, D, minors = cartan_matrix(d)
+    C, D, minors = run_pipeline(d, "C")["C"]
     assert D == [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
     assert C == [[2, 2, 0], [2, 2, 0], [0, 0, 1]]
     assert det_int(C) == 0
-    assert not is_semisimple(d)
+    assert not is_semisimple(d, simple_set(d))
 
 
 def test_projective_top_is_verma(u3):
     # P(p-1) = Delta(p-1): the Cartan row of the top label is (0,...,0,1)
     alg, d = u3
-    C, _, _ = cartan_matrix(d)
+    C, _, _ = run_pipeline(d, "C")["C"]
     assert C[-1] == [0, 0, 1]
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from relcell.algebra import table_to_json
 from relcell.celldata import (
-    cartan_matrix,
     decomposition_matrix,
     det_int,
     is_semisimple,
+    run_pipeline,
     simple_set,
     verify_cell_datum,
 )
@@ -267,7 +267,7 @@ def test_size_guard_builds_no_msets(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_cartan_line(n):
     alg, d = build_zigzag(QuiverSpec("A", n), QQ)
-    C, D, minors = cartan_matrix(d)
+    C, D, minors = run_pipeline(d, "C")["C"]
     assert C == TRIDIAG[n]
     assert det_int(C) > 0
 
@@ -275,27 +275,27 @@ def test_cartan_line(n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_cartan_cycle_short(n):
     alg, d = build_zigzag(QuiverSpec("cycS", n), QQ)
-    C, D, minors = cartan_matrix(d)
+    C, D, minors = run_pipeline(d, "C")["C"]
     assert C == CIRCULANT[n]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_cartan_cycle_long(n):
     alg, d = build_zigzag(QuiverSpec("cycL", n), QQ)
-    C, D, minors = cartan_matrix(d)
+    C, D, minors = run_pipeline(d, "C")["C"]
     assert C == [[n] * n for _ in range(n)]
     assert det_int(C) == 0
 
 
 def test_decomposition_matrices_n3(zigzag_a3, zigzag_cycs3, zigzag_cycl3):
     alg, d = zigzag_a3
-    assert decomposition_matrix(d) == [[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    assert run_pipeline(d, "D")["D"] == [[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]]
     alg, d = zigzag_cycs3
-    D = decomposition_matrix(d)
+    D = run_pipeline(d, "D")["D"]
     # the expected D up to row order
     assert sorted(D) == sorted([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
     alg, d = zigzag_cycl3
-    assert decomposition_matrix(d) == [[1, 1, 1]] * 3
+    assert run_pipeline(d, "D")["D"] == [[1, 1, 1]] * 3
 
 
 def test_verify_all_data(zigzag_a3, zigzag_cycs3, zigzag_cycl3):
@@ -318,7 +318,7 @@ def test_alternate_datum():
     assert o.less(3, 1) and o.less(1, 2) and o.less(3, 2)
     assert not o.less(2, 1)
     # Cartan is datum independent
-    C, _, _ = cartan_matrix(d)
+    C, _, _ = run_pipeline(d, "C")["C"]
     assert C == CIRCULANT[3]
 
 
