@@ -9,14 +9,14 @@ aligned with the unmasked partners j of i.  Masked products never reach the
 rule or the rows, and products, sweeps and materialization visit only
 unmasked pairs.
 
-The kernel contract: a product is a read-only {index: scalar} dict, and a
-kernel hands out one object per distinct product, so equal products are
-one dict wherever they are stored.  A kernel shares its products through
+The kernel contract: a product is a read-only {index: scalar} dict that
+holds no zero coefficient, an empty product is ZERO_PRODUCT, and a kernel
+hands out one object per distinct product, so equal products are one dict
+wherever they are stored.  A kernel shares its products through
 intern_product, by content, unless it can name each product up front:
 zigzag's products are single basis paths, one prebuilt dict each, and
-usl2's kernel looks its products up by shape.  The table keeps what the
-kernel returns and only normalizes zeros: a zero coefficient is filtered
-out of a copy, and an empty product is stored as ZERO_PRODUCT.
+usl2's kernel looks its products up by shape.  The table stores what the
+kernel returns as it is.
 
 A module stores the actions of the basis elements that act by nonzero, as
 sparse column maps {col: {row: scalar}}, and nothing for the rest.  Hom
@@ -56,16 +56,6 @@ BasisLabel = namedtuple("BasisLabel", "lam S T")
 ZERO_PRODUCT = MappingProxyType({})
 
 
-def _normalized(product: dict[int, object]) -> dict[int, object]:
-    """product with no zero coefficient: itself, a filtered copy, or
-    ZERO_PRODUCT when nothing is left."""
-    if not product:
-        return ZERO_PRODUCT
-    if all(product.values()):
-        return product
-    return {k: c for k, c in product.items() if c} or ZERO_PRODUCT
-
-
 def intern_product(shared: dict, product: dict[int, object]) -> dict[int, object]:
     """The one dict equal to product that shared holds, product itself the
     first time it is seen; ZERO_PRODUCT when product is empty.  product
@@ -81,9 +71,9 @@ class AlgebraTable:
     mult_fn(i, j) returns the structure constants of basis_i * basis_j as a
     sparse {index: scalar} dict.  Products are memoized, so families with a
     large basis (K_3 has dimension 1664) never materialize the full table
-    unless asked to.  mult_fn keeps the kernel contract: its products are
-    read-only, and equal products are one object, built once by the kernel
-    (ZERO_PRODUCT for an empty one).  The table never compares products.
+    unless asked to.  mult_fn keeps the kernel contract of the module
+    docstring; the table neither compares products nor reads their
+    coefficients.
 
     blocks = (left, right) gives one left and one right block key per basis
     element (the Peirce idempotents e, f with b = e b f).  A pair (i, j) with
@@ -95,12 +85,9 @@ class AlgebraTable:
     with b_i * b_j unmasked, and pos[j] is j's place in its left block, so
     b_i * b_j is rows[i][pos[j]].  A row is allocated when one of its
     products is first asked for, and holds None where a product is not yet
-    computed.  A stored product is the dict mult_fn returned when it holds
-    no zero coefficient (else a filtered copy), and an empty product is
-    ZERO_PRODUCT; that zero normalization is all the table does to a
-    product.  Stored products are read-only, for the table and for
-    mult_fn.  `_memo` reads the rows out as a flat {(i, j): product} dict,
-    for inspection only.
+    computed.  A stored product is the dict mult_fn returned, read-only
+    for the table and for mult_fn.  `_memo` reads the rows out as a flat
+    {(i, j): product} dict, for inspection only.
     """
 
     def __init__(
@@ -135,7 +122,7 @@ class AlgebraTable:
             block.append(j)
         self.pos = tuple(pos)
         self._rows: list[list | None] = [None] * self.dim
-        self._complete = False  # every row filled and its products shared
+        self._complete = False  # every row filled
 
     @property
     def dim(self) -> int:
@@ -147,7 +134,7 @@ class AlgebraTable:
 
     def mult_basis(self, i: int, j: int) -> dict[int, object]:
         """b_i * b_j, read-only: from the rows, else from mult_fn once and
-        stored with its zeros normalized."""
+        stored."""
         if self.right_block[i] != self.left_block[j]:
             return ZERO_PRODUCT
         row = self._rows[i]
@@ -156,7 +143,7 @@ class AlgebraTable:
         p = self.pos[j]
         got = row[p]
         if got is None:
-            got = row[p] = _normalized(self._mult_fn(i, j))
+            got = row[p] = self._mult_fn(i, j)
         return got
 
     def materialize(self) -> list[list[dict[int, object]]]:
@@ -164,10 +151,9 @@ class AlgebraTable:
         rows[i][pos[j]] = b_i * b_j.
 
         A row is filled in one comprehension over partners(i), calling
-        mult_fn once for each product not yet stored and normalizing its
-        zeros as mult_basis does.  Equal products are already one object,
-        since the kernel hands them out shared.  The first call fills the
-        table; later calls return the rows at once.
+        mult_fn once for each product not yet stored.  Equal products are
+        already one object, since the kernel hands them out shared.  The
+        first call fills the table; later calls return the rows at once.
         """
         rows = self._rows
         if self._complete:
@@ -179,7 +165,7 @@ class AlgebraTable:
             if row is None:
                 row = rows[i] = [None] * len(js)
             # filled through a slice, so the row keeps its exact length
-            row[:] = [_normalized(mult_fn(i, j)) if got is None else got for j, got in zip(js, row)]
+            row[:] = [mult_fn(i, j) if got is None else got for j, got in zip(js, row)]
         self._complete = True
         return rows
 

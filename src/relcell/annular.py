@@ -328,24 +328,17 @@ def projective_dimension(n: int, lam: str) -> int:
     return total
 
 
-def frobenius_form(alg: AlgebraTable, i: int, j: int):
-    """sigma(x_i, x_j): the all-clockwise coefficient of the product."""
-    field = alg.field
-    a = alg.basis[i]
-    b = alg.basis[j]
-    if a.S != b.T:
-        return field.zero
-    nu = clockwise_weight(a.S)
-    target = BasisLabel(nu, a.S, a.S)
-    if target not in alg.index:
-        return field.zero
-    return alg.mult_basis(i, j).get(alg.index[target], field.zero)
+def frobenius_gram(alg: AlgebraTable) -> dict[int, dict[int, object]]:
+    """The trace form sigma as sparse rows {i: {j: sigma(x_i, x_j) != 0}}.
 
-
-def frobenius_gram(alg: AlgebraTable):
-    from .linalg import Matrix
-
-    n = alg.dim
-    return Matrix.from_rows(
-        alg.field, [[frobenius_form(alg, i, j) for j in range(n)] for i in range(n)]
-    )
+    sigma(x_i, x_j) is the all-clockwise coefficient of x_i x_j, at
+    C(cw(S); S, S) for S = S_i, so it is read only where it can be nonzero:
+    at the unmasked pairs, j in partners(i), with T_j = S_i."""
+    basis, index, mult = alg.basis, alg.index, alg.mult_basis
+    rows = {}
+    for i, a in enumerate(basis):
+        target = index[BasisLabel(clockwise_weight(a.S), a.S, a.S)]  # cw(S) orients S
+        row = {j: c for j in alg.partners(i) if basis[j].T == a.S and (c := mult(i, j).get(target))}
+        if row:
+            rows[i] = row
+    return rows

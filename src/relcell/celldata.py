@@ -598,8 +598,9 @@ def cartan_matrix(d: CellDatum, ss: SimpleSet, D: list[list[int]]):
 
 
 def is_semisimple(d: CellDatum, ss: SimpleSet) -> bool:
-    """Every Gram form has full rank."""
-    return all(ss.grams[lam].matrix.rank() == len(d.M[lam]) for lam in d.X)
+    """Every Gram form has full rank, read off the simples: dim L(lam) =
+    rank Phi_lam, and lam is outside X0 exactly when Phi_lam = 0."""
+    return all(ss.dims.get(lam) == len(d.M[lam]) for lam in d.X)
 
 
 def core_subalgebra(d: CellDatum, eps_idx: int) -> tuple[AlgebraTable, CellDatum]:

@@ -35,6 +35,7 @@ from .celldata import (
 )
 from .diagrams import circle_decomposition_dict, format_basis_label, parse_basis_label
 from .families import UsageError, build_family, parse_family
+from .linalg import Echelon
 
 
 def _emit(text: str, out):
@@ -217,7 +218,7 @@ def cmd_frobenius(args) -> int:
         return 2
     alg, _ = build_family(args.family, args.max_dim)
     G = frobenius_gram(alg)
-    rank = G.rank()
+    rank = Echelon(alg.field, alg.dim, G.values()).rank
     rng = random.Random(args.seed)
     trials = 200
     assoc_ok = True
@@ -253,7 +254,7 @@ def _sigma_of(alg, x, y, G):
     total = f.zero
     for i, a in x.coeffs.items():
         for j, b in y.coeffs.items():
-            total = f.add(total, f.mul(f.mul(a, b), G[i, j]))
+            total = f.add(total, f.mul(f.mul(a, b), G.get(i, {}).get(j, f.zero)))
     return total
 
 

@@ -44,13 +44,15 @@ def max_dim_limit(cli_value=None) -> int:
 
 
 def parse_family(spec: str):
-    """(kind, *parameters) of a valid spec, else UnknownFamily."""
+    """(kind, *parameters) of a valid spec, else UnknownFamily.  A usl2
+    P is only checked to be an odd integer >= 3 here: build_family tests
+    its primality once P^3 has passed the size guard."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "zigzag":
             variant, n = rest.split(":")
             return ("zigzag", variant, zigzag.QuiverSpec(variant, int(n)).n)
-        if kind == "usl2" and rest.startswith("p=") and (p := int(rest[2:])) != 2 and is_prime(p):
+        if kind == "usl2" and rest.startswith("p=") and (p := int(rest[2:])) >= 3 and p % 2:
             return ("usl2", p)
         if kind == "annular" and rest.startswith("n=") and (n := int(rest[2:])) >= 1:
             return ("annular", n)
@@ -62,11 +64,20 @@ def parse_family(spec: str):
     )
 
 
+def _dimension(x: int, exact: bool = True) -> str:
+    """A dimension x, or a lower bound x on it, in full up to 30 digits, else
+    as the power of two at or below x: no huge integer becomes a string."""
+    if x >= 10**30:
+        return f"at least 2^{x.bit_length() - 1}"
+    return str(x) if exact else f"at least {x}"
+
+
 def build_family(spec: str, max_dim=None) -> tuple[AlgebraTable, CellDatum]:
     """The family's algebra and datum; SizeLimit, before anything is built,
-    if its dimension exceeds the size guard."""
+    if its dimension exceeds the size guard (naming the spec cut to 60 chars)."""
     kind, *params = parse_family(spec)
     limit = max_dim_limit(max_dim)
+    name = spec if len(spec) <= 60 else f"{spec[:57]}..."
     if kind == "zigzag":
         quiver = zigzag.QuiverSpec(*params)
         dim, build = zigzag.algebra_dimension(quiver), lambda: zigzag.build_zigzag(quiver, QQ)
@@ -74,10 +85,16 @@ def build_family(spec: str, max_dim=None) -> tuple[AlgebraTable, CellDatum]:
         dim, build = params[0] ** 3, lambda: usl2.build_usl2(params[0])
     else:
         n = params[0]
-        # counting is exact but grows about tenfold per n; from n = 5 on, the bound refuses first
-        if n >= 5 and (bound := annular.dimension_lower_bound(n)) > limit:
-            raise SizeLimit(f"{spec} has dimension at least {bound} > limit {limit}")
+        # counting grows about tenfold per n; from n = 5 on, the bound refuses first, read at the
+        # first m <= n where it passes the limit and 30 digits (it grows with n), so none is huge
+        m = min(n, 5)
+        while m < n and annular.dimension_lower_bound(m) <= max(limit, 10**30):
+            m += 1
+        if n >= 5 and (bound := annular.dimension_lower_bound(m)) > limit:
+            raise SizeLimit(f"{name} has dimension {_dimension(bound, exact=False)} > limit {limit}")
         dim, build = annular.algebra_dimension(n), lambda: annular.build_annular(n, QQ)
     if dim > limit:
-        raise SizeLimit(f"{spec} has dimension {dim} > limit {limit}")
+        raise SizeLimit(f"{name} has dimension {_dimension(dim)} > limit {limit}")
+    if kind == "usl2" and not is_prime(params[0]):
+        raise UnknownFamily(f"bad family spec {spec!r}: {params[0]} is not prime")
     return build()

@@ -5,7 +5,7 @@ so that `src` holds only what the pipeline uses.
 """
 
 from relcell.algebra import AlgebraTable, BasisLabel, Element, RepModule
-from relcell.diagrams import DOWN, UP, _tag, rotate_cup, rotate_weight, trace_circle
+from relcell.diagrams import DOWN, UP, _tag, clockwise_weight, rotate_cup, rotate_weight, trace_circle
 from relcell.field import PrimeField
 from relcell.linalg import Echelon, Matrix, ShapeMismatch
 
@@ -202,3 +202,26 @@ def peirce_dims_dense(alg: AlgebraTable, idems: list[Element]) -> list[list[int]
     `algebra.peirce_dims`."""
     eAs = [[x for i in range(alg.dim) if not (x := e * alg.basis_element(i)).is_zero()] for e in idems]
     return [[Echelon(alg.field, alg.dim, ((x * f).coeffs for x in eA)).rank for f in idems] for eA in eAs]
+
+
+# --- the trace form sigma, dense: the reference for annular.frobenius_gram ------
+
+
+def frobenius_form(alg: AlgebraTable, i: int, j: int):
+    """sigma(x_i, x_j): the all-clockwise coefficient of the product, read
+    for any pair, masked or not."""
+    field = alg.field
+    a = alg.basis[i]
+    b = alg.basis[j]
+    if a.S != b.T:
+        return field.zero
+    target = BasisLabel(clockwise_weight(a.S), a.S, a.S)
+    if target not in alg.index:
+        return field.zero
+    return alg.mult_basis(i, j).get(alg.index[target], field.zero)
+
+
+def frobenius_matrix(alg: AlgebraTable) -> Matrix:
+    """The dense dim x dim matrix of sigma, one frobenius_form per entry."""
+    n = alg.dim
+    return Matrix.from_rows(alg.field, [[frobenius_form(alg, i, j) for j in range(n)] for i in range(n)])

@@ -13,7 +13,6 @@ from relcell.annular import (
     build_annular,
     dimension_lower_bound,
     decomposition_fastpath,
-    frobenius_form,
     frobenius_gram,
     multiply_labels,
     projective_dimension,
@@ -44,7 +43,9 @@ from relcell.families import SizeLimit, build_family
 from relcell.field import QQ
 from relcell.algebra import left_ideal_module
 
-from reference import rotate_element
+from relcell.linalg import Echelon
+
+from reference import frobenius_matrix, rotate_element
 
 
 def test_dimensions():
@@ -353,23 +354,29 @@ def test_associativity_random(k2):
 # --- Frobenius form ------------------------------------------------------------
 
 
+def sigma_at(G, i, j, field):
+    """sigma(x_i, x_j) read from the sparse rows of frobenius_gram."""
+    return G.get(i, {}).get(j, field.zero)
+
+
 def test_frobenius_nondegenerate(k1, k2):
     for alg, d in (k1, k2):
         G = frobenius_gram(alg)
-        assert G.rank() == alg.dim
+        assert Echelon(alg.field, alg.dim, G.values()).rank == alg.dim
 
 
 def test_frobenius_zero_cases(k1):
     alg, d = k1
+    G = frobenius_gram(alg)
     # sigma(e, e) = 0: the product e*e = e has no all-clockwise term
     for a, e in enumerate(d.E):
         (i,) = e.coeffs
-        assert not frobenius_form(alg, i, i)
+        assert not sigma_at(G, i, i, alg.field)
     # sigma vanishes whenever S != V
     for i, a in enumerate(alg.basis):
         for j, b in enumerate(alg.basis):
             if a.S != b.T:
-                assert not frobenius_form(alg, i, j)
+                assert not sigma_at(G, i, j, alg.field)
 
 
 def test_frobenius_associative(k2):
@@ -381,7 +388,7 @@ def test_frobenius_associative(k2):
         total = f.zero
         for i, ci in x.coeffs.items():
             for j, cj in y.coeffs.items():
-                total = f.add(total, f.mul(f.mul(ci, cj), G[i, j]))
+                total = f.add(total, f.mul(f.mul(ci, cj), sigma_at(G, i, j, f)))
         return total
 
     rnd = random.Random(5)
@@ -389,6 +396,24 @@ def test_frobenius_associative(k2):
         i, j, k = (rnd.randrange(alg.dim) for _ in range(3))
         x, y, z = (alg.basis_element(t) for t in (i, j, k))
         assert sigma(x * y, z) == sigma(x, y * z)
+
+
+def test_frobenius_rows_match_the_dense_form(k1, k2):
+    for alg, _ in (k1, k2):
+        G, dense = frobenius_gram(alg), frobenius_matrix(alg)
+        assert all(c for row in G.values() for c in row.values())
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                assert sigma_at(G, i, j, alg.field) == dense[i, j], (alg.basis[i], alg.basis[j])
+
+
+@pytest.mark.parametrize("n, dim", [(1, 8), (2, 108), (3, 1664)])
+def test_frobenius_stores_one_entry_per_row(n, dim):
+    alg, _ = build_annular(n, QQ)
+    G = frobenius_gram(alg)
+    assert sorted(G) == list(range(dim))
+    assert all(len(row) == 1 for row in G.values())
+    assert sum(len(row) for row in G.values()) == dim
 
 
 def test_k3_spot_products():

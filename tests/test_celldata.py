@@ -24,6 +24,7 @@ from relcell.celldata import (
     verify_cell_datum,
 )
 from relcell.annular import build_annular
+from relcell.families import build_family
 from relcell.field import QQ, PrimeField
 from relcell.zigzag import QuiverSpec, build_zigzag, reversed_order_datum
 
@@ -80,6 +81,27 @@ def test_trivial_algebra_semisimple():
     alg, d = matrix_unit_datum(1)
     assert verify_cell_datum(d).all_passed
     assert is_semisimple(d, simple_set(d))
+
+
+SEMISIMPLE_DATA = {f"mat{size}": (lambda size=size: matrix_unit_datum(size)[1]) for size in (1, 2, 3)}
+TABLE_SPECS = [
+    "zigzag:A:3", "zigzag:A:4", "zigzag:A:5",
+    "zigzag:cycS:3", "zigzag:cycS:4", "zigzag:cycS:5",
+    "zigzag:cycL:3", "zigzag:cycL:4",
+    "usl2:p=3", "usl2:p=5", "usl2:p=7",
+    "annular:n=1", "annular:n=2",
+]
+
+
+@pytest.mark.parametrize("name", [*SEMISIMPLE_DATA, *TABLE_SPECS])
+def test_is_semisimple_is_full_rank_of_every_gram_form(name):
+    d = SEMISIMPLE_DATA[name]() if name in SEMISIMPLE_DATA else build_family(name)[1]
+    ss = simple_set(d)
+    ranks = {lam: ss.grams[lam].matrix.rank() for lam in d.X}
+    # dim L(lam) = rank Phi_lam, and lam is in X0 exactly when the rank is positive
+    assert {lam: ss.dims.get(lam, 0) for lam in d.X} == ranks
+    assert is_semisimple(d, ss) == all(ranks[lam] == len(d.M[lam]) for lam in d.X)
+    assert is_semisimple(d, ss) == (name in SEMISIMPLE_DATA)
 
 
 def test_strict_order_validation():

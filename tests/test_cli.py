@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from relcell.algebra import AlgebraTable
 from relcell.cli import main
-from relcell.families import build_family
+from relcell.families import SizeLimit, build_family
 from relcell.field import QQ
 from relcell.zigzag import reversed_order_datum
 
@@ -243,6 +244,31 @@ def test_max_dim_guard(capsys):
     code, _, err = run(capsys, "build", "annular:n=3", "--max-dim", "100")
     assert code == 1
     assert "1664" in err
+
+
+GUARD_PROBES = [
+    "usl2:p=1000000000000000003",  # a prime: trial division would run for hours
+    "annular:n=3000000",  # C(2n, n) 4^n has millions of digits
+    "annular:n=100000",
+    "annular:n=3000",
+    "zigzag:cycL:1" + "0" * 1500,  # n^3 has more than 4300 digits
+]
+
+
+@pytest.mark.parametrize("spec", GUARD_PROBES, ids=lambda spec: spec[:30])
+def test_size_guard_refuses_at_once_with_a_short_message(spec):
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit) as exc:
+        build_family(spec)
+    assert time.perf_counter() - start < 1
+    assert len(str(exc.value)) < 200
+
+
+def test_composite_p_above_the_guard_is_a_size_limit(capsys):
+    # P^3 is compared with the guard before P is tested for primality
+    code, _, err = run(capsys, "build", "usl2:p=15")
+    assert code == 1
+    assert "SizeLimit" in err and "3375" in err
 
 
 def test_env_max_dim(capsys, monkeypatch):

@@ -1,9 +1,10 @@
-"""The kernel contract: each distinct product is one read-only dict.
+"""The kernel contract: each distinct product is one read-only dict that
+holds no zero coefficient, and an empty product is ZERO_PRODUCT.
 
-Every kernel hands out equal products as one object, so a materialized
-table holds no two distinct dicts that are equal, no zero coefficient, and
-ZERO_PRODUCT for every empty product.  The table itself never compares
-products; these tests hold each kernel to the contract.
+The table stores what a kernel returns, without reading it, so these tests
+hold each kernel to the contract: its raw products on every unmasked pair,
+and the materialized table, which holds no two distinct dicts that are
+equal.
 """
 
 import pytest
@@ -37,6 +38,16 @@ TABLES = {
     "core:usl2:p=5:eps0": lambda: core("usl2:p=5", 0),
     "core:zigzag:cycS:4:eps1": lambda: core("zigzag:cycS:4", 1),
 }
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_kernel_products_keep_the_contract(name):
+    alg = TABLES[name]()
+    for i in range(alg.dim):
+        for j in alg.partners(i):
+            got = alg._mult_fn(i, j)
+            assert all(got.values()), (name, i, j)
+            assert got or got is ZERO_PRODUCT, (name, i, j)
 
 
 def stored_products(alg):
