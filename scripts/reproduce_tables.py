@@ -64,7 +64,7 @@ def main() -> int:
         ss, _ = shown
         formula = gram_diagonal_formula(p)
         agree = all(
-            [ss.grams[lam].matrix[i, i] for i in range(p)] == formula[lam] for lam in range(p)
+            [ss.grams[lam][i, i] for i in range(p)] == formula[lam] for lam in range(p)
         )
         print(f"   Gram diagonal matches (S!)^2 * binom(lam, S): {agree}")
         failed += not agree

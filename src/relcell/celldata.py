@@ -25,7 +25,6 @@ from .algebra import (
     ZERO_PRODUCT,
     AlgebraTable,
     BasisLabel,
-    Element,
     RepModule,
     by_block,
     combine,
@@ -390,18 +389,9 @@ def verify_cell_datum(d: CellDatum, run=_call) -> VerificationReport:
     return VerificationReport(results)
 
 
-class CellModule(namedtuple("CellModule", "lam rep basis")):
-    """Delta(lam) as a RepModule; basis: the M(lam) labels indexing coordinates."""
-
-    __slots__ = ()
-
-    @property
-    def dim(self):
-        return self.rep.dim
-
-
-def cell_module(d: CellDatum, lam) -> CellModule:
-    """Delta(lambda) with the action read off from left multiplication.
+def cell_module(d: CellDatum, lam) -> RepModule:
+    """Delta(lambda) with the action read off from left multiplication, its
+    coordinates indexed by M(lambda).
 
     The action of a is read in the one column T = M(lambda)[0]: by axiom (d)
     the coefficients r_a(S',S) of a C(lam;S,T) do not depend on T, so every
@@ -427,13 +417,10 @@ def cell_module(d: CellDatum, lam) -> CellModule:
             }
             if col:
                 A[pos[S]] = col
-    return CellModule(lam, RepModule(alg, len(Ms), action), list(Ms))
+    return RepModule(alg, len(Ms), action)
 
 
-GramForm = namedtuple("GramForm", "lam matrix")
-
-
-def gram_matrix(d: CellDatum, lam) -> GramForm:
+def gram_matrix(d: CellDatum, lam) -> Matrix:
     """Phi_lambda: entry (S,T) is the C(lam;U,V)-coefficient of
     C(lam;U,S) * C(lam;T,V), read at the one pair U = V = M(lambda)[0].
 
@@ -455,12 +442,13 @@ def gram_matrix(d: CellDatum, lam) -> GramForm:
         ]
         for S in Ms
     ]
-    return GramForm(lam, Matrix.from_rows(f, rows))
+    return Matrix.from_rows(f, rows)
 
 
-# X0, and per lam: modules (L(lam), a quotient of Delta(lam)), dims,
-# ends (dim End L(lam)), cell_modules (CellModule), grams (GramForm)
-SimpleSet = namedtuple("SimpleSet", "X0 modules dims ends cell_modules grams")
+# X0, and per lam in X0: modules (L(lam), a quotient of Delta(lam)), dims,
+# ends (dim End L(lam)) and eps_dims (dim eps L(lam) for each eps in E, in E
+# order); per lam in X: cell_modules (Delta(lam)) and grams (Phi_lam)
+SimpleSet = namedtuple("SimpleSet", "X0 modules dims ends eps_dims cell_modules grams")
 
 
 def simple_set(d: CellDatum) -> SimpleSet:
@@ -468,6 +456,7 @@ def simple_set(d: CellDatum) -> SimpleSet:
     modules = {}
     dims = {}
     ends = {}
+    eps_dims = {}
     cells = {}
     grams = {}
     for lam in d.X:
@@ -475,29 +464,29 @@ def simple_set(d: CellDatum) -> SimpleSet:
         phi = gram_matrix(d, lam)
         cells[lam] = delta
         grams[lam] = phi
-        if phi.matrix.is_zero():
+        if phi.is_zero():
             continue
         X0.append(lam)
-        rad = phi.matrix.nullspace_basis()
-        L, _ = quotient_module(delta.rep, rad)
+        L, _ = quotient_module(delta, phi.nullspace_basis())
         modules[lam] = L
         dims[lam] = L.dim
         ends[lam] = len(hom_space(L, L))
-    return SimpleSet(X0, modules, dims, ends, cells, grams)
+        eps_dims[lam] = tuple(L.rank(e) for e in d.E)
+    return SimpleSet(X0, modules, dims, ends, eps_dims, cells, grams)
 
 
 def decomposition_matrix(d: CellDatum, ss: SimpleSet) -> list[list[int]]:
     """d[mu][lam] = [Delta(mu) : L(lam)], rows over X, columns over X0.
 
     Checked: d[lam][lam] = 1, d against rank(e*) on Delta(mu) for each
-    registered primitive e, and the support theorem (d[mu][lam] = 0 unless
-    mu = lam or mu < lam); RouteMismatch if any check fails.
+    registered primitive e, and the support rule of decomposition_support_ok;
+    RouteMismatch if any check fails.
     """
     simples = [ss.modules[lam] for lam in ss.X0]
     ends = [ss.ends[lam] for lam in ss.X0]
     D = []
     for mu in d.X:
-        row = composition_multiplicities(ss.cell_modules[mu].rep, simples, ends)
+        row = composition_multiplicities(ss.cell_modules[mu], simples, ends)
         D.append(row)
     for ci, lam in enumerate(ss.X0):
         ri = d.X.index(lam)
@@ -511,7 +500,7 @@ def decomposition_matrix(d: CellDatum, ss: SimpleSet) -> list[list[int]]:
                 continue
             estar = e.star()
             for ri, mu in enumerate(d.X):
-                rk = ss.cell_modules[mu].rep.rank(estar)
+                rk = ss.cell_modules[mu].rank(estar)
                 if rk != D[ri][ci]:
                     raise RouteMismatch(
                         f"[Delta({mu}):L({lam})] = {D[ri][ci]} but rank(e*|Delta) = {rk}"
@@ -521,32 +510,17 @@ def decomposition_matrix(d: CellDatum, ss: SimpleSet) -> list[list[int]]:
     return D
 
 
-def parent_idempotent_index(d: CellDatum, e: Element) -> int | None:
-    """The index of the eps in E with eps e = e = e eps, if any."""
-    for a, eps in enumerate(d.E):
-        if eps * e == e and e * eps == e:
-            return a
-    return None
-
-
 def decomposition_support_ok(d: CellDatum, ss: SimpleSet, D: list[list[int]]) -> bool:
-    """d_{mu,lam} = 0 unless mu <=_lambda lambda.
+    """d[mu][lam] = 0 unless mu = lam or mu <_eps lam for every eps in E
+    with eps L(lam) != 0 (ss.eps_dims).
 
-    The order attached to lambda is the one of the idempotent in E under
-    which a primitive idempotent for L(lambda) sits; with no registered
-    primitive the check falls back to the union over eps of M(lambda).
+    M -> eps M is exact and sends Delta(mu) and L(lam) to the cell module and
+    the simple of the cellular core eps A eps, whose order is <_eps.
     """
     for ci, lam in enumerate(ss.X0):
-        e = d.primitive_idempotents.get(lam)
-        if e is not None:
-            parent = parent_idempotent_index(d, e)
-            candidates = {parent} if parent is not None else set()
-        else:
-            candidates = {d.eps_of(lam, S) for S in d.M[lam]}
+        orders = [d.orders[a] for a, n in enumerate(ss.eps_dims[lam]) if n]
         for ri, mu in enumerate(d.X):
-            if D[ri][ci] == 0 or mu == lam:
-                continue
-            if not any(d.orders[a].less(mu, lam) for a in candidates):
+            if D[ri][ci] and mu != lam and not all(o.less(mu, lam) for o in orders):
                 return False
     return True
 
@@ -576,18 +550,18 @@ def cartan_matrix(d: CellDatum, ss: SimpleSet, D: list[list[int]]):
     m_e(lam) P(lam), dim eAf = sum m_e(lam) c(lam) m_f(mu) [P(mu):L(lam)],
     c = dim End L.  The idempotents are the registered primitive e_lam if every
     lam in X0 has one (m = delta: every entry of C is checked), else E, with
-    m_e(lam) = dim e L(lam) / c(lam).  A mismatch raises ReciprocityFailure.
+    m_e(lam) = dim e L(lam) / c(lam), dim e L(lam) read from ss.eps_dims.
+    A mismatch raises ReciprocityFailure.
     """
     X0, prims = ss.X0, d.primitive_idempotents
     C = int_gram(D, len(X0))
-    simples = [ss.modules[lam] for lam in X0]
     ends = [ss.ends[lam] for lam in X0]
     if all(lam in prims for lam in X0):
         idems, names = [prims[lam] for lam in X0], [f"e({lam})" for lam in X0]
         mults = [{a: 1} for a in range(len(X0))]
     else:
         idems, names = d.E, [f"E[{a}]" for a in range(len(d.E))]
-        mults = [{i: Fraction(L.rank(e), c) for i, (L, c) in enumerate(zip(simples, ends))} for e in idems]
+        mults = [{i: Fraction(ss.eps_dims[lam][a], ss.ends[lam]) for i, lam in enumerate(X0)} for a in range(len(idems))]
     P = peirce_dims(d.alg, idems)
     for a, row in enumerate(P):
         for b, got in enumerate(row):

@@ -116,8 +116,7 @@ def cmd_gram(args) -> int:
     blocks = []
     doc = {}
     for lam in datum.X:
-        g = gram_matrix(datum, lam)
-        rows = _scalar_rows(g.matrix, alg.field)
+        rows = _scalar_rows(gram_matrix(datum, lam), alg.field)
         doc[str(lam)] = rows
         blocks.append(_matrix_text(rows, "csv" if args.format == "csv" else "pretty", f"# {lam}"))
         if args.format == "csv":

@@ -231,15 +231,6 @@ def circles_of(cups: CupDiagram, caps: CupDiagram) -> list[tuple]:
     return out
 
 
-def circle_wrapping_parity(cups, caps, comp_vertices) -> int:
-    verts = set(comp_vertices)
-    cnt = 0
-    for a in list(cups) + list(caps):
-        if a.p in verts and a.wrap:
-            cnt += 1
-    return cnt % 2
-
-
 def _depths(diagram: CupDiagram, n: int) -> dict:
     """1 + number of arcs strictly contained in each arc's coverage, so
     outer arcs bulge deeper and nested arcs stay inside them."""
@@ -404,13 +395,12 @@ def circle_decomposition_dict(S: CupDiagram, T: CupDiagram, w: str, n: int) -> d
     for comp, tag in sorted(tags.items()):
         arcs_c = [a for a in S if a.p in comp]
         arcs_k = [a for a in T if a.p in comp]
-        parity = circle_wrapping_parity(S, T, comp)
         comps.append(
             {
                 "vertices": sorted(comp),
                 "cups": [str(a) for a in sorted(arcs_c)],
                 "caps": [str(a) for a in sorted(arcs_k)],
-                "essential": bool(parity),
+                "essential": tag in (LEFT, RIGHT),
                 "orientation": tag,
             }
         )

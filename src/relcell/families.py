@@ -43,10 +43,16 @@ def max_dim_limit(cli_value=None) -> int:
     return int(value)
 
 
+def _cut(text: str) -> str:
+    """text cut to 60 characters, so no message repeats a huge input."""
+    return text if len(text) <= 60 else f"{text[:57]}..."
+
+
 def parse_family(spec: str):
-    """(kind, *parameters) of a valid spec, else UnknownFamily.  A usl2
-    P is only checked to be an odd integer >= 3 here: build_family tests
-    its primality once P^3 has passed the size guard."""
+    """(kind, *parameters) of a valid spec, else UnknownFamily, naming the
+    spec cut to 60 chars.  A usl2 P is only checked to be an odd integer
+    >= 3 here: build_family tests its primality once P^3 has passed the
+    size guard."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "zigzag":
@@ -57,9 +63,9 @@ def parse_family(spec: str):
         if kind == "annular" and rest.startswith("n=") and (n := int(rest[2:])) >= 1:
             return ("annular", n)
     except ValueError as exc:  # not a number, or QuiverSpec: unknown variant, n < 3
-        raise UnknownFamily(f"bad family spec {spec!r}: {exc}") from exc
+        raise UnknownFamily(f"bad family spec {_cut(spec)!r}: {_cut(str(exc))}") from exc
     raise UnknownFamily(
-        f"bad family spec {spec!r}: expected zigzag:A|cycS|cycL:n (n >= 3), "
+        f"bad family spec {_cut(spec)!r}: expected zigzag:A|cycS|cycL:n (n >= 3), "
         "usl2:p=P (P an odd prime) or annular:n=N (N >= 1)"
     )
 
@@ -77,7 +83,7 @@ def build_family(spec: str, max_dim=None) -> tuple[AlgebraTable, CellDatum]:
     if its dimension exceeds the size guard (naming the spec cut to 60 chars)."""
     kind, *params = parse_family(spec)
     limit = max_dim_limit(max_dim)
-    name = spec if len(spec) <= 60 else f"{spec[:57]}..."
+    name = _cut(spec)
     if kind == "zigzag":
         quiver = zigzag.QuiverSpec(*params)
         dim, build = zigzag.algebra_dimension(quiver), lambda: zigzag.build_zigzag(quiver, QQ)
@@ -96,5 +102,5 @@ def build_family(spec: str, max_dim=None) -> tuple[AlgebraTable, CellDatum]:
     if dim > limit:
         raise SizeLimit(f"{name} has dimension {_dimension(dim)} > limit {limit}")
     if kind == "usl2" and not is_prime(params[0]):
-        raise UnknownFamily(f"bad family spec {spec!r}: {params[0]} is not prime")
+        raise UnknownFamily(f"bad family spec {name!r}: {params[0]} is not prime")
     return build()

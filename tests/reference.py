@@ -85,6 +85,13 @@ def check_action(M: RepModule, pairs=None) -> bool:
 # --- annular diagrams --------------------------------------------------------------
 
 
+def circle_wrapping_parity(cups, caps, comp_vertices) -> int:
+    """The parity of the seam-wrapping arcs on one circle: 1 exactly for an
+    essential circle (leftwards or rightwards)."""
+    verts = set(comp_vertices)
+    return sum(1 for a in (*cups, *caps) if a.p in verts and a.wrap) % 2
+
+
 def classify_circle(cups, caps, n, weight_symbols: dict) -> str:
     """Tag of one circle given the strand direction at each of its vertices."""
     start = min(weight_symbols)

@@ -96,7 +96,7 @@ def test_star_antihom_small(zigzag_a3, zigzag_cycl3, u3, k1):
 
 def test_hom_space_contains_identity(u3):
     alg, d = u3
-    delta = cell_module(d, 1).rep
+    delta = cell_module(d, 1)
     f = alg.field
     n = delta.dim
     homs = [as_matrix(f, n, n, X) for X in hom_space(delta, delta)]
@@ -127,8 +127,8 @@ def test_radical_matches_gram_nullity(u3, k1):
         simples = [ss.modules[lam] for lam in ss.X0]
         for lam in d.X:
             delta = ss.cell_modules[lam]
-            gram_nullity = delta.dim - ss.grams[lam].matrix.rank()
-            _, rad = radical_of_module(delta.rep, simples)
+            gram_nullity = delta.dim - ss.grams[lam].rank()
+            _, rad = radical_of_module(delta, simples)
             assert rad.dim == gram_nullity, lam
 
 
@@ -138,7 +138,7 @@ def test_composition_multiplicities_examples(u3, k1):
     simples = [ss.modules[lam] for lam in ss.X0]
     ends = [ss.ends[lam] for lam in ss.X0]
     # Delta(0) for p=3 has factors L(0) and L(1)
-    assert composition_multiplicities(ss.cell_modules[0].rep, simples, ends) == [1, 1, 0]
+    assert composition_multiplicities(ss.cell_modules[0], simples, ends) == [1, 1, 0]
     # indicator on a simple
     assert composition_multiplicities(simples[2], simples, ends) == [0, 0, 1]
     # P(v^) in K_1 has factors {L(v^): 2, L(^v): 2}
@@ -154,7 +154,7 @@ SPARSE_FAMILIES = ("zigzag_a3", "zigzag_cycl3", "u3", "k1")
 
 def cell_and_simple_modules(d):
     ss = simple_set(d)
-    return [ss.cell_modules[lam].rep for lam in d.X] + [ss.modules[lam] for lam in ss.X0]
+    return [ss.cell_modules[lam] for lam in d.X] + [ss.modules[lam] for lam in ss.X0]
 
 
 def dense_hom_space(M, N, acts_M=None, acts_N=None):
@@ -202,7 +202,7 @@ def test_actions_hold_no_zero_scalar_and_no_empty_column(family, request):
     alg, d = request.getfixturevalue(family)
     ss = simple_set(d)
     simples = [ss.modules[lam] for lam in ss.X0]
-    cells = [ss.cell_modules[lam].rep for lam in d.X]
+    cells = [ss.cell_modules[lam] for lam in d.X]
     modules = cells + simples + [radical_of_module(M, simples)[1] for M in cells]
     modules += [left_ideal_module(alg, e) for e in d.E]
     elements = d.E + [alg.basis_element(i) for i in range(alg.dim)]
@@ -253,7 +253,7 @@ def test_hom_space_matches_dense_reference(family, request):
 def test_dropped_action_is_caught(zigzag_a3):
     alg, d = zigzag_a3
     # Delta(1) has basis (1), (2,1): e_1, the arrow (2,1) and e_2 act; drop e_1
-    delta = cell_module(d, 1).rep
+    delta = cell_module(d, 1)
     k = next(i for e in d.E for i in e.coeffs if i in delta.action)
     mutant = RepModule(alg, delta.dim, {i: A for i, A in delta.action.items() if i != k})
     assert check_action(delta) and not check_action(mutant)
@@ -266,8 +266,8 @@ def test_quotient_module_dims(u3):
     alg, d = u3
     ss = simple_set(d)
     delta = ss.cell_modules[0]
-    rad = ss.grams[0].matrix.nullspace_basis()
-    Q, P = quotient_module(delta.rep, rad)
+    rad = ss.grams[0].nullspace_basis()
+    Q, P = quotient_module(delta, rad)
     assert Q.dim == delta.dim - len(rad)
     assert check_action(Q)
 

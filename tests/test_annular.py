@@ -430,9 +430,9 @@ def test_k1_gram_matrices(k1):
     alg, d = k1
     one, zero = QQ.one, QQ.zero
     # M(v^) = [staying, wrapping]: only the staying self-pairing survives
-    g = gram_matrix(d, "v^").matrix
+    g = gram_matrix(d, "v^")
     assert [list(g.row(i)) for i in range(g.rows)] == [[one, zero], [zero, zero]]
-    g = gram_matrix(d, "^v").matrix
+    g = gram_matrix(d, "^v")
     assert [list(g.row(i)) for i in range(g.rows)] == [[zero, zero], [zero, one]]
 
 
@@ -442,5 +442,5 @@ def test_k1_hom_between_cell_modules(k1):
 
     alg, d = k1
     ss = simple_set(d)
-    assert len(hom_space(ss.cell_modules["v^"].rep, ss.cell_modules["^v"].rep)) == 1
-    assert len(hom_space(ss.cell_modules["^v"].rep, ss.cell_modules["v^"].rep)) == 1
+    assert len(hom_space(ss.cell_modules["v^"], ss.cell_modules["^v"])) == 1
+    assert len(hom_space(ss.cell_modules["^v"], ss.cell_modules["v^"])) == 1

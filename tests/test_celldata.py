@@ -13,6 +13,7 @@ from relcell.celldata import (
     cartan_matrix,
     cell_module,
     chain_order,
+    core_subalgebra,
     decomposition_matrix,
     decomposition_support_ok,
     gram_matrix,
@@ -97,7 +98,7 @@ TABLE_SPECS = [
 def test_is_semisimple_is_full_rank_of_every_gram_form(name):
     d = SEMISIMPLE_DATA[name]() if name in SEMISIMPLE_DATA else build_family(name)[1]
     ss = simple_set(d)
-    ranks = {lam: ss.grams[lam].matrix.rank() for lam in d.X}
+    ranks = {lam: ss.grams[lam].rank() for lam in d.X}
     # dim L(lam) = rank Phi_lam, and lam is in X0 exactly when the rank is positive
     assert {lam: ss.dims.get(lam, 0) for lam in d.X} == ranks
     assert is_semisimple(d, ss) == all(ranks[lam] == len(d.M[lam]) for lam in d.X)
@@ -145,9 +146,9 @@ def test_gram_and_cell_module_consistency(u3):
     for lam in d.X:
         delta = cell_module(d, lam)
         assert delta.dim == len(d.M[lam])
-        assert check_action(delta.rep)
+        assert check_action(delta)
         g = gram_matrix(d, lam)
-        assert g.matrix == transpose(g.matrix)
+        assert g == transpose(g)
 
 
 def test_gram_invariance_form_property(u3, k1):
@@ -155,8 +156,8 @@ def test_gram_invariance_form_property(u3, k1):
     for alg, d in (u3, k1):
         ss = simple_set(d)
         for lam in d.X:
-            G = ss.grams[lam].matrix
-            delta = ss.cell_modules[lam].rep
+            G = ss.grams[lam]
+            delta = ss.cell_modules[lam]
             gens = alg.generators or [(str(lab), alg.basis_element(i)) for i, lab in enumerate(alg.basis)]
             for name, g in gens[:8]:
                 A = as_matrix(alg.field, delta.dim, delta.dim, delta.act(g))
@@ -289,14 +290,50 @@ def test_core_of_unit_is_whole_algebra(zigzag_a3):
 
 
 def test_support_with_parent_idempotents(zigzag_cycs3, k1, k2):
-    from relcell.celldata import parent_idempotent_index
-
     for alg, d in (zigzag_cycs3, k1, k2):
         ss = simple_set(d)
         D = decomposition_matrix(d, ss)
         assert decomposition_support_ok(d, ss, D)
-        for lam, e in d.primitive_idempotents.items():
-            assert parent_idempotent_index(d, e) is not None
+
+
+@pytest.mark.parametrize(
+    "spec", ["usl2:p=3", "usl2:p=5", "usl2:p=7", "zigzag:A:4", "zigzag:cycS:4", "zigzag:cycL:4", "annular:n=2"]
+)
+def test_each_core_holds_the_simples_its_idempotent_meets(spec):
+    # M -> eps M sends Delta(mu) and L(lam) to the cell modules and simples of the core
+    # eps A eps: its X0 is {lam : eps L(lam) != 0}, with dim eps L(lam), and its D is the
+    # block of D on those columns and the core's rows
+    _, d = build_family(spec)
+    res = run_pipeline(d, "D")
+    ss, D = res["simples"], res["D"]
+    for a in range(len(d.E)):
+        cd = core_subalgebra(d, a)[1]
+        core = run_pipeline(cd, "D")
+        assert core["axioms"].all_passed, (spec, a)
+        cs = core["simples"]
+        assert cs.X0 == [lam for lam in ss.X0 if ss.eps_dims[lam][a]], (spec, a)
+        assert cs.dims == {lam: ss.eps_dims[lam][a] for lam in cs.X0}, (spec, a)
+        block = [[D[d.X.index(mu)][ss.X0.index(lam)] for lam in cs.X0] for mu in cd.X]
+        assert core["D"] == block, (spec, a)
+
+
+@pytest.mark.parametrize(
+    "spec, caught, zeros",
+    [("usl2:p=5", 10, 16), ("usl2:p=7", 21, 36), ("zigzag:cycS:4", 3, 8), ("annular:n=2", 2, 12)],
+)
+def test_support_rule_rejects_one_entry_mutants(spec, caught, zeros):
+    # each mutant sets one zero entry of D to 1; on usl2 every M(lam) meets every eps,
+    # so only the eps that meet L(lam) can tell these apart from D
+    _, d = build_family(spec)
+    res = run_pipeline(d, "D")
+    ss, D = res["simples"], res["D"]
+    cells = [(r, c) for r, row in enumerate(D) for c, x in enumerate(row) if not x]
+    rejected = 0
+    for r, c in cells:
+        mutant = [row[:] for row in D]
+        mutant[r][c] = 1
+        rejected += not decomposition_support_ok(d, ss, mutant)
+    assert (rejected, len(cells)) == (caught, zeros)
 
 
 def test_int_gram_is_dense_transpose_product():

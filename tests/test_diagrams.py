@@ -17,7 +17,6 @@ from relcell.diagrams import (
     anticlockwise_weight,
     arcs_cross,
     circle_table,
-    circle_wrapping_parity,
     circles_of,
     classify_diagram,
     clockwise_weight,
@@ -37,7 +36,7 @@ from relcell.diagrams import (
     staying_rotation_exponent,
     )
 
-from reference import classify_circle, orient_circle_with_tag
+from reference import circle_wrapping_parity, classify_circle, orient_circle_with_tag
 
 P1 = make_cup([Arc(1, 2, False)])
 W1 = make_cup([Arc(1, 2, True)])

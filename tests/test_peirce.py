@@ -111,7 +111,7 @@ def test_blocked_and_unmasked_tables_agree(family):
     assert report.all_passed
     assert str(report) == str(verify_cell_datum(df))
     for lam in d.X:
-        assert cell_module(db, lam).rep.action == cell_module(df, lam).rep.action
+        assert cell_module(db, lam).action == cell_module(df, lam).action
 
 
 def reversed_order(order):

@@ -136,7 +136,7 @@ def test_gram_matches_formula(u3, u5):
         ss = simple_set(d)
         expected = gram_diagonal_formula(p)
         for lam in range(p):
-            g = ss.grams[lam].matrix
+            g = ss.grams[lam]
             diag = [g[i, i] for i in range(p)]
             assert diag == expected[lam]
             for i in range(p):
@@ -150,7 +150,7 @@ def test_baby_verma_weight_spaces(u3):
     alg, d = u3
     ss = simple_set(d)
     for lam in d.X:
-        delta = ss.cell_modules[lam].rep
+        delta = ss.cell_modules[lam]
         for e in d.E:
             assert as_matrix(alg.field, delta.dim, delta.dim, delta.act(e)).rank() == 1
 
