@@ -348,16 +348,16 @@ def _span_module(alg: AlgebraTable, ech: Echelon, images, indices) -> RepModule:
     return RepModule(alg, len(where), action)
 
 
-def _restrict_action(M: RepModule, vectors) -> RepModule:
-    """The submodule of M spanned by the given vectors (must be stable)."""
+def _restrict_action(M: RepModule, vectors: list[dict]) -> RepModule:
+    """The submodule of M spanned by the given sparse vectors (must be stable)."""
     f = M.alg.field
     ech = Echelon(f, M.dim, vectors)
     basis = ech.rows()
     return _span_module(M.alg, ech, lambda i: [apply(f, M.action[i], u) for u in basis], M.action)
 
 
-def quotient_module(M: RepModule, sub_vectors: list[list]) -> tuple[RepModule, dict]:
-    """Quotient of M by the span of sub_vectors; returns (module, projection),
+def quotient_module(M: RepModule, sub_vectors: list[dict]) -> tuple[RepModule, dict]:
+    """Quotient of M by the span of the sparse sub_vectors; returns (module, projection),
     the projection a sparse column map from M to the quotient.
 
     Quotient coordinates are the non-pivot coordinates of the relation RREF,
@@ -421,10 +421,9 @@ def hom_space(M: RepModule, N: RepModule) -> list[dict]:
     homs = []
     for v in ech.nullspace_basis():
         X: dict[int, dict] = {}
-        for j, x in enumerate(v):
-            if x:
-                r, c = divmod(j, nm)
-                X.setdefault(c, {})[r] = x
+        for j, x in v.items():
+            r, c = divmod(j, nm)
+            X.setdefault(c, {})[r] = x
         homs.append(X)
     return homs
 

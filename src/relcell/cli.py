@@ -57,10 +57,6 @@ def _matrix_text(rows, fmt: str, title: str = "") -> str:
     return "\n".join(head + body)
 
 
-def _scalar_rows(matrix, field):
-    return [[field.scalar_to_str(matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)]
-
-
 def _pipeline(datum, upto: str) -> dict:
     """run_pipeline through `upto`; AxiomFailure when an axiom fails."""
     res = run_pipeline(datum, upto)
@@ -113,14 +109,15 @@ def cmd_decomp(args) -> int:
 def cmd_gram(args) -> int:
     alg, datum = build_family(args.family, args.max_dim)
     _pipeline(datum, "axioms")
+    f = alg.field
     blocks = []
     doc = {}
     for lam in datum.X:
-        rows = _scalar_rows(gram_matrix(datum, lam), alg.field)
+        phi, n = gram_matrix(datum, lam), len(datum.M[lam])
+        # the sparse rows, made dense only to print
+        rows = [[f.scalar_to_str(phi.get(i, {}).get(j, f.zero)) for j in range(n)] for i in range(n)]
         doc[str(lam)] = rows
-        blocks.append(_matrix_text(rows, "csv" if args.format == "csv" else "pretty", f"# {lam}"))
-        if args.format == "csv":
-            blocks[-1] = f"# {lam}\n" + blocks[-1]
+        blocks.append(f"# {lam}\n" + _matrix_text(rows, "csv" if args.format == "csv" else "pretty"))
     if args.format == "json":
         _emit(json.dumps(doc, indent=1, sort_keys=True), args.out)
     else:

@@ -102,7 +102,6 @@ def orients(S: CupDiagram, w: str) -> bool:
 
 def orientations_of(S: CupDiagram) -> list[str]:
     """The 2^n weights orienting S."""
-    weights = [""]
     n2 = 2 * len(S)
     sym = {}
     outs = []

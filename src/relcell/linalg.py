@@ -1,14 +1,15 @@
-"""Dense exact matrices for the Gram forms, the one elimination kernel and
-the one sparse accumulation behind them.
+"""Exact linear algebra on sparse rows: the one elimination kernel, the
+determinant and the one sparse accumulation behind them.
 
-`Echelon` keeps an incrementally built reduced row echelon form over any
-field, its rows sparse {column: scalar} dicts; `Matrix.rref`, `rank`,
-`nullspace_basis` and `det` are all read off it, and the module code in
-`algebra` inserts and reduces sparse vectors with it directly.  `axpy`,
-out += a * x on sparse dicts, reduces its rows, sums algebra elements and
-products, and applies linear maps stored as sparse column maps
-{column: {row: scalar}} (`apply`, `transpose`).  Exactness is the only
-requirement, so there are no fraction-free tricks.
+Vectors are sparse {column: scalar} dicts holding no zero, and a matrix is
+its rows.  `Echelon` keeps an incrementally built reduced row echelon form
+over any field; ranks, nullspaces, quotients and `det` are all read off it.
+`axpy`, out += a * x on sparse dicts, reduces its rows, sums algebra
+elements and products, and applies linear maps stored as sparse column
+maps {column: {row: scalar}} (`apply`, `transpose`).  `Matrix` is the dense
+reference type, kept for the tests; its methods convert its rows once and
+run the same code.  Exactness is the only requirement, so there are no
+fraction-free tricks.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def _echelon(self) -> "Echelon":
-        return Echelon(self.field, self.cols, map(self.row, range(self.rows)))
+    def _sparse_rows(self) -> list[dict]:
+        """The rows as sparse {column: scalar} dicts."""
+        return [{j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows)]
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column tuple).
@@ -78,39 +80,24 @@ class Matrix:
         The form keeps this matrix's shape: zero rows follow the pivot rows.
         """
         f = self.field
-        ech = self._echelon()
-        zeros = (f.zero,) * ((self.rows - ech.rank) * self.cols)
-        return Matrix(f, self.rows, self.cols, ech.matrix().entries + zeros), ech.pivots()
+        ech = Echelon(f, self.cols, self._sparse_rows())
+        rows = ech.rows() + [{}] * (self.rows - ech.rank)
+        entries = [row.get(j, f.zero) for row in rows for j in range(self.cols)]
+        return Matrix(f, self.rows, self.cols, entries), ech.pivots()
 
     def rank(self) -> int:
-        return self._echelon().rank
+        return Echelon(self.field, self.cols, self._sparse_rows()).rank
 
     def nullspace_basis(self):
-        """Canonical basis: one vector per free column, -1 in its free slot."""
-        return self._echelon().nullspace_basis()
+        """Canonical basis, dense: one vector per free column, -1 in its free slot."""
+        f = self.field
+        basis = Echelon(f, self.cols, self._sparse_rows()).nullspace_basis()
+        return [[v.get(j, f.zero) for j in range(self.cols)] for v in basis]
 
     def det(self):
-        """Determinant: the product of the pivot values met while inserting
-        the rows in order, times the sign of the order of their pivot columns.
-
-        Inserting row i subtracts multiples of earlier rows only, and the
-        reduced row is zero at every earlier pivot, so the reduced rows form
-        a triangular matrix once their columns are put in pivot order.
-        """
         if self.rows != self.cols:
             raise ShapeMismatch(f"determinant of a {self.rows}x{self.cols} matrix")
-        f = self.field
-        ech = Echelon(f, self.cols)
-        det = f.one
-        order = []
-        for i in range(self.rows):
-            got = ech.insert(self.row(i))
-            if got is None:
-                return f.zero
-            order.append(got[0])
-            det = f.mul(det, got[1])
-        inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
-        return f.neg(det) if inversions % 2 else det
+        return det(self.field, self._sparse_rows())
 
 
 class Echelon:
@@ -139,21 +126,20 @@ class Echelon:
         """The stored rows, sparse, in pivot order: the nonzero rows of the RREF."""
         return [self._rows[c] for c in self.pivots()]
 
-    def reduce(self, row) -> dict:
-        """A new sparse dict: row, given densely or as a sparse {column:
-        scalar} dict, minus its combination of the stored rows; empty
-        exactly when row lies in their span."""
+    def reduce(self, row: dict) -> dict:
+        """A new sparse dict: the sparse row minus its combination of the
+        stored rows; empty exactly when row lies in their span."""
         f = self.field
         rows = self._rows
-        row = {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+        row = {j: x for j, x in row.items() if x}
         # stored rows vanish at every other pivot, so the pivot entries of
         # `row` are not changed by eliminating the ones before them
         for c in [c for c in row if c in rows]:
             axpy(f, row, f.neg(row[c]), rows[c])
         return row
 
-    def insert(self, row):
-        """Add a row, given densely or as a sparse {column: scalar} dict.
+    def insert(self, row: dict):
+        """Add a sparse row.
 
         Returns None if the row depends on the rows already inserted, else
         (pivot column, entry at the pivot column after reduction and before
@@ -176,31 +162,39 @@ class Echelon:
         rows[c] = row
         return c, x
 
-    def matrix(self) -> Matrix:
-        """The nonzero rows of the RREF, in pivot order."""
-        f = self.field
-        entries = []
-        for row in self.rows():
-            dense = [f.zero] * self.width
-            for j, x in row.items():
-                dense[j] = x
-            entries.extend(dense)
-        return Matrix(f, self.rank, self.width, entries)
-
-    def nullspace_basis(self):
-        """Canonical basis: one vector per free column, -1 in its free slot."""
+    def nullspace_basis(self) -> list[dict]:
+        """Canonical basis, sparse: one vector per free column, -1 in its
+        free slot and, at each pivot, the stored row's entry at that column."""
         f = self.field
         minus_one = f.neg(f.one)
-        basis = {}
-        for free in range(self.width):
-            if free not in self._rows:
-                basis[free] = [f.zero] * self.width
-                basis[free][free] = minus_one
+        basis = {free: {free: minus_one} for free in range(self.width) if free not in self._rows}
         for pc, row in self._rows.items():
             for j, x in row.items():
                 if j != pc:
                     basis[j][pc] = x
         return list(basis.values())
+
+
+def det(f: Field, rows: list[dict]):
+    """The determinant of the square matrix with these sparse rows: the
+    product of the pivot values met while inserting the rows in order,
+    times the sign of the order of their pivot columns.
+
+    Inserting row i subtracts multiples of earlier rows only, and the
+    reduced row is zero at every earlier pivot, so the reduced rows form a
+    triangular matrix once their columns are put in pivot order.
+    """
+    ech = Echelon(f, len(rows))
+    value = f.one
+    order = []
+    for row in rows:
+        got = ech.insert(row)
+        if got is None:
+            return f.zero
+        order.append(got[0])
+        value = f.mul(value, got[1])
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+    return f.neg(value) if inversions % 2 else value
 
 
 def axpy(f: Field, out: dict, a, x: dict) -> None:

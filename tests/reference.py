@@ -36,6 +36,23 @@ def as_matrix(f, nrows: int, ncols: int, A: dict) -> Matrix:
     return Matrix(f, nrows, ncols, entries)
 
 
+def rows_matrix(f, nrows: int, ncols: int, rows) -> Matrix:
+    """The dense Matrix of sparse rows: a dict {row: {col: scalar}} (a Gram
+    form, which leaves out its zero rows) or a list of rows (Echelon.rows())."""
+    entries = [f.zero] * (nrows * ncols)
+    for r, row in (rows.items() if isinstance(rows, dict) else enumerate(rows)):
+        for c, x in row.items():
+            entries[r * ncols + c] = x
+    return Matrix(f, nrows, ncols, entries)
+
+
+def dense_gram(d, lam, G: dict) -> Matrix:
+    """A dense copy of the Gram form G = Phi_lam of datum d, rows and
+    columns over M(lam)."""
+    n = len(d.M[lam])
+    return rows_matrix(d.alg.field, n, n, G)
+
+
 def matmul(A: Matrix, B: Matrix) -> Matrix:
     """The dense product A B, entry by entry."""
     if A.cols != B.rows:

@@ -29,7 +29,7 @@ from relcell.families import build_family
 from relcell.field import QQ, PrimeField
 from relcell.zigzag import QuiverSpec, build_zigzag, reversed_order_datum
 
-from reference import as_matrix, check_action, int_matmul, int_transpose, matmul, transpose
+from reference import as_matrix, check_action, dense_gram, int_matmul, int_transpose, matmul, transpose
 
 
 def matrix_unit_datum(size):
@@ -98,11 +98,60 @@ TABLE_SPECS = [
 def test_is_semisimple_is_full_rank_of_every_gram_form(name):
     d = SEMISIMPLE_DATA[name]() if name in SEMISIMPLE_DATA else build_family(name)[1]
     ss = simple_set(d)
-    ranks = {lam: ss.grams[lam].rank() for lam in d.X}
+    ranks = {lam: dense_gram(d, lam, ss.grams[lam]).rank() for lam in d.X}
     # dim L(lam) = rank Phi_lam, and lam is in X0 exactly when the rank is positive
     assert {lam: ss.dims.get(lam, 0) for lam in d.X} == ranks
     assert is_semisimple(d, ss) == all(ranks[lam] == len(d.M[lam]) for lam in d.X)
     assert is_semisimple(d, ss) == (name in SEMISIMPLE_DATA)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_pipeline_and_gram_make_no_dense_matrix(spec, monkeypatch, capsys):
+    # sparse rows are the one matrix format: no stage and no gram print makes a Matrix
+    from relcell import linalg
+    from relcell.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense Matrix was made")
+
+    monkeypatch.setattr(linalg.Matrix, "__init__", refuse)
+    res = run_pipeline(build_family(spec)[1])
+    assert res["axioms"].all_passed and "semisimple" in res
+    for fmt in ("pretty", "csv", "json"):
+        assert main(["gram", spec, "--format", fmt]) == 0
+    capsys.readouterr()
+
+
+def shape_mutants():
+    """zigzag:A:3 with one eps_index entry dropped, one sent outside E, and
+    one order missing: (mutant, the start of (a)'s witness)."""
+    d = build_family("zigzag:A:3")[1]
+    key = next(iter(d.eps_index))
+    dropped = {k: a for k, a in d.eps_index.items() if k != key}
+    outside = {**d.eps_index, key: len(d.E)}
+    return [
+        (d._replace(eps_index=dropped), f"eps_index[{key}] = None is not an index into E"),
+        (d._replace(eps_index=outside), f"eps_index[{key}] = {len(d.E)} is not an index into E"),
+        (d._replace(orders=d.orders[:-1]), f"{len(d.E) - 1} orders for {len(d.E)} idempotents"),
+    ]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_malformed_shape_fails_axiom_a(k, capsys, monkeypatch):
+    # a datum of the wrong shape is a failed axiom with a witness, not a crash
+    mutant, witness = shape_mutants()[k]
+    first, *rest = verify_cell_datum(mutant).results
+    assert first.axiom == "a:basis-bijection" and not first.passed
+    assert first.witness.startswith(witness)
+    skipped = {r.axiom for r in rest if r.witness == "not checked: a:basis-bijection fails"}
+    assert skipped == celldata.SHAPE_READERS
+    doc = report_dict(mutant)
+    assert doc["D"] is None and not doc["axioms"][0]["passed"]
+    from relcell import cli
+
+    monkeypatch.setattr(cli, "build_family", lambda *args: (mutant.alg, mutant))
+    assert cli.main(["verify", "zigzag:A:3", "--format", "json"]) == 1
+    capsys.readouterr()
 
 
 def test_strict_order_validation():
@@ -147,7 +196,7 @@ def test_gram_and_cell_module_consistency(u3):
         delta = cell_module(d, lam)
         assert delta.dim == len(d.M[lam])
         assert check_action(delta)
-        g = gram_matrix(d, lam)
+        g = dense_gram(d, lam, gram_matrix(d, lam))
         assert g == transpose(g)
 
 
@@ -156,7 +205,7 @@ def test_gram_invariance_form_property(u3, k1):
     for alg, d in (u3, k1):
         ss = simple_set(d)
         for lam in d.X:
-            G = ss.grams[lam]
+            G = dense_gram(d, lam, ss.grams[lam])
             delta = ss.cell_modules[lam]
             gens = alg.generators or [(str(lab), alg.basis_element(i)) for i, lab in enumerate(alg.basis)]
             for name, g in gens[:8]:
@@ -286,6 +335,19 @@ def test_core_of_unit_is_whole_algebra(zigzag_a3):
     alg, d = zigzag_a3
     core, cd = core_subalgebra(d, 0)
     assert core.dim == alg.dim
+    assert verify_cell_datum(cd).all_passed
+
+
+@pytest.mark.parametrize("spec, eps", [("zigzag:A:4", 0), ("zigzag:cycS:4", 1), ("zigzag:cycS:40", 1)])
+def test_core_keeps_the_parent_mask(spec, eps):
+    # a core stores a product only where the parent pair is unmasked
+    d = build_family(spec)[1]
+    alg = d.alg
+    core, cd = core_subalgebra(d, eps)
+    core.materialize()
+    keep = [alg.index[lab] for lab in core.basis]
+    unmasked = sum(alg.right_block[i] == alg.left_block[j] for i in keep for j in keep)
+    assert len(core._memo) == unmasked < core.dim**2
     assert verify_cell_datum(cd).all_passed
 
 

@@ -399,3 +399,26 @@ def test_verify_json_pinned(capsys, spec, size, digest):
     assert code == 0
     out = out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+# gram in each format on one family per kind, as printed at the commit that
+# recorded them: (spec, format, byte length, sha256).
+GRAM_DIGESTS = [
+    ("zigzag:cycL:4", "pretty", 144, "a2fe1529a4352a4f4841db6af1742c6ff3848af55f5a2d53ba1c1728454d9563"),
+    ("zigzag:cycL:4", "csv", 144, "27558a13af52beedfa6b0064321c297c80dd42e84c46fae3e3bb44655ad58ea9"),
+    ("zigzag:cycL:4", "json", 687, "748b4485dcaad1ac2ebff9792d3df994e816676b90c74d59e19cb43686e9a47b"),
+    ("usl2:p=7", "pretty", 714, "3fa89f3fb180f35daf49efaaca3b6fd64fdd3712a6f04b0937415bd41196b1d2"),
+    ("usl2:p=7", "csv", 714, "b65ac5d855f767617a5660283ea637e64ce5f7dc4f7738332fe35dd7b8117897"),
+    ("usl2:p=7", "json", 3216, "5f23d4a02ec5739b2ce49ed437bfd88adf53561e52c2deb582a4627b9fb2d306"),
+    ("annular:n=2", "pretty", 258, "deb0d2b36c8b3e618c2515d8092cd1982f3f0d52f49ed188a3d222b0a5e12f6d"),
+    ("annular:n=2", "csv", 258, "36a09f7a8cdc0de5ba6215b0a8cee6c8842d193cfb71fd171f2ac764793c19d5"),
+    ("annular:n=2", "json", 1143, "e9822c8c7bba4e23bdc4a5ddb493905e9d92e5973b7dc115e3ce353bac3a7e58"),
+]
+
+
+@pytest.mark.parametrize("spec, fmt, size, digest", GRAM_DIGESTS)
+def test_gram_pinned(capsys, spec, fmt, size, digest):
+    code, out, _ = run(capsys, "gram", spec, "--format", fmt)
+    assert code == 0
+    out = out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)

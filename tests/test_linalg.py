@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcell.field import PrimeField, QQ
-from relcell.linalg import Echelon, Matrix, ShapeMismatch, axpy
+from relcell.linalg import Echelon, Matrix, ShapeMismatch, axpy, det
 
-from reference import matmul
+from reference import matmul, rows_matrix
 
 
 def diag(field, values):
@@ -57,19 +57,18 @@ def test_nullspace_vectors_kill(m):
 @settings(max_examples=150, deadline=None)
 def test_echelon_insertion_matches_rref(m, rnd):
     # the stored form is the canonical RREF of the rows so far, whatever
-    # their order, and rows may be given dense or as sparse dicts
+    # their order
     order = list(range(m.rows))
     rnd.shuffle(order)
     ech = Echelon(m.field, m.cols)
     for t, i in enumerate(order):
-        row = m.row(i)
-        ech.insert(row if t % 2 else {j: x for j, x in enumerate(row) if x})
+        ech.insert({j: x for j, x in enumerate(m.row(i)) if x})
         prefix = Matrix.from_rows(m.field, [m.row(k) for k in sorted(order[: t + 1])])
         red, piv = prefix.rref()
         assert ech.pivots() == piv
-        assert ech.matrix() == Matrix(m.field, len(piv), m.cols, red.entries[: len(piv) * m.cols])
+        assert rows_matrix(m.field, len(piv), m.cols, ech.rows()) == Matrix(m.field, len(piv), m.cols, red.entries[: len(piv) * m.cols])
     # the RREF spans the rows: each row is its pivot entries times the RREF
-    red = ech.matrix()
+    red = rows_matrix(m.field, ech.rank, m.cols, ech.rows())
     pick = Matrix.from_rows(m.field, [[m[i, c] for c in ech.pivots()] for i in range(m.rows)])
     assert matmul(pick, red) == m
 
@@ -100,6 +99,7 @@ def test_det_matches_leibniz_and_is_multiplicative(data, field, n):
     a = data.draw(square_matrix(field, n))
     b = data.draw(square_matrix(field, n))
     assert a.det() == leibniz_det(a)
+    assert det(field, [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(n)]) == leibniz_det(a)
     assert matmul(a, b).det() == field.mul(a.det(), b.det())
 
 
@@ -115,6 +115,24 @@ def test_nullspace_canonical_form():
     basis = m.nullspace_basis()
     assert len(basis) == 2
     assert basis[0][1] == f.neg(f.one) and basis[1][2] == f.neg(f.one)
+
+
+@given(small_matrix())
+@settings(max_examples=150, deadline=None)
+def test_echelon_nullspace_is_sparse(m):
+    # sparse vectors holding no zero, each killing every row
+    f = m.field
+    rows = [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+    ech = Echelon(f, m.cols, rows)
+    basis = ech.nullspace_basis()
+    assert len(basis) == m.cols - ech.rank
+    for v in basis:
+        assert isinstance(v, dict) and v and all(v.values())
+        for row in rows:
+            total = f.zero
+            for j, x in row.items():
+                total = f.add(total, f.mul(x, v.get(j, f.zero)))
+            assert not total
 
 
 def test_shape_mismatch():
