@@ -4,10 +4,12 @@ An AlgebraTable stores an ordered basis of (lambda, S, T) labels, a
 multiplication rule on basis pairs (a memoized callback, the kernel),
 the star permutation and a Peirce-block mask: a left and a right block key
 per basis element, with b_i * b_j = 0 by declaration unless the right key
-of i equals the left key of j.  The memo is one row per basis element i,
-aligned with the unmasked partners j of i.  Masked products never reach the
-rule or the rows, and products, sweeps and materialization visit only
-unmasked pairs.
+of i equals the left key of j.  The mask must be star-symmetric: the left
+key of star(i) is the right key of i, so a pair is masked exactly when its
+star-mirror is, and axiom (b) sweeps only unmasked pairs.  The memo is one
+row per basis element i, aligned with the unmasked partners j of i.  Masked
+products never reach the rule or the rows, and products, sweeps and
+materialization visit only unmasked pairs.
 
 The kernel contract: a product is a read-only {index: scalar} dict that
 holds no zero coefficient, an empty product is ZERO_PRODUCT, and a kernel
@@ -33,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from types import MappingProxyType
 
-from .field import Field, field_from_str, field_to_str
+from .field import Field, field_to_str
 from .linalg import Echelon, apply, axpy, transpose
 
 
@@ -78,8 +80,9 @@ class AlgebraTable:
     blocks = (left, right) gives one left and one right block key per basis
     element (the Peirce idempotents e, f with b = e b f).  A pair (i, j) with
     right[i] != left[j] is masked: its product is zero without a call to
-    mult_fn.  blocks=None puts every element in one block, so nothing is
-    masked.
+    mult_fn.  The mask must be star-symmetric, left[star[i]] == right[i]
+    (axiom (b) checks it).  blocks=None puts every element in one block, so
+    nothing is masked.
 
     The memo is a list of rows.  Row i is aligned with partners(i), the j
     with b_i * b_j unmasked, and pos[j] is j's place in its left block, so
@@ -538,21 +541,3 @@ def table_to_json(alg: AlgebraTable) -> str:
         "name": alg.name,
     }
     return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def table_from_json(text: str) -> AlgebraTable:
-    """Inverse of table_to_json; basis labels come back as their strings, so
-    a reloaded table re-serializes to the identical document.  The products
-    are read once, without zero coefficients, and equal ones are one dict."""
-    doc = json.loads(text)
-    field = field_from_str(doc["field"])
-    basis = list(doc["basis"])
-    table, shared = {}, {}
-    for key, sc in doc["mult"].items():
-        i, j = (int(x) for x in key.split(","))
-        got = intern_product(shared, {int(k): x for k, v in sc.items() if (x := field.scalar_from_str(v))})
-        if got:
-            table[(i, j)] = got
-    return AlgebraTable(
-        field, basis, lambda i, j: table.get((i, j), ZERO_PRODUCT), tuple(doc["star"]), name=doc.get("name", "")
-    )

@@ -22,7 +22,6 @@ from functools import cached_property
 from fractions import Fraction
 
 from .algebra import (
-    ZERO_PRODUCT,
     AlgebraTable,
     BasisLabel,
     RepModule,
@@ -70,30 +69,36 @@ class StrictOrder:
 
     @cached_property
     def _below(self) -> dict:
-        """below[b] = {a : a < b}."""
+        """b -> {a : a < b}, for every b in X."""
         return {b: {a for a in self.elements if self._oracle(a, b)} for b in self.elements}
 
+    def below(self, b) -> set:
+        """The set {a : a < b}; read-only."""
+        return self._below[b]
+
     def less(self, a, b) -> bool:
-        return a in self._below[b]
+        return a in self.below(b)
 
     def leq(self, a, b) -> bool:
         return a == b or self.less(a, b)
 
     def check_valid(self) -> str | None:
         """None if a strict partial order; else a short witness string."""
-        xs, below = self.elements, self._below
+        xs, below = self.elements, self.below
         for a in xs:
-            if a in below[a]:
+            if a in below(a):
                 return f"not irreflexive at {a}"
         for a in xs:
+            below_a = below(a)
             for b in xs:
-                if a != b and a in below[b] and b in below[a]:
+                if a != b and b in below_a and a in below(b):
                     return f"not antisymmetric on ({a},{b})"
-        # transitive iff below[y] <= below[z] for every y < z
+        # transitive iff below(y) <= below(z) for every y < z
         for z in xs:
+            below_z = below(z)
             for y in xs:
-                if y in below[z] and not below[y] <= below[z]:
-                    x = next(x for x in xs if x in below[y] and x not in below[z])
+                if y in below_z and not below(y) <= below_z:
+                    x = next(x for x in xs if x in below(y) and x not in below_z)
                     return f"not transitive on ({x},{y},{z})"
         return None
 
@@ -172,39 +177,38 @@ def _axiom_a(d: CellDatum) -> str | None:
 def _axiom_b(d: CellDatum) -> str | None:
     """(b) star flips (S,T) and is an anti-automorphism.
 
-    A pair (i, j) is skipped when both (i, j) and (star j, star i) are
-    masked, since then both sides are zero by the table's definition, and
-    when its mirror (star j, star i) comes first: with star an involution
+    The Peirce mask must be star-symmetric: star sends left blocks to right
+    blocks, left[star i] == right[i].  Then the mirror (star j, star i) of
+    an unmasked pair (i, j) is unmasked, and a masked pair has a masked
+    mirror, so both sides of its equation are zero by the table's
+    definition.  So only unmasked pairs are swept, each once: a pair is
+    skipped when its mirror comes first, since with star an involution
     (checked first) the mirror's equation is this one with star applied to
     both sides.  The products are read from the rows of the materialized
-    table; a masked pair reads as zero.  A product is compared with its
-    mirror term by term, with no star-mapped copy.
+    table, and a product is compared with its mirror term by term, with no
+    star-mapped copy.
     """
     alg = d.alg
     star = alg.star_perm
+    left, right = alg.left_block, alg.right_block
     for i, lab in enumerate(alg.basis):
         j = star[i]
         if alg.basis[j] != BasisLabel(lab.lam, lab.T, lab.S):
             return f"star({lab}) != C({lab.lam};{lab.T},{lab.S})"
         if star[j] != i:
             return f"star not involutive at {lab}"
+        if left[j] != right[i]:
+            return f"star does not map the Peirce mask onto itself at {lab}"
     prods, pos = alg.materialize(), alg.pos
-    left, right = alg.left_block, alg.right_block
-    by_star_right = {}  # key -> the j with right[star j] == key
-    for j in range(alg.dim):
-        by_star_right.setdefault(right[star[j]], []).append(j)
     for i in range(alg.dim):
         si = star[i]
-        prods_i, ri, lsi, psi = prods[i], right[i], left[si], pos[si]
-        direct = alg.partners(i)
-        flipped = by_star_right.get(lsi, [])
-        for j in direct if direct == flipped else sorted(set(direct).union(flipped)):
+        psi = pos[si]
+        for j, prod in zip(alg.partners(i), prods[i]):
             sj = star[j]
             if sj < i or (sj == i and si < j):
                 continue
             # star(b_i b_j) == star(b_j) star(b_i), on structure constants
-            prod = prods_i[pos[j]] if left[j] == ri else ZERO_PRODUCT
-            mirror = prods[sj][psi] if right[sj] == lsi else ZERO_PRODUCT
+            mirror = prods[sj][psi]
             if not (prod or mirror):
                 continue
             if len(prod) == len(mirror):
@@ -331,7 +335,7 @@ def _axiom_d(d: CellDatum) -> str | None:
             if T not in place:
                 eps_T = d.eps_of(lam, T)
                 place[T] = len(per_T)
-                per_T.append((T, cells.get((lam, T)), eps_T, d.orders[eps_T]._below.get(lam, ())))
+                per_T.append((T, cells.get((lam, T)), eps_T, d.orders[eps_T].below(lam)))
         entries = {}  # left block -> its column entries (t, S, j, S key), T-major as _columns lists them
         for (key, T), column in _columns(d, lam).items():
             t = place[T]

@@ -5,9 +5,12 @@
     relcell mult annular:n=1 "1-2|v^|1-2" "1-2|v^|1-2"
 
 Exit codes: 0 success / all checks pass, 1 check failure or other error, 2 usage error.
-cartan, decomp, simples, gram and core verify the datum's axioms in
-celldata.run_pipeline before computing anything from it; a failed axiom exits
-1 with each failing axiom and its witness on stderr and nothing on stdout.
+main is the one dispatch: usage errors, a bad --out and mult or frobenius on a
+family that is not annular exit 2 before anything is built; then the family
+is built once and handed to the command.  cartan, decomp, simples, gram and
+core verify the datum's axioms in celldata.run_pipeline before computing
+anything from it; a failed axiom exits 1 with each failing axiom and its
+witness on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ from .diagrams import circle_decomposition_dict, format_basis_label, parse_basis
 from .families import UsageError, build_family, parse_family
 from .linalg import Echelon
 
+# the commands that read annular diagrams, with their refusal for any other family
+ANNULAR_ONLY = {
+    "mult": "mult takes diagram notation and needs an annular family",
+    "frobenius": "the Frobenius form is defined for annular families",
+}
+
 
 def _emit(text: str, out):
     if out:
@@ -44,6 +53,11 @@ def _emit(text: str, out):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _report(args, doc, text: str):
+    """doc as indented, key-sorted JSON under --format json, else text."""
+    _emit(json.dumps(doc, indent=1, sort_keys=True) if args.format == "json" else text, args.out)
 
 
 def _matrix_text(rows, fmt: str, title: str = "") -> str:
@@ -65,8 +79,7 @@ def _pipeline(datum, upto: str) -> dict:
     return res
 
 
-def cmd_build(args) -> int:
-    alg, datum = build_family(args.family, args.max_dim)
+def cmd_build(args, alg, datum) -> int:
     if args.format == "json":
         _emit(table_to_json(alg), args.out)
     else:
@@ -81,33 +94,29 @@ def cmd_build(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    _, datum = build_family(args.family, args.max_dim)
+def cmd_verify(args, alg, datum) -> int:
     if args.format == "json":
         doc = report_dict(datum)
-        _emit(json.dumps(doc, indent=1, sort_keys=True), args.out)
+        _report(args, doc, "")
         return 0 if all(a["passed"] for a in doc["axioms"]) else 1
     report = verify_cell_datum(datum)
     _emit(str(report), args.out)
     return 0 if report.all_passed else 1
 
 
-def cmd_cartan(args) -> int:
-    _, datum = build_family(args.family, args.max_dim)
+def cmd_cartan(args, alg, datum) -> int:
     C, _, _ = _pipeline(datum, "C")["C"]
     _emit(_matrix_text(C, args.format, f"Cartan matrix of {args.family}"), args.out)
     return 0
 
 
-def cmd_decomp(args) -> int:
-    _, datum = build_family(args.family, args.max_dim)
+def cmd_decomp(args, alg, datum) -> int:
     D = _pipeline(datum, "D")["D"]
     _emit(_matrix_text(D, args.format, f"decomposition matrix of {args.family}"), args.out)
     return 0
 
 
-def cmd_gram(args) -> int:
-    alg, datum = build_family(args.family, args.max_dim)
+def cmd_gram(args, alg, datum) -> int:
     _pipeline(datum, "axioms")
     f = alg.field
     blocks = []
@@ -118,38 +127,19 @@ def cmd_gram(args) -> int:
         rows = [[f.scalar_to_str(phi.get(i, {}).get(j, f.zero)) for j in range(n)] for i in range(n)]
         doc[str(lam)] = rows
         blocks.append(f"# {lam}\n" + _matrix_text(rows, "csv" if args.format == "csv" else "pretty"))
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=1, sort_keys=True), args.out)
-    else:
-        _emit("\n".join(blocks), args.out)
+    _report(args, doc, "\n".join(blocks))
     return 0
 
 
-def cmd_simples(args) -> int:
-    _, datum = build_family(args.family, args.max_dim)
+def cmd_simples(args, alg, datum) -> int:
     ss = _pipeline(datum, "simples")["simples"]
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {"X0": [str(l) for l in ss.X0], "dims": {str(l): ss.dims[l] for l in ss.X0}},
-                indent=1,
-                sort_keys=True,
-            ),
-            args.out,
-        )
-    else:
-        lines = [f"L({lam}): dim {ss.dims[lam]}" for lam in ss.X0]
-        _emit("\n".join(lines), args.out)
+    doc = {"X0": [str(l) for l in ss.X0], "dims": {str(l): ss.dims[l] for l in ss.X0}}
+    _report(args, doc, "\n".join(f"L({lam}): dim {ss.dims[lam]}" for lam in ss.X0))
     return 0
 
 
-def cmd_mult(args) -> int:
-    parsed = parse_family(args.family)
-    if parsed[0] != "annular":
-        print("mult takes diagram notation and needs an annular family", file=sys.stderr)
-        return 2
-    n = parsed[1]
-    alg, _ = build_family(args.family, args.max_dim)
+def cmd_mult(args, alg, datum) -> int:
+    n = parse_family(args.family)[1]
     try:
         Sa, wa, Ta = parse_basis_label(args.x, n)
         Sb, wb, Tb = parse_basis_label(args.y, n)
@@ -159,89 +149,51 @@ def cmd_mult(args) -> int:
     a = alg.element_from_label(BasisLabel(wa, Sa, Ta))
     b = alg.element_from_label(BasisLabel(wb, Sb, Tb))
     prod = a * b
-    terms = sorted(
-        (alg.basis[i], alg.field.scalar_to_str(c)) for i, c in prod.coeffs.items()
-    )
-    if args.format == "json":
-        doc = []
-        for lab, c in terms:
-            entry = {"coeff": c, "term": format_basis_label(lab.S, lab.lam, lab.T)}
-            if args.circles:
-                entry["circles"] = circle_decomposition_dict(lab.S, lab.T, lab.lam, n)
-            doc.append(entry)
-        _emit(json.dumps(doc, indent=1, sort_keys=True), args.out)
-    else:
-        if not terms:
-            _emit("0", args.out)
-        else:
-            bits = []
-            for lab, c in terms:
-                s = format_basis_label(lab.S, lab.lam, lab.T)
-                bits.append(s if c == "1" else f"{c}*{s}")
-            _emit(" + ".join(bits), args.out)
+    terms = sorted((alg.basis[i], alg.field.scalar_to_str(c)) for i, c in prod.coeffs.items())
+    doc, bits = [], []
+    for lab, c in terms:
+        s = format_basis_label(lab.S, lab.lam, lab.T)
+        entry = {"coeff": c, "term": s}
+        if args.circles:
+            entry["circles"] = circle_decomposition_dict(lab.S, lab.T, lab.lam, n)
+        doc.append(entry)
+        bits.append(s if c == "1" else f"{c}*{s}")
+    _report(args, doc, " + ".join(bits) or "0")
     return 0
 
 
-def cmd_core(args) -> int:
-    _, datum = build_family(args.family, args.max_dim)
+def cmd_core(args, alg, datum) -> int:
     if not 0 <= args.eps < len(datum.E):
         print(f"--eps must be in [0, {len(datum.E)})", file=sys.stderr)
         return 2
     _pipeline(datum, "axioms")
     core, cd = core_subalgebra(datum, args.eps)
     report = verify_cell_datum(cd)
-    if args.format == "json":
-        doc = {
-            "dimension": core.dim,
-            "X": [str(l) for l in cd.X],
-            "cellular": report.all_passed,
-        }
-        _emit(json.dumps(doc, indent=1, sort_keys=True), args.out)
-    else:
-        _emit(
-            f"core eps[{args.eps}]: dimension {core.dim}, |X| = {len(cd.X)}\n{report}",
-            args.out,
-        )
+    doc = {"dimension": core.dim, "X": [str(l) for l in cd.X], "cellular": report.all_passed}
+    _report(args, doc, f"core eps[{args.eps}]: dimension {core.dim}, |X| = {len(cd.X)}\n{report}")
     return 0 if report.all_passed else 1
 
 
-def cmd_frobenius(args) -> int:
+def cmd_frobenius(args, alg, datum) -> int:
     import random
 
-    parsed = parse_family(args.family)
-    if parsed[0] != "annular":
-        print("the Frobenius form is defined for annular families", file=sys.stderr)
-        return 2
-    alg, _ = build_family(args.family, args.max_dim)
     G = frobenius_gram(alg)
     rank = Echelon(alg.field, alg.dim, G.values()).rank
     rng = random.Random(args.seed)
     trials = 200
     assoc_ok = True
     for _ in range(trials):
-        i, j, k = (rng.randrange(alg.dim) for _ in range(3))
-        x, y, z = (alg.basis_element(t) for t in (i, j, k))
-        lhs = _sigma_of(alg, x * y, z, G)
-        rhs = _sigma_of(alg, x, y * z, G)
-        if lhs != rhs:
+        x, y, z = (alg.basis_element(rng.randrange(alg.dim)) for _ in range(3))
+        if _sigma_of(alg, x * y, z, G) != _sigma_of(alg, x, y * z, G):
             assoc_ok = False
             break
     nondeg = rank == alg.dim
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {"dimension": alg.dim, "rank": rank, "nondegenerate": nondeg, "associative_sample": assoc_ok},
-                indent=1,
-                sort_keys=True,
-            ),
-            args.out,
-        )
-    else:
-        _emit(
-            f"sigma-Gram rank {rank} of {alg.dim}; nondegenerate: {nondeg}; "
-            f"associativity sample ({trials} triples): {'ok' if assoc_ok else 'FAILED'}",
-            args.out,
-        )
+    doc = {"dimension": alg.dim, "rank": rank, "nondegenerate": nondeg, "associative_sample": assoc_ok}
+    text = (
+        f"sigma-Gram rank {rank} of {alg.dim}; nondegenerate: {nondeg}; "
+        f"associativity sample ({trials} triples): {'ok' if assoc_ok else 'FAILED'}"
+    )
+    _report(args, doc, text)
     return 0 if (nondeg and assoc_ok) else 1
 
 
@@ -311,7 +263,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _check_out(args.out)
-        return args.fn(args)
+        if args.command in ANNULAR_ONLY and parse_family(args.family)[0] != "annular":
+            print(ANNULAR_ONLY[args.command], file=sys.stderr)
+            return 2
+        alg, datum = build_family(args.family, args.max_dim)
+        return args.fn(args, alg, datum)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

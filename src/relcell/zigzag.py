@@ -278,19 +278,3 @@ def alternate_idempotent_datum(field: Field) -> tuple[AlgebraTable, CellDatum]:
         primitive_idempotents=dict(std.primitive_idempotents),
     )
     return alg, datum
-
-
-def reversed_order_datum(field: Field) -> tuple[AlgebraTable, CellDatum]:
-    """Deliberately faulty C(A_3) datum: the chain order turned around."""
-    spec = QuiverSpec(LINE, 3)
-    alg, std = build_zigzag(spec, field)
-    bad = CellDatum(
-        alg=alg,
-        X=std.X,
-        M=std.M,
-        E=std.E,
-        orders=[chain_order(std.X, list(reversed(std.X)), "<_1-reversed")],
-        eps_index=std.eps_index,
-        name="zigzag:A:3-reversed-order",
-    )
-    return alg, bad

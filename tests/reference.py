@@ -1,13 +1,18 @@
 """Reference code that only the tests call.
 
-Slow or roundabout routes to what the package computes directly, kept here
-so that `src` holds only what the pipeline uses.
+Slow or roundabout routes to what the package computes directly, and test
+data the package never reads, kept here so that `src` holds only what the
+pipeline uses.
 """
 
-from relcell.algebra import AlgebraTable, BasisLabel, Element, RepModule
+import json
+
+from relcell.algebra import ZERO_PRODUCT, AlgebraTable, BasisLabel, Element, RepModule, intern_product
+from relcell.celldata import CellDatum, chain_order
 from relcell.diagrams import DOWN, UP, _tag, clockwise_weight, rotate_cup, rotate_weight, trace_circle
-from relcell.field import PrimeField
+from relcell.field import Field, PrimeField, field_from_str
 from relcell.linalg import Echelon, Matrix, ShapeMismatch
+from relcell.zigzag import LINE, QuiverSpec, build_zigzag
 
 
 # --- scalars times elements and matrices ----------------------------------------
@@ -249,3 +254,43 @@ def frobenius_matrix(alg: AlgebraTable) -> Matrix:
     """The dense dim x dim matrix of sigma, one frobenius_form per entry."""
     n = alg.dim
     return Matrix.from_rows(alg.field, [[frobenius_form(alg, i, j) for j in range(n)] for i in range(n)])
+
+
+# --- serialization ----------------------------------------------------------------
+
+
+def table_from_json(text: str) -> AlgebraTable:
+    """Inverse of algebra.table_to_json; basis labels come back as their
+    strings, so a reloaded table re-serializes to the identical document.
+    The products are read once, without zero coefficients, and equal ones
+    are one dict."""
+    doc = json.loads(text)
+    field = field_from_str(doc["field"])
+    basis = list(doc["basis"])
+    table, shared = {}, {}
+    for key, sc in doc["mult"].items():
+        i, j = (int(x) for x in key.split(","))
+        got = intern_product(shared, {int(k): x for k, v in sc.items() if (x := field.scalar_from_str(v))})
+        if got:
+            table[(i, j)] = got
+    return AlgebraTable(
+        field, basis, lambda i, j: table.get((i, j), ZERO_PRODUCT), tuple(doc["star"]), name=doc.get("name", "")
+    )
+
+
+# --- a faulty datum ----------------------------------------------------------------
+
+
+def reversed_order_datum(field: Field) -> tuple[AlgebraTable, CellDatum]:
+    """Deliberately faulty C(A_3) datum: the chain order turned around."""
+    alg, std = build_zigzag(QuiverSpec(LINE, 3), field)
+    bad = CellDatum(
+        alg=alg,
+        X=std.X,
+        M=std.M,
+        E=std.E,
+        orders=[chain_order(std.X, list(reversed(std.X)), "<_1-reversed")],
+        eps_index=std.eps_index,
+        name="zigzag:A:3-reversed-order",
+    )
+    return alg, bad

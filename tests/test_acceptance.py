@@ -41,10 +41,9 @@ from relcell.zigzag import (
     QuiverSpec,
     alternate_idempotent_datum,
     build_zigzag,
-    reversed_order_datum,
 )
 
-from reference import dense_gram, int_matmul, int_transpose
+from reference import dense_gram, int_matmul, int_transpose, reversed_order_datum
 
 EXPECTED_CARTAN = {
     "zigzag:A:3": [[2, 1, 0], [1, 2, 1], [0, 1, 2]],

@@ -15,7 +15,6 @@ from relcell.algebra import (
     left_ideal_module,
     quotient_module,
     radical_of_module,
-    table_from_json,
     table_to_json,
     unit_element,
 )
@@ -32,7 +31,7 @@ from relcell.families import build_family
 from relcell.field import QQ
 from relcell.linalg import Echelon, Matrix
 
-from reference import as_matrix, check_action, dense_gram, scale_matrix
+from reference import as_matrix, check_action, dense_gram, scale_matrix, table_from_json
 
 
 def check_associativity(alg, limit=30, samples=10_000, seed=0):

@@ -11,7 +11,17 @@ import pytest
 from relcell import celldata
 from relcell.algebra import AlgebraTable, BasisLabel
 from relcell.celldata import _columns, verify_cell_datum
+from relcell.celldata import core_subalgebra
 from relcell.families import build_family
+from relcell.field import QQ
+from relcell.zigzag import alternate_idempotent_datum
+
+from reference import reversed_order_datum
+
+TABLES = [
+    "zigzag:A:3", "zigzag:A:4", "zigzag:A:5", "zigzag:cycS:3", "zigzag:cycS:4", "zigzag:cycS:5",
+    "zigzag:cycL:3", "zigzag:cycL:4", "usl2:p=3", "usl2:p=5", "usl2:p=7", "annular:n=1", "annular:n=2",
+]
 
 
 def retabled(d, mult_fn=None, blocks=None):
@@ -77,6 +87,10 @@ def test_column_missing_under_one_T_fails_d():
         "d:mult-left: FAIL  [r_a(S',S) depends on T for a=BasisLabel(lam=1, S=(1,), T=(1,)),"
         " lambda=1]"
     ]
+    # the moved column breaks the mask's star symmetry at its mirror, which (b) reports
+    assert celldata._axiom_b(mutant) == (
+        "star does not map the Peirce mask onto itself at BasisLabel(lam=1, S=(2, 1), T=(1,))"
+    )
 
 
 def test_mult_left_reads_only_column_entries(monkeypatch):
@@ -137,3 +151,24 @@ def test_b_compares_every_term_with_the_mirror(change):
     assert celldata._axiom_b(retabled(d, mult_fn=mult)) == (
         "star(BasisLabel(lam=0, S=0, T=0)*BasisLabel(lam=0, S=0, T=1)) != star*star"
     )
+
+
+def shipped_data():
+    """Every datum the package ships: the table families, each of their
+    cores, and the alternate and reversed-order zigzag data."""
+    for spec in TABLES:
+        _, d = build_family(spec)
+        yield spec, d
+        for a in range(len(d.E)):
+            yield f"{spec} core {a}", core_subalgebra(d, a)[1]
+    yield "zigzag:cycS:3-alt", alternate_idempotent_datum(QQ)[1]
+    yield "zigzag:A:3-reversed-order", reversed_order_datum(QQ)[1]
+
+
+def test_every_shipped_mask_is_star_symmetric():
+    # (b) sweeps only unmasked pairs, which is sound only for such a mask
+    for name, d in shipped_data():
+        alg = d.alg
+        star, left, right = alg.star_perm, alg.left_block, alg.right_block
+        assert all(left[star[i]] == right[i] for i in range(alg.dim)), name
+        assert celldata._axiom_b(d) is None, name

@@ -27,9 +27,18 @@ from relcell.celldata import (
 from relcell.annular import build_annular
 from relcell.families import build_family
 from relcell.field import QQ, PrimeField
-from relcell.zigzag import QuiverSpec, build_zigzag, reversed_order_datum
+from relcell.zigzag import QuiverSpec, build_zigzag
 
-from reference import as_matrix, check_action, dense_gram, int_matmul, int_transpose, matmul, transpose
+from reference import (
+    as_matrix,
+    check_action,
+    dense_gram,
+    int_matmul,
+    int_transpose,
+    matmul,
+    reversed_order_datum,
+    transpose,
+)
 
 
 def matrix_unit_datum(size):
@@ -179,6 +188,21 @@ def test_transitivity_witness(pairs):
     assert bad.startswith("not transitive on (")
     x, y, z = (int(v) for v in bad[len("not transitive on (") : -1].split(","))
     assert (x, y) in pairs and (y, z) in pairs and (x, z) not in pairs
+
+
+def test_below_is_the_set_under_b_asked_for_lazily():
+    asked = []
+
+    def divides(a, b):
+        asked.append((a, b))
+        return a != b and b % a == 0
+
+    order = StrictOrder([1, 2, 3, 4, 6, 12], divides)
+    assert asked == []  # building an order asks the oracle nothing
+    assert order.below(12) == {1, 2, 3, 4, 6} and order.below(1) == set()
+    assert len(asked) == 36  # once per ordered pair, then never again
+    assert order.less(4, 12) and not order.less(4, 6) and order.check_valid() is None
+    assert len(asked) == 36
 
 
 def test_reversed_order_fails_with_witness():

@@ -12,7 +12,8 @@ from relcell.algebra import AlgebraTable
 from relcell.cli import main
 from relcell.families import SizeLimit, build_family
 from relcell.field import QQ
-from relcell.zigzag import reversed_order_datum
+
+from reference import reversed_order_datum
 
 
 def run(capsys, *argv):
@@ -46,8 +47,6 @@ def test_verify_json_schema(capsys):
 def test_verify_json_failed_axioms_certify_nothing(capsys, monkeypatch):
     import relcell.celldata as celldata
     import relcell.cli as cli
-    from relcell.field import QQ
-    from relcell.zigzag import reversed_order_datum
 
     def never(*args, **kwargs):
         raise AssertionError("a stage after the axioms ran on failed data")
@@ -243,6 +242,31 @@ def test_out_naming_a_directory_exit_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and str(tmp_path) in err
     assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
     assert (tmp_path / "kept.txt").read_text() == "kept\n"
+
+
+REFUSALS = [
+    (["mult", "zigzag:A:3", "x", "y"], "mult takes diagram notation and needs an annular family"),
+    (["frobenius", "usl2:p=9"], "the Frobenius form is defined for annular families"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[argv[0] for argv, _ in REFUSALS])
+def test_annular_only_refused_before_build(capsys, monkeypatch, argv, message):
+    import relcell.cli as cli
+
+    def never(*args):
+        raise AssertionError("build_family ran for a refused family")
+
+    monkeypatch.setattr(cli, "build_family", never)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_frobenius_bad_spec_is_a_usage_error(capsys):
+    # usl2:p=4 fails parse_family before the annular-only refusal is read
+    code, out, err = run(capsys, "frobenius", "usl2:p=4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad family spec 'usl2:p=4'")
 
 
 def test_mult_rejects_bad_notation(capsys):

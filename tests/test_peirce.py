@@ -16,6 +16,8 @@ from relcell.celldata import StrictOrder, cell_module, verify_cell_datum
 from relcell.families import build_family
 from relcell.field import QQ
 
+from reference import reversed_order_datum
+
 SPECS = [
     "zigzag:A:3",
     "zigzag:cycS:3",
@@ -160,7 +162,7 @@ MUTANTS += [("merged-idempotent", spec) for spec in ("annular:n=2", "zigzag:cycL
 def mutant(kind, spec):
     """(datum, keyword changes for `reports`) injecting one fault."""
     if kind == "reversed-datum":
-        return zigzag.reversed_order_datum(QQ)[1], {}
+        return reversed_order_datum(QQ)[1], {}
     alg, d = build_family(spec)
     return d, {
         "orders-reversed": lambda: {"orders": list(reversed(d.orders))},

@@ -9,10 +9,12 @@ equal.
 
 import pytest
 
-from relcell.algebra import ZERO_PRODUCT, table_from_json, table_to_json
+from relcell.algebra import ZERO_PRODUCT, table_to_json
 from relcell.celldata import core_subalgebra
 from relcell.families import build_family
 from relcell.usl2 import structure_constants
+
+from reference import table_from_json
 
 
 def from_json(spec):
