@@ -3,12 +3,14 @@
 
 Reports the combinatorial data (20 cup diagrams, dimension 1664, the
 projective dimension split 80/88), then samples random products for
-surgery order-independence and random triples for associativity.
+surgery order-independence and random triples b_i, b_j, b_k with
+b_i b_j != 0 and b_j b_k != 0 for associativity.
 
     PYTHONPATH=src python3 scripts/k3_census.py [--seed S] [--products N] [--triples N]
 
-Exits 1 when a sampled product depends on the surgery order or a sampled
-triple is not associative, and 0 otherwise.
+Exits 1 when a sampled product depends on the surgery order, a sampled
+triple is not associative or no sampled triple has (b_i b_j) b_k != 0, and
+0 otherwise.
 """
 
 import argparse
@@ -66,15 +68,26 @@ def main() -> int:
         done += 1
     print(f"order-independence: {done} products, {ambiguous} ambiguous")
 
+    # triples with b_i b_j != 0 and b_j b_k != 0, redrawn otherwise: a
+    # uniform triple is almost never Peirce-compatible, and then compares 0 with 0
     alg, _ = build_annular(n, QQ)
-    bad = 0
-    for _ in range(args.triples):
-        i, j, k = (rnd.randrange(alg.dim) for _ in range(3))
+    done = nonzero = bad = 0
+    while done < args.triples:
+        i = rnd.randrange(alg.dim)
+        j = rnd.choice(alg.partners(i))
+        k = rnd.choice(alg.partners(j))
+        if not (alg.mult_basis(i, j) and alg.mult_basis(j, k)):
+            continue
         x, y, z = (alg.basis_element(t) for t in (i, j, k))
-        if (x * y) * z != x * (y * z):
-            bad += 1
-    print(f"associativity: {args.triples} random triples, {bad} violations")
-    return 1 if ambiguous or bad else 0
+        lhs = (x * y) * z
+        nonzero += bool(lhs.coeffs)
+        bad += lhs != x * (y * z)
+        done += 1
+    print(
+        f"associativity: {done} triples with b_i b_j, b_j b_k != 0, "
+        f"{nonzero} with (b_i b_j) b_k != 0, {bad} violations"
+    )
+    return 1 if ambiguous or bad or not nonzero else 0
 
 
 if __name__ == "__main__":

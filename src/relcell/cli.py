@@ -180,13 +180,19 @@ def cmd_frobenius(args, alg, datum) -> int:
     G = frobenius_gram(alg)
     rank = Echelon(alg.field, alg.dim, G.values()).rank
     rng = random.Random(args.seed)
-    trials = 200
+    trials, done = 200, 0
     assoc_ok = True
-    for _ in range(trials):
-        x, y, z = (alg.basis_element(rng.randrange(alg.dim)) for _ in range(3))
-        if _sigma_of(alg, x * y, z, G) != _sigma_of(alg, x, y * z, G):
-            assoc_ok = False
-            break
+    # x uniform, y among its partners, z among y's partners that close the
+    # Peirce cycle (z's right block is x's left block): the only triples on
+    # which sigma(x y, z) can be nonzero.  A draw with no such z is redrawn.
+    while assoc_ok and done < trials:
+        i = rng.randrange(alg.dim)
+        j = rng.choice(alg.partners(i))
+        ks = [k for k in alg.partners(j) if alg.right_block[k] == alg.left_block[i]]
+        if ks:
+            x, y, z = (alg.basis_element(t) for t in (i, j, rng.choice(ks)))
+            assoc_ok = _sigma_of(alg, x * y, z, G) == _sigma_of(alg, x, y * z, G)
+            done += 1
     nondeg = rank == alg.dim
     doc = {"dimension": alg.dim, "rank": rank, "nondegenerate": nondeg, "associative_sample": assoc_ok}
     text = (
@@ -207,7 +213,9 @@ def _sigma_of(alg, x, y, G):
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="relcell", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="relcell", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

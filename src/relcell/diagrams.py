@@ -15,16 +15,17 @@ polyline; winding +-1 circles are essential and rightwards/leftwards by
 drift direction.  The tabulated cup/cap orientation rules are recovered
 as tested properties of this classifier rather than hardcoded.
 
-The classifier is traced once per pair of cup diagrams: circle_table(S, T, n)
-holds both orientations of every circle of S T* with their tags, and
-classify_diagram only matches a weight against them.
+The classifier is traced once per circle: circle_table(S, T, n) walks each
+circle of S T* downward from its least vertex and mirrors that trace for the
+upward orientation, so it holds both orientations of every circle with their
+tags, and classify_diagram only matches a weight against them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 DOWN = "v"
 UP = "^"
@@ -102,21 +103,13 @@ def orients(S: CupDiagram, w: str) -> bool:
 
 def orientations_of(S: CupDiagram) -> list[str]:
     """The 2^n weights orienting S."""
-    n2 = 2 * len(S)
-    sym = {}
-    outs = []
-
-    def rec(i):
-        if i == len(S):
-            outs.append("".join(sym[v] for v in range(1, n2 + 1)))
-            return
-        a = S[i]
-        for sp, sq in ((DOWN, UP), (UP, DOWN)):
+    out = []
+    for ends in product((DOWN + UP, UP + DOWN), repeat=len(S)):
+        sym = {}
+        for a, (sp, sq) in zip(S, ends):
             sym[a.p], sym[a.q] = sp, sq
-            rec(i + 1)
-
-    rec(0)
-    return sorted(set(outs), key=weight_sort_key)
+        out.append("".join(sym[v] for v in sorted(sym)))
+    return sorted(out, key=weight_sort_key)
 
 
 def weight_sort_key(w: str):
@@ -146,31 +139,12 @@ def flip_weight(w: str) -> str:
 # --- rotation ---------------------------------------------------------------
 
 
-def rotate_weight(w: str) -> str:
-    return w[-1] + w[:-1]
-
-
-def rotate_arc(a: Arc, n: int) -> Arc:
-    m = 2 * n
-    gaps = {(g + 1) % m for g in a.gaps(n)}
-    p = (a.p % m) + 1
-    q = (a.q % m) + 1
-    p, q = min(p, q), max(p, q)
-    return Arc(p, q, 0 in gaps)
-
-
-def rotate_cup(S: CupDiagram, n: int) -> CupDiagram:
-    return make_cup(rotate_arc(a, n) for a in S)
-
-
 def staying_rotation_exponent(S: CupDiagram, n: int) -> int:
-    """Minimal k >= 0 with rho^k(S) of staying type."""
-    cur = S
-    for k in range(2 * n):
-        if all(not a.wrap for a in cur):
-            return k
-        cur = rotate_cup(cur, n)
-    raise ValueError(f"no rotation of {S} is of staying type")
+    """Minimal k >= 0 with rho^k(S) of staying type.  rho shifts every gap
+    by one, so an arc of rho^k(S) wraps exactly when S covers gap -k."""
+    m = 2 * n
+    covered = set().union(*(a.gaps(n) for a in S))
+    return next(k for k in range(m) if -k % m not in covered)
 
 
 # --- partial orders ---------------------------------------------------------
@@ -194,40 +168,10 @@ def dominance_less(mu: str, lam: str) -> bool:
 def cup_order_less(S: CupDiagram, mu: str, lam: str, n: int) -> bool:
     """mu <_{eps_S} lam via the minimal staying rotation of S."""
     k = staying_rotation_exponent(S, n)
-    for _ in range(k):
-        mu = rotate_weight(mu)
-        lam = rotate_weight(lam)
-    return dominance_less(mu, lam)
+    return dominance_less(mu[-k:] + mu[:-k], lam[-k:] + lam[:-k])
 
 
 # --- circle decomposition and the orientation classifier --------------------
-
-
-def circles_of(cups: CupDiagram, caps: CupDiagram) -> list[tuple]:
-    """Connected components of the circle diagram: lists of vertices."""
-    cup_at = {}
-    for a in cups:
-        cup_at[a.p] = a
-        cup_at[a.q] = a
-    cap_at = {}
-    for a in caps:
-        cap_at[a.p] = a
-        cap_at[a.q] = a
-    seen = set()
-    out = []
-    for v0 in sorted(cup_at):
-        if v0 in seen:
-            continue
-        comp = []
-        v, half = v0, "cup"
-        while v not in seen:
-            seen.add(v)
-            comp.append(v)
-            arc = cup_at[v] if half == "cup" else cap_at[v]
-            v = arc.other(v)
-            half = "cap" if half == "cup" else "cup"
-        out.append(tuple(sorted(comp)))
-    return out
 
 
 def _depths(diagram: CupDiagram, n: int) -> dict:
@@ -302,14 +246,19 @@ def _tag(winding: int, area2: int) -> str:
     return ACW if area2 > 0 else CW
 
 
+_MIRROR = {ACW: CW, CW: ACW, LEFT: RIGHT, RIGHT: LEFT}
+
+
 @lru_cache(maxsize=None)
 def circle_table(S: CupDiagram, T: CupDiagram, n: int) -> tuple:
-    """Both orientations of every circle of S T*, traced once per pair.
+    """Both orientations of every circle of S T*, one trace per circle.
 
-    One entry per circle, in the order of circles_of: (vertex tuple,
-    (tag, symbols), (tag, symbols)), where symbols spells the strand
-    directions on the circle's vertices in vertex order; the two entries
-    come from trace_circle started downward and upward at the least vertex.
+    One entry per circle, by least vertex: (vertex tuple, (tag, symbols),
+    (tag, symbols)), where symbols spells the strand directions on the
+    circle's vertices in vertex order.  The first entry is trace_circle
+    started downward at the least vertex; the second is its mirror, since
+    the circle run backwards flips every symbol and negates both winding
+    and area (anticlockwise <-> clockwise, leftwards <-> rightwards).
     The key is a pair of cup diagrams rather than a basis label or an
     algebra: multiply_labels is a free function that runs without a built
     algebra, and the key domain stays len(enumerate_cup_diagrams(n))**2
@@ -317,14 +266,15 @@ def circle_table(S: CupDiagram, T: CupDiagram, n: int) -> tuple:
     caller, so it holds only tuples and strings.
     """
     out = []
-    for comp in circles_of(S, T):
-        cups = [a for a in S if a.p in comp]
-        caps = [a for a in T if a.p in comp]
-        orientations = []
-        for d0 in (DOWN, UP):
-            sym, winding, area2 = trace_circle(cups, caps, n, comp[0], d0)
-            orientations.append((_tag(winding, area2), "".join(sym[v] for v in comp)))
-        out.append((comp, *orientations))
+    seen = set()
+    for v in range(1, 2 * n + 1):
+        if v in seen:
+            continue
+        sym, winding, area2 = trace_circle(S, T, n, v, DOWN)
+        comp = tuple(sorted(sym))
+        seen.update(comp)
+        tag, down = _tag(winding, area2), "".join(sym[u] for u in comp)
+        out.append((comp, (tag, down), (_MIRROR[tag], flip_weight(down))))
     return tuple(out)
 
 

@@ -9,7 +9,7 @@ import json
 
 from relcell.algebra import ZERO_PRODUCT, AlgebraTable, BasisLabel, Element, RepModule, intern_product
 from relcell.celldata import CellDatum, chain_order
-from relcell.diagrams import DOWN, UP, _tag, clockwise_weight, rotate_cup, rotate_weight, trace_circle
+from relcell.diagrams import DOWN, UP, Arc, _tag, clockwise_weight, make_cup, trace_circle
 from relcell.field import Field, PrimeField, field_from_str
 from relcell.linalg import Echelon, Matrix, ShapeMismatch
 from relcell.zigzag import LINE, QuiverSpec, build_zigzag
@@ -26,6 +26,22 @@ def scale_element(x: Element, c) -> Element:
 def scale_matrix(A: Matrix, c) -> Matrix:
     f = A.field
     return Matrix(f, A.rows, A.cols, [f.mul(c, a) for a in A.entries])
+
+
+# --- random triples that can multiply -------------------------------------------
+
+
+def peirce_triple(alg: AlgebraTable, rnd, closed: bool = False) -> tuple[int, int, int]:
+    """Random basis indices (i, j, k) with b_i b_j and b_j b_k unmasked: i
+    uniform, j among partners(i), k among partners(j).  closed also asks for
+    b_k's right block to be b_i's left block, where sigma(b_i b_j, b_k) can be
+    nonzero; a draw with no such k is redrawn."""
+    while True:
+        i = rnd.randrange(alg.dim)
+        j = rnd.choice(alg.partners(i))
+        ks = [k for k in alg.partners(j) if not closed or alg.right_block[k] == alg.left_block[i]]
+        if ks:
+            return i, j, rnd.choice(ks)
 
 
 # --- dense matrices: the reference for the sparse module layer --------------------
@@ -105,6 +121,46 @@ def check_action(M: RepModule, pairs=None) -> bool:
 
 
 # --- annular diagrams --------------------------------------------------------------
+
+
+def circles_of(cups, caps) -> list[tuple]:
+    """Connected components of the circle diagram, found by walking cup and
+    cap arcs alternately: sorted vertex tuples, by least vertex."""
+    cup_at = {v: a for a in cups for v in (a.p, a.q)}
+    cap_at = {v: a for a in caps for v in (a.p, a.q)}
+    seen = set()
+    out = []
+    for v0 in sorted(cup_at):
+        if v0 in seen:
+            continue
+        comp = []
+        v, on_cup = v0, True
+        while v not in seen:
+            seen.add(v)
+            comp.append(v)
+            v = (cup_at if on_cup else cap_at)[v].other(v)
+            on_cup = not on_cup
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+def rotate_weight(w: str) -> str:
+    """rho on a weight: the last symbol moves to the front."""
+    return w[-1] + w[:-1]
+
+
+def rotate_arc(a: Arc, n: int) -> Arc:
+    """rho on an arc: every endpoint and every covered gap moves up by one."""
+    m = 2 * n
+    gaps = {(g + 1) % m for g in a.gaps(n)}
+    p = (a.p % m) + 1
+    q = (a.q % m) + 1
+    p, q = min(p, q), max(p, q)
+    return Arc(p, q, 0 in gaps)
+
+
+def rotate_cup(S, n: int):
+    return make_cup(rotate_arc(a, n) for a in S)
 
 
 def circle_wrapping_parity(cups, caps, comp_vertices) -> int:

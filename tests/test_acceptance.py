@@ -43,7 +43,7 @@ from relcell.zigzag import (
     build_zigzag,
 )
 
-from reference import dense_gram, int_matmul, int_transpose, reversed_order_datum
+from reference import dense_gram, int_matmul, int_transpose, peirce_triple, reversed_order_datum
 
 EXPECTED_CARTAN = {
     "zigzag:A:3": [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
@@ -221,15 +221,22 @@ def test_criterion_6_well_definedness_and_associativity(pipelines):
         }
         assert len(results) == 1
         done += 1
-    # >= 10^4 random associativity triples per family
+    # >= 10^4 random associativity triples per family, each with b_i b_j and
+    # b_j b_k unmasked, and at least the floor of them with (b_i b_j) b_k != 0
+    # (measured at seed 99: 3167, 2555, 1336, 3011, 2447, 546, 2557, 2542, 147)
     k3 = build_annular(3, QQ)[0]
     families = [pipelines[k][0] for k in _builders()] + [build_usl2(5)[0], build_usl2(7)[0], k3]
-    for alg in families:
+    floors = [2500, 2000, 1000, 2500, 2000, 400, 2000, 2000, 100]
+    for alg, floor in zip(families, floors, strict=True):
         rnd = random.Random(99)
+        nonzero = 0
         for _ in range(10_000):
-            i, j, k = (rnd.randrange(alg.dim) for _ in range(3))
+            i, j, k = peirce_triple(alg, rnd)
             x, y, z = (alg.basis_element(t) for t in (i, j, k))
-            assert (x * y) * z == x * (y * z), (alg.name, i, j, k)
+            lhs = (x * y) * z
+            assert lhs == x * (y * z), (alg.name, i, j, k)
+            nonzero += bool(lhs.coeffs)
+        assert nonzero >= floor, (alg.name, nonzero)
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
     print(f"ACCEPTANCE 6: PASS  surgery well-defined, associativity sampled ({elapsed:.0f}s)")

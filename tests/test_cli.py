@@ -345,6 +345,36 @@ def test_frobenius_seed(capsys):
     assert code == 0
 
 
+def test_frobenius_reports_a_perturbed_sigma(capsys, monkeypatch):
+    # sigma'(x_i, x_j) = (i + 1) sigma(x_i, x_j) keeps the rank but not
+    # sigma(x y, z) = sigma(x, y z); a uniform sample on annular:n=2 sees
+    # sigma(x y, z) = 0 on every triple and misses it
+    from relcell import cli
+
+    gram = cli.frobenius_gram
+
+    def perturbed(alg):
+        f = alg.field
+        return {i: {j: f.mul(f.from_int(i + 1), c) for j, c in row.items()} for i, row in gram(alg).items()}
+
+    monkeypatch.setattr(cli, "frobenius_gram", perturbed)
+    code, out, _ = run(capsys, "frobenius", "annular:n=2")
+    assert code == 1
+    assert out == "sigma-Gram rank 108 of 108; nondegenerate: True; associativity sample (200 triples): FAILED\n"
+
+
+def test_help_keeps_the_examples_one_per_line(capsys):
+    from relcell import cli
+
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    examples = [line for line in cli.__doc__.splitlines() if line.strip().startswith("relcell ")]
+    assert len(examples) == 3
+    lines = out.splitlines()
+    for example in examples:
+        assert example in lines
+
+
 def test_seed_only_on_frobenius(capsys):
     code, _, _ = run(capsys, "cartan", "usl2:p=3", "--seed", "3")
     assert code == 2

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,13 +18,15 @@ from relcell.diagrams import (
     Arc,
     anticlockwise_weight,
     arcs_cross,
+    _tag,
+    circle_decomposition_dict,
     circle_table,
-    circles_of,
     classify_diagram,
     clockwise_weight,
     cup_order_less,
     dominance_less,
     enumerate_cup_diagrams,
+    flip_weight,
     format_basis_label,
     format_cup,
     make_cup,
@@ -31,12 +35,18 @@ from relcell.diagrams import (
     parse_basis_label,
     parse_cup,
     parse_weight,
+    staying_rotation_exponent,
+    trace_circle,
+)
+
+from reference import (
+    circle_wrapping_parity,
+    circles_of,
+    classify_circle,
+    orient_circle_with_tag,
     rotate_cup,
     rotate_weight,
-    staying_rotation_exponent,
-    )
-
-from reference import circle_wrapping_parity, classify_circle, orient_circle_with_tag
+)
 
 P1 = make_cup([Arc(1, 2, False)])
 W1 = make_cup([Arc(1, 2, True)])
@@ -152,6 +162,48 @@ def test_circle_table_orientations_equal_orient_circle_with_tag(n):
                 for tag, sym in orientations:
                     want = orient_circle_with_tag(cups, caps, n, tag)
                     assert sym == "".join(want[v] for v in comp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_upward_trace_is_the_mirrored_downward_trace(n):
+    # circle_table traces each circle downward once and mirrors it; both
+    # traces from the least vertex, on the circle's own arcs, give its entries
+    mirror = {ACW: CW, CW: ACW, LEFT: RIGHT, RIGHT: LEFT}
+    for S in enumerate_cup_diagrams(n):
+        for T in enumerate_cup_diagrams(n):
+            table = circle_table(S, T, n)
+            assert [entry[0] for entry in table] == circles_of(S, T)
+            for comp, down, up in table:
+                cups = [a for a in S if a.p in comp]
+                caps = [a for a in T if a.p in comp]
+                traced = []
+                for d0 in (DOWN, UP):
+                    sym, winding, area2 = trace_circle(cups, caps, n, comp[0], d0)
+                    traced.append((_tag(winding, area2), "".join(sym[v] for v in comp)))
+                assert [down, up] == traced
+                assert up == (mirror[down[0]], flip_weight(down[1]))
+
+
+CIRCLE_DECOMPOSITION_SHA256 = {
+    2: "aac2df32ab6dde1731ecb009ed6216db5f8493bfdc8f200052f27c9512360b05",
+    3: "116ab511f1eb0f787838bc7727e40a580a73c1be82ce40c94c013c3eb480e314",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_circle_decomposition_pinned(n):
+    # every oriented circle diagram S w T* of K_n, as mult --circles prints it
+    cups = enumerate_cup_diagrams(n)
+    docs = [
+        circle_decomposition_dict(S, T, w, n)
+        for S in cups
+        for T in cups
+        for w in orientations_of(S)
+        if orients(T, w)
+    ]
+    assert len(docs) == {2: 108, 3: 1664}[n]
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == CIRCLE_DECOMPOSITION_SHA256[n]
 
 
 def test_classify_diagram_rejects_inconsistent_weight():
@@ -280,14 +332,38 @@ def test_rotation_period():
             assert cur == S
 
 
+def _least_staying_rotation(S, n):
+    """The least k with rho^k(S) of staying type, by one-step rotations."""
+    cur = S
+    for k in range(2 * n):
+        if not any(a.wrap for a in cur):
+            return k
+        cur = rotate_cup(cur, n)
+    raise AssertionError(f"no rotation of {S} is of staying type")
+
+
 def test_staying_rotation_exists():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for S in enumerate_cup_diagrams(n):
-            k = staying_rotation_exponent(S, n)
-            cur = S
+            assert staying_rotation_exponent(S, n) == _least_staying_rotation(S, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cup_order_less_equals_iterated_rotation(n):
+    from relcell.annular import weight_list
+
+    weights = weight_list(n)
+    for S in enumerate_cup_diagrams(n):
+        k = _least_staying_rotation(S, n)
+        rotated = {}
+        for w in weights:
+            r = w
             for _ in range(k):
-                cur = rotate_cup(cur, n)
-            assert all(not a.wrap for a in cur)
+                r = rotate_weight(r)
+            rotated[w] = r
+        for mu in weights:
+            for lam in weights:
+                assert cup_order_less(S, mu, lam, n) == dominance_less(rotated[mu], rotated[lam])
 
 
 def test_order_example_from_rotation():
