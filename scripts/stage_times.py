@@ -9,7 +9,9 @@ build (`build_family`), products (`materialize`), then the stages of
 simples, D and C (none after a failed axiom).  Each child also records its
 VmHWM, read from /proc/self/status at the end (null where that file does
 not exist), and the number of `hom_space` calls in each stage, which the
-hook cannot see: `hom_space` is the one thing patched, for the run only.
+hook cannot see: `algebra.hom_space` is the one thing patched, for the run
+only (the module layer calls it through `algebra`'s globals, and `celldata`
+does not import it).
 A spec's record holds the median over its samples of each stage time and
 of the VmHWM.
 
@@ -63,11 +65,11 @@ def run_stages(spec: str) -> dict:
     from relcell import algebra, celldata, families
 
     calls = [0]
-    saved = algebra.hom_space, celldata.hom_space
+    saved = algebra.hom_space
 
     def counted(M, N):
         calls[0] += 1
-        return saved[0](M, N)
+        return saved(M, N)
 
     times, homs = {}, {}
 
@@ -79,13 +81,13 @@ def run_stages(spec: str) -> dict:
             homs[name] = calls[0] - before
         return out
 
-    algebra.hom_space = celldata.hom_space = counted
+    algebra.hom_space = counted
     try:
         alg, d = stage("build", families.build_family, spec)
         stage("products", alg.materialize)
         report = celldata.run_pipeline(d, "C", stage)["axioms"]
     finally:
-        algebra.hom_space, celldata.hom_space = saved
+        algebra.hom_space = saved
     failed = [r.axiom for r in report.results if not r.passed]
     return {"dim": alg.dim, "failed_axioms": failed, "stages": times, "hom_space_calls": homs, "vm_hwm_mib": vm_hwm_mib()}
 

@@ -25,7 +25,8 @@ sparse column maps {col: {row: scalar}}, and nothing for the rest.  Hom
 spaces, radicals, submodules, quotients, composition multiplicities and
 Peirce dimensions dim eAf are computed on sparse vectors by exact linear
 algebra over the table's field: linalg.Echelon for elimination and
-linalg.axpy for every sum, with no dense matrix.
+linalg.axpy for every sum, with no dense matrix.  Every submodule and
+quotient is one transport of the action through a lift and a projection.
 """
 
 from __future__ import annotations
@@ -327,45 +328,48 @@ class RepModule:
         return Echelon(self.alg.field, self.dim, self.act(x).values()).rank
 
 
-def _span_module(alg: AlgebraTable, ech: Echelon, images, indices) -> RepModule:
-    """Module structure on the row space of `ech`, which must be stable.
-
-    The basis is the RREF rows; `images(i)` returns the images of the basis
-    rows under basis element i as sparse vectors, and only the given indices
-    act (every other one must act by zero).  Basis vector j is 1 at pivot
-    column p_j and every other basis vector is 0 there, so the coordinates
-    of an image in the span are its entries at the pivot columns, and the
-    image lies in the span exactly when `ech` reduces it to zero.
-    """
-    where = {p: k for k, p in enumerate(ech.pivots())}
-    action = {}
-    for i in indices:
-        A = {}
-        for j, v in enumerate(images(i)):
-            if ech.reduce(v):
-                raise AlgebraMismatch("subspace is not action-stable")
-            col = {where[p]: x for p, x in v.items() if p in where}
-            if col:
-                A[j] = col
-        action[i] = A
-    return RepModule(alg, len(where), action)
-
-
-def _restrict_action(M: RepModule, vectors: list[dict]) -> RepModule:
-    """The submodule of M spanned by the given sparse vectors (must be stable)."""
+def _transport(M: RepModule, lift: list[dict], project: Callable[[dict], dict]) -> RepModule:
+    """The module in which b_i sends basis vector k to project(rho_M(b_i)
+    lift[k]): lift[k] is vector k in M, project maps M to the new coordinates."""
     f = M.alg.field
-    ech = Echelon(f, M.dim, vectors)
-    basis = ech.rows()
-    return _span_module(M.alg, ech, lambda i: [apply(f, M.action[i], u) for u in basis], M.action)
+    action = {}
+    for i, A in M.action.items():
+        cols = {}
+        for k, u in enumerate(lift):
+            v = project(apply(f, A, u))
+            if v:
+                cols[k] = v
+        action[i] = cols
+    return RepModule(M.alg, len(lift), action)
 
 
-def quotient_module(M: RepModule, sub_vectors: list[dict]) -> tuple[RepModule, dict]:
-    """Quotient of M by the span of the sparse sub_vectors; returns (module, projection),
-    the projection a sparse column map from M to the quotient.
+def submodule(M: RepModule, vectors: list[dict]) -> RepModule:
+    """The submodule of M spanned by the sparse vectors, on the RREF basis
+    of their span; AlgebraMismatch when the span is not action-stable.
+
+    Basis vector k is 1 at pivot column p_k and every other basis vector is
+    0 there, so the coordinates of an image in the span are its entries at
+    the pivot columns, and the image lies in the span exactly when the
+    elimination reduces it to zero.
+    """
+    ech = Echelon(M.alg.field, M.dim, vectors)
+    where = {p: k for k, p in enumerate(ech.pivots())}
+
+    def project(v):
+        if ech.reduce(v):
+            raise AlgebraMismatch("subspace is not action-stable")
+        return {where[p]: x for p, x in v.items() if p in where}
+
+    return _transport(M, ech.rows(), project)
+
+
+def quotient_module(M: RepModule, sub_vectors: list[dict]) -> RepModule:
+    """Quotient of M by the span of the sparse sub_vectors.
 
     Quotient coordinates are the non-pivot coordinates of the relation RREF,
     quotient basis vector k lifting to e_free[k]: each pivot coordinate pc
-    satisfies e_pc == -sum_f red[pc][f] e_f mod N.
+    satisfies e_pc == -sum_f red[pc][f] e_f mod N, which the projection P
+    (a sparse column map from M to the quotient) reads.
     """
     f = M.alg.field
     ech = Echelon(f, M.dim, sub_vectors)
@@ -377,11 +381,7 @@ def quotient_module(M: RepModule, sub_vectors: list[dict]) -> tuple[RepModule, d
         col = {where[j]: f.neg(x) for j, x in row.items() if j != pc}
         if col:
             P[pc] = col
-    action = {
-        i: {where[j]: v for j, col in A.items() if j in where and (v := apply(f, P, col))}
-        for i, A in M.action.items()
-    }
-    return RepModule(M.alg, len(where), action), P
+    return _transport(M, [{j: f.one} for j in where], lambda v: apply(f, P, v))
 
 
 def hom_space(M: RepModule, N: RepModule) -> list[dict]:
@@ -439,28 +439,23 @@ def radical_of_module(M: RepModule, simples: list[RepModule]) -> tuple[list[list
     rows = [row for hs in homs for X in hs for row in transpose(X).values()]
     if not rows:
         return homs, M
-    return homs, _restrict_action(M, Echelon(M.alg.field, M.dim, rows).nullspace_basis())
+    return homs, submodule(M, Echelon(M.alg.field, M.dim, rows).nullspace_basis())
 
 
-def composition_multiplicities(M: RepModule, simples: list[RepModule], end_dims: list[int]) -> list[int]:
-    """Jordan-Hoelder multiplicities of each simple in M (radical series);
-    end_dims[k] = dim End simples[k]."""
+def composition_multiplicities(M: RepModule, simples: list[RepModule]) -> list[int]:
+    """Jordan-Hoelder multiplicities of each simple in M (radical series),
+    [layer : L] = dim Hom(layer, L) since End L = k: restriction to a core
+    embeds End L(lam) into End of the simple eps L(lam) of eps A eps, which
+    is absolutely irreducible (Graham-Lehrer 1996, Prop. 3.2).  A missing,
+    reducible or repeated simple fails one of the two checks."""
     mults = [0] * len(simples)
     current = M
     while current.dim > 0:
         homs, rad = radical_of_module(current, simples)
-        head_dim = 0
-        for k, L in enumerate(simples):
-            h = len(homs[k])
-            if h % end_dims[k] != 0:
-                raise NonIntegralMultiplicity(
-                    f"hom dimension {h} not divisible by dim End = {end_dims[k]}"
-                )
-            m = h // end_dims[k]
-            mults[k] += m
-            head_dim += m * L.dim
-        if head_dim == 0:
+        if not any(homs):
             raise NonIntegralMultiplicity("module has no map to any given simple; simples incomplete?")
+        for k, hs in enumerate(homs):
+            mults[k] += len(hs)
         current = rad
     if sum(m * L.dim for m, L in zip(mults, simples)) != M.dim:
         raise NonIntegralMultiplicity("multiplicities do not account for the full dimension")
@@ -509,17 +504,12 @@ def peirce_dims(alg: AlgebraTable, idems: list[Element]) -> list[list[int]]:
 
 
 def left_ideal_module(alg: AlgebraTable, e: Element) -> RepModule:
-    """The left module R*e on the RREF basis of {b_i * e}, b_i acting by the
-    algebra product; the tests' reference for P(lambda) = A e_lambda."""
-    n = alg.dim
-    ech = Echelon(alg.field, n, ((alg.basis_element(i) * e).coeffs for i in range(n)))
-    basis = [alg.element(v) for v in ech.rows()]
-
-    def images(i):
-        x = alg.basis_element(i)
-        return [(x * y).coeffs for y in basis]
-
-    return _span_module(alg, ech, images, range(n))
+    """A e in the regular module (read from the materialized rows), spanned
+    by the b_i e; the tests' reference for P(lambda) = A e_lambda."""
+    rows = alg.materialize()
+    cols = ({j: p for j, p in zip(alg.partners(i), row) if p} for i, row in enumerate(rows))
+    regular = RepModule(alg, alg.dim, dict(enumerate(cols)))
+    return submodule(regular, [apply(alg.field, A, e.coeffs) for A in regular.action.values()])
 
 
 # --- serialization ----------------------------------------------------------

@@ -5,7 +5,8 @@ Everything here is generic over an AlgebraTable whose basis labels are
 Gram forms (sparse rows, as every matrix here) and radicals, the simple
 labels X0, decomposition and Cartan matrices with reciprocity C = D^T D
 checked against the Peirce ranks dim eAf of primitive idempotents or of E
-(see cartan_matrix), semisimplicity, idempotent cores.
+(see cartan_matrix), semisimplicity, idempotent cores.  End L(lam) = k for
+every simple, so D counts homs and C reads dim e L(lam) as a multiplicity.
 
 `verify_cell_datum` is the one place where the conditions of a cell datum
 are checked.  Every stage after it (cell modules, Gram forms, simples, D,
@@ -28,7 +29,6 @@ from .algebra import (
     by_block,
     combine,
     composition_multiplicities,
-    hom_space,
     intern_product,
     peirce_dims,
     quotient_module,
@@ -466,10 +466,11 @@ def gram_matrix(d: CellDatum, lam) -> dict[int, dict]:
     return rows
 
 
-# X0, and per lam in X0: modules (L(lam), a quotient of Delta(lam)), dims,
-# ends (dim End L(lam)) and eps_dims (dim eps L(lam) for each eps in E, in E
-# order); per lam in X: cell_modules (Delta(lam)) and grams (Phi_lam)
-SimpleSet = namedtuple("SimpleSet", "X0 modules dims ends eps_dims cell_modules grams")
+# X0, and per lam in X0: modules (L(lam), a quotient of Delta(lam),
+# absolutely irreducible, so End L(lam) = k), dims and eps_dims (dim eps
+# L(lam) for each eps in E, in E order); per lam in X: cell_modules
+# (Delta(lam)) and grams (Phi_lam)
+SimpleSet = namedtuple("SimpleSet", "X0 modules dims eps_dims cell_modules grams")
 
 
 def simple_set(d: CellDatum) -> SimpleSet:
@@ -480,13 +481,12 @@ def simple_set(d: CellDatum) -> SimpleSet:
     grams = {lam: gram_matrix(d, lam) for lam in d.X}
     X0 = [lam for lam in d.X if grams[lam]]
     modules = {
-        lam: quotient_module(cells[lam], Echelon(f, cells[lam].dim, grams[lam].values()).nullspace_basis())[0]
+        lam: quotient_module(cells[lam], Echelon(f, cells[lam].dim, grams[lam].values()).nullspace_basis())
         for lam in X0
     }
     dims = {lam: L.dim for lam, L in modules.items()}
-    ends = {lam: len(hom_space(L, L)) for lam, L in modules.items()}
     eps_dims = {lam: tuple(L.rank(e) for e in d.E) for lam, L in modules.items()}
-    return SimpleSet(X0, modules, dims, ends, eps_dims, cells, grams)
+    return SimpleSet(X0, modules, dims, eps_dims, cells, grams)
 
 
 def decomposition_matrix(d: CellDatum, ss: SimpleSet) -> list[list[int]]:
@@ -497,8 +497,7 @@ def decomposition_matrix(d: CellDatum, ss: SimpleSet) -> list[list[int]]:
     RouteMismatch if any check fails.
     """
     simples = [ss.modules[lam] for lam in ss.X0]
-    ends = [ss.ends[lam] for lam in ss.X0]
-    D = [composition_multiplicities(ss.cell_modules[mu], simples, ends) for mu in d.X]
+    D = [composition_multiplicities(ss.cell_modules[mu], simples) for mu in d.X]
     for ci, lam in enumerate(ss.X0):
         ri = d.X.index(lam)
         if D[ri][ci] != 1:
@@ -558,25 +557,24 @@ def cartan_matrix(d: CellDatum, ss: SimpleSet, D: list[list[int]]):
     Peirce ranks dim eAf that C was checked against.
 
     C is checked against Peirce ranks: for idempotents e, f with A e = sum
-    m_e(lam) P(lam), dim eAf = sum m_e(lam) c(lam) m_f(mu) [P(mu):L(lam)],
-    c = dim End L.  The idempotents are the registered primitive e_lam if every
-    lam in X0 has one (m = delta: every entry of C is checked), else E, with
-    m_e(lam) = dim e L(lam) / c(lam), dim e L(lam) read from ss.eps_dims.
-    A mismatch raises ReciprocityFailure.
+    m_e(lam) P(lam), dim eAf = sum m_e(lam) m_f(mu) [P(mu):L(lam)], since
+    End L(lam) = k.  The idempotents are the registered primitive e_lam if
+    every lam in X0 has one (m = delta: every entry of C is checked), else
+    E, with m_e(lam) = dim e L(lam) read from ss.eps_dims.  A mismatch
+    raises ReciprocityFailure.
     """
     X0, prims = ss.X0, d.primitive_idempotents
     C = int_gram(D, len(X0))
-    ends = [ss.ends[lam] for lam in X0]
     if all(lam in prims for lam in X0):
         idems, names = [prims[lam] for lam in X0], [f"e({lam})" for lam in X0]
         mults = [{a: 1} for a in range(len(X0))]
     else:
         idems, names = d.E, [f"E[{a}]" for a in range(len(d.E))]
-        mults = [{i: Fraction(ss.eps_dims[lam][a], ss.ends[lam]) for i, lam in enumerate(X0)} for a in range(len(idems))]
+        mults = [{i: m for i, lam in enumerate(X0) if (m := ss.eps_dims[lam][a])} for a in range(len(idems))]
     P = peirce_dims(d.alg, idems)
     for a, row in enumerate(P):
         for b, got in enumerate(row):
-            want = sum(x * ends[i] * y * C[j][i] for i, x in mults[a].items() for j, y in mults[b].items())
+            want = sum(x * y * C[j][i] for i, x in mults[a].items() for j, y in mults[b].items())
             if want != got:
                 raise ReciprocityFailure(f"dim {names[a]} A {names[b]} = {got}, but C gives {want}")
     return C, D, P

@@ -191,19 +191,21 @@ def _arc_displacement(a: Arc, start: int, n: int) -> int:
     return -around if start == a.p else around
 
 
+@lru_cache(maxsize=None)
+def _layout(diagram: CupDiagram, n: int) -> tuple:
+    """(the arc at each vertex, the _depths of each arc), read-only: one
+    entry per cup diagram on 2n vertices."""
+    at = {}
+    for a in diagram:
+        at[a.p] = at[a.q] = a
+    return at, _depths(diagram, n)
+
+
 def trace_circle(cups, caps, n, start_vertex, start_dir):
     """Traverse the component through start_vertex; start_dir 'v' goes into
     the cup first.  Returns (symbols dict, winding, signed area doubled)."""
-    cup_at = {}
-    for a in cups:
-        cup_at[a.p] = a
-        cup_at[a.q] = a
-    cap_at = {}
-    for a in caps:
-        cap_at[a.p] = a
-        cap_at[a.q] = a
-    cup_depth = _depths(make_cup(cups), n)
-    cap_depth = _depths(make_cup(caps), n)
+    cup_at, cup_depth = _layout(make_cup(cups), n)
+    cap_at, cap_depth = _layout(make_cup(caps), n)
 
     symbols = {}
     pts = []

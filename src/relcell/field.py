@@ -57,19 +57,15 @@ class Field:
     zero = None
     one = None
 
-    # serialization of scalars (exact round-trip)
+    # serialization of scalars (exact)
     def scalar_to_str(self, a) -> str:
-        raise NotImplementedError
-
-    def scalar_from_str(self, s: str):
         raise NotImplementedError
 
 
 class Rationals(Field):
     """The field Q; scalars are ints and fractions.Fraction (arbitrary
-    precision).  Only inv and div make a Fraction, and scalar_from_str reads
-    an integral string as an int, so integral values stay ints: they add,
-    multiply, test and hash in C."""
+    precision).  Only inv and div make a Fraction, so integral values stay
+    ints: they add, multiply, test and hash in C."""
 
     def __init__(self):
         self.zero = 0
@@ -94,10 +90,6 @@ class Rationals(Field):
 
     def scalar_to_str(self, a) -> str:
         return str(Fraction(a))
-
-    def scalar_from_str(self, s: str):
-        q = Fraction(s)
-        return q.numerator if q.denominator == 1 else q
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -142,9 +134,6 @@ class PrimeField(Field):
     def scalar_to_str(self, a) -> str:
         return str(a % self.p)
 
-    def scalar_from_str(self, s: str):
-        return int(s) % self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -160,14 +149,6 @@ QQ = Rationals()
 
 def field_to_str(field: Field) -> str:
     return "Q" if isinstance(field, Rationals) else f"F{field.p}"
-
-
-def field_from_str(s: str) -> Field:
-    if s == "Q":
-        return QQ
-    if s.startswith("F"):
-        return PrimeField(int(s[1:]))
-    raise ValueError(f"unknown field spec {s!r}")
 
 
 def factorial_mod(k: int, field: Field):

@@ -6,11 +6,12 @@ pipeline uses.
 """
 
 import json
+from fractions import Fraction
 
 from relcell.algebra import ZERO_PRODUCT, AlgebraTable, BasisLabel, Element, RepModule, intern_product
 from relcell.celldata import CellDatum, chain_order
 from relcell.diagrams import DOWN, UP, Arc, _tag, clockwise_weight, make_cup, trace_circle
-from relcell.field import Field, PrimeField, field_from_str
+from relcell.field import QQ, Field, PrimeField
 from relcell.linalg import Echelon, Matrix, ShapeMismatch
 from relcell.zigzag import LINE, QuiverSpec, build_zigzag
 
@@ -315,6 +316,24 @@ def frobenius_matrix(alg: AlgebraTable) -> Matrix:
 # --- serialization ----------------------------------------------------------------
 
 
+def field_from_str(s: str) -> Field:
+    """Inverse of field.field_to_str."""
+    if s == "Q":
+        return QQ
+    if s.startswith("F"):
+        return PrimeField(int(s[1:]))
+    raise ValueError(f"unknown field spec {s!r}")
+
+
+def scalar_from_str(field: Field, s: str):
+    """Inverse of field.scalar_to_str: over Q an integral string reads back
+    as an int and any other as a Fraction, over F_p as a residue in [0, p)."""
+    if isinstance(field, PrimeField):
+        return int(s) % field.p
+    q = Fraction(s)
+    return q.numerator if q.denominator == 1 else q
+
+
 def table_from_json(text: str) -> AlgebraTable:
     """Inverse of algebra.table_to_json; basis labels come back as their
     strings, so a reloaded table re-serializes to the identical document.
@@ -326,7 +345,7 @@ def table_from_json(text: str) -> AlgebraTable:
     table, shared = {}, {}
     for key, sc in doc["mult"].items():
         i, j = (int(x) for x in key.split(","))
-        got = intern_product(shared, {int(k): x for k, v in sc.items() if (x := field.scalar_from_str(v))})
+        got = intern_product(shared, {int(k): x for k, v in sc.items() if (x := scalar_from_str(field, v))})
         if got:
             table[(i, j)] = got
     return AlgebraTable(

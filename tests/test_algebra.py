@@ -7,14 +7,15 @@ from relcell.algebra import (
     ZERO_PRODUCT,
     AlgebraMismatch,
     AlgebraTable,
+    NonIntegralMultiplicity,
     NotUnital,
     RepModule,
-    _restrict_action,
     composition_multiplicities,
     hom_space,
     left_ideal_module,
     quotient_module,
     radical_of_module,
+    submodule,
     table_to_json,
     unit_element,
 )
@@ -135,17 +136,27 @@ def test_composition_multiplicities_examples(u3, k1):
     alg, d = u3
     ss = simple_set(d)
     simples = [ss.modules[lam] for lam in ss.X0]
-    ends = [ss.ends[lam] for lam in ss.X0]
     # Delta(0) for p=3 has factors L(0) and L(1)
-    assert composition_multiplicities(ss.cell_modules[0], simples, ends) == [1, 1, 0]
+    assert composition_multiplicities(ss.cell_modules[0], simples) == [1, 1, 0]
     # indicator on a simple
-    assert composition_multiplicities(simples[2], simples, ends) == [0, 0, 1]
+    assert composition_multiplicities(simples[2], simples) == [0, 0, 1]
     # P(v^) in K_1 has factors {L(v^): 2, L(^v): 2}
     alg1, d1 = k1
     ss1 = simple_set(d1)
     simples1 = [ss1.modules[lam] for lam in ss1.X0]
     P = left_ideal_module(alg1, d1.E[0])
-    assert composition_multiplicities(P, simples1, [ss1.ends[lam] for lam in ss1.X0]) == [2, 2]
+    assert composition_multiplicities(P, simples1) == [2, 2]
+
+
+def test_composition_multiplicities_refuses_a_missing_or_repeated_simple(u3):
+    alg, d = u3
+    ss = simple_set(d)
+    simples = [ss.modules[lam] for lam in ss.X0]
+    delta = ss.cell_modules[0]  # factors L(0) and L(1)
+    with pytest.raises(NonIntegralMultiplicity, match="no map"):
+        composition_multiplicities(delta, simples[1:])
+    with pytest.raises(NonIntegralMultiplicity, match="full dimension"):
+        composition_multiplicities(delta, simples + simples[:1])
 
 
 SPARSE_FAMILIES = ("zigzag_a3", "zigzag_cycl3", "u3", "k1")
@@ -266,7 +277,8 @@ def test_quotient_module_dims(u3):
     ss = simple_set(d)
     delta = ss.cell_modules[0]
     rad = Echelon(alg.field, delta.dim, ss.grams[0].values()).nullspace_basis()
-    Q, P = quotient_module(delta, rad)
+    Q = quotient_module(delta, rad)
+    assert isinstance(Q, RepModule)
     assert Q.dim == delta.dim - len(rad)
     assert check_action(Q)
 
@@ -284,7 +296,7 @@ def test_restrict_to_unstable_subspace_raises(zigzag_a3):
     reg = left_ideal_module(alg, unit_element(alg, d.E))
     e0 = dict(d.E[0].coeffs)
     with pytest.raises(AlgebraMismatch):
-        _restrict_action(reg, [e0])
+        submodule(reg, [e0])
 
 
 def test_serialization_roundtrip(zigzag_cycs3):

@@ -4,7 +4,7 @@ import pytest
 
 from relcell import celldata
 
-from relcell.algebra import AlgebraTable, BasisLabel
+from relcell.algebra import AlgebraTable, BasisLabel, hom_space
 from relcell.celldata import (
     AXIOMS,
     CellDatum,
@@ -27,7 +27,7 @@ from relcell.celldata import (
 from relcell.annular import build_annular
 from relcell.families import build_family
 from relcell.field import QQ, PrimeField
-from relcell.zigzag import QuiverSpec, build_zigzag
+from relcell.zigzag import QuiverSpec, alternate_idempotent_datum, build_zigzag
 
 from reference import (
     as_matrix,
@@ -112,6 +112,28 @@ def test_is_semisimple_is_full_rank_of_every_gram_form(name):
     assert {lam: ss.dims.get(lam, 0) for lam in d.X} == ranks
     assert is_semisimple(d, ss) == all(ranks[lam] == len(d.M[lam]) for lam in d.X)
     assert is_semisimple(d, ss) == (name in SEMISIMPLE_DATA)
+
+
+END_DATA = [
+    *TABLE_SPECS, "zigzag:cycL:12", "usl2:p=11", "annular:n=3", "alternate",
+    *(f"{spec} cores" for spec in ("usl2:p=5", "annular:n=2", "zigzag:cycS:4")),
+]
+
+
+@pytest.mark.parametrize("name", END_DATA)
+def test_every_simple_has_endomorphisms_the_field(name):
+    # D counts homs into L(lam) and C reads dim eps L(lam) as a multiplicity:
+    # both rest on End L(lam) = k
+    if name == "alternate":
+        data = [alternate_idempotent_datum(QQ)[1]]
+    elif name.endswith(" cores"):
+        d = build_family(name.removesuffix(" cores"))[1]
+        data = [core_subalgebra(d, a)[1] for a in range(len(d.E))]
+    else:
+        data = [build_family(name)[1]]
+    for d in data:
+        ss = simple_set(d)
+        assert ss.X0 and all(len(hom_space(L, L)) == 1 for L in ss.modules.values()), d.name
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -28,7 +29,7 @@ def tables():
 
 @pytest.fixture
 def census(monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["k3_census.py", "--products", "20", "--triples", "20"])
+    monkeypatch.setattr(sys, "argv", ["k3_census.py", "--products", "20", "--triples", "100"])
     return load("k3_census")
 
 
@@ -65,8 +66,11 @@ def test_reproduce_tables_fails_on_an_axiom(tables, monkeypatch, capsys):
     assert "1 check(s) failed" in capsys.readouterr().out
 
 
-def test_k3_census_passes(census):
+def test_k3_census_passes(census, capsys):
     assert census.main() == 0
+    # the associativity check rests on the triples whose product is nonzero
+    nonzero = re.search(r"(\d+) with \(b_i b_j\) b_k != 0", capsys.readouterr().out)
+    assert int(nonzero.group(1)) >= 10
 
 
 def test_k3_census_fails_on_an_ambiguous_order(census, monkeypatch):
@@ -106,8 +110,8 @@ def test_stage_times_restores_the_hom_space_counter():
 
     hom_space = algebra.hom_space
     rec = load("stage_times").run_stages("zigzag:A:3")
-    assert rec["hom_space_calls"] == {"simples": 3, "D": 18}
-    assert algebra.hom_space is hom_space and celldata.hom_space is hom_space
+    assert rec["hom_space_calls"] == {"D": 18}
+    assert algebra.hom_space is hom_space
 
 
 def test_stage_times_reports_the_median_of_its_samples(monkeypatch):
