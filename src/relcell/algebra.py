@@ -9,7 +9,8 @@ key of star(i) is the right key of i, so a pair is masked exactly when its
 star-mirror is, and axiom (b) sweeps only unmasked pairs.  The memo is one
 row per basis element i, aligned with the unmasked partners j of i.  Masked
 products never reach the rule or the rows, and products, sweeps and
-materialization visit only unmasked pairs.
+materialization visit only unmasked pairs; basis_products is the one
+reader of an element against every basis element.
 
 The kernel contract: a product is a read-only {index: scalar} dict that
 holds no zero coefficient, an empty product is ZERO_PRODUCT, and a kernel
@@ -119,11 +120,13 @@ class AlgebraTable:
         if not len(self.left_block) == len(self.right_block) == self.dim:
             raise ValueError("need one left and one right block key per basis element")
         self._by_left: dict[object, list[int]] = {}
+        self._by_right: dict[object, list[int]] = {}
         pos = []
         for j, key in enumerate(self.left_block):
             block = self._by_left.setdefault(key, [])
             pos.append(len(block))
             block.append(j)
+            self._by_right.setdefault(self.right_block[j], []).append(j)
         self.pos = tuple(pos)
         self._rows: list[list | None] = [None] * self.dim
         self._complete = False  # every row filled
@@ -172,6 +175,27 @@ class AlgebraTable:
             row[:] = [mult_fn(i, j) if got is None else got for j, got in zip(js, row)]
         self._complete = True
         return rows
+
+    def basis_products(self, x: "Element", right: bool = False) -> dict[int, dict[int, object]]:
+        """{j: x b_j} for every j with x b_j != 0; with right, {j: b_j x}.
+
+        The one reader of x against every basis element: read from the
+        materialized rows, one term per unmasked pair.  x b_j sums x_k
+        rows[k][pos[j]] over the partners j of each k in supp(x), and b_j x
+        sums x_k rows[j][pos[k]] over the j whose right block is the left
+        block of k.
+        """
+        f, rows, pos = self.field, self.materialize(), self.pos
+        out: dict[int, dict] = {}
+        for k, c in x.coeffs.items():
+            if right:
+                pk = pos[k]
+                for j in self._by_right.get(self.left_block[k], ()):
+                    axpy(f, out.setdefault(j, {}), c, rows[j][pk])
+            else:
+                for j, p in zip(self.partners(k), rows[k]):
+                    axpy(f, out.setdefault(j, {}), c, p)
+        return {j: v for j, v in out.items() if v}
 
     @property
     def _memo(self) -> dict[tuple[int, int], dict[int, object]]:
@@ -272,33 +296,19 @@ def combine(field: Field, terms) -> dict[int, object]:
     return out
 
 
-def by_block(x: Element, keys) -> dict[object, list]:
-    """{key: the (k, x_k) with keys[k] == key} over the support of x."""
-    out: dict[object, list] = {}
-    for k, c in x.coeffs.items():
-        out.setdefault(keys[k], []).append((k, c))
-    return out
-
-
 def unit_element(alg: AlgebraTable, idempotents: list[Element]) -> Element:
-    """Sum u of the given idempotents, verified to be a two-sided unit.
-
-    u b_i and b_i u are read from the rows of the materialized table: the
-    sums over k in supp(u) of u_k rows[k][pos[i]], for the k whose right
-    block is the left block of i, and of u_k rows[i][pos[k]], for the k
-    whose left block is the right block of i (every other term is masked).
-    No Element product is formed.
-    """
+    """Sum u of the given idempotents, verified to be a two-sided unit: u b_i
+    and b_i u are read with basis_products, and no Element product is
+    formed.  The witness is the least i where either side is not b_i."""
     f = alg.field
     u = alg.element(combine(f, ((f.one, e.coeffs) for e in idempotents)))
-    rows, pos = alg.materialize(), alg.pos
-    by_right, by_left = by_block(u, alg.right_block), by_block(u, alg.left_block)
-    for i in range(alg.dim):
-        row, pi, want = rows[i], pos[i], {i: f.one}
-        ux = combine(f, ((c, rows[k][pi]) for k, c in by_right.get(alg.left_block[i], ())))
-        xu = combine(f, ((c, row[pos[k]]) for k, c in by_left.get(alg.right_block[i], ())))
-        if ux != want or xu != want:
-            raise NotUnital(f"sum of idempotents is not a unit on basis element {alg.basis[i]}")
+    miss = alg.dim
+    for right in (False, True):
+        got = alg.basis_products(u, right)
+        miss = next((i for i in range(miss) if got.get(i) != {i: f.one}), miss)
+        del got  # so that one side at a time is held
+    if miss < alg.dim:
+        raise NotUnital(f"sum of idempotents is not a unit on basis element {alg.basis[miss]}")
     return u
 
 
@@ -464,39 +474,26 @@ def composition_multiplicities(M: RepModule, simples: list[RepModule]) -> list[i
 
 def peirce_dims(alg: AlgebraTable, idems: list[Element]) -> list[list[int]]:
     """[[dim eAf for f in idems] for e in idems]: the rank of {x f} over the
-    nonzero x = e b_j, each eA computed once.
+    nonzero x = e b_j, each eA and each {b_m f} read once with
+    basis_products.
 
-    Only products that can be nonzero are formed.  e b_j is read for the j
-    in partners(k), k in supp(e), and x f for the m in supp(x) and k in
-    supp(f) with b_m b_k unmasked.  An (e, f) pair that no unmasked product
-    joins has dim eAf = 0 and runs no elimination.
+    x f sums x_m b_m f over the m in supp(x) with b_m f != 0, so e is paired
+    only with the f that some such m meets; every other pair has dim eAf = 0
+    and runs no elimination.
     """
-    field, left, right, mult = alg.field, alg.left_block, alg.right_block, alg.mult_basis
-    f_terms = [by_block(f, left) for f in idems]  # per f: left block -> its terms
-    f_by_key: dict[object, list[int]] = {}  # left block -> the f with terms in it
-    for b, terms in enumerate(f_terms):
-        for key in terms:
-            f_by_key.setdefault(key, []).append(b)
+    field = alg.field
+    Afs = [alg.basis_products(f, right=True) for f in idems]  # per f: m -> b_m f
+    meets: dict[int, list[int]] = {}  # m -> the b with b_m idems[b] != 0
+    for b, Af in enumerate(Afs):
+        for m in Af:
+            meets.setdefault(m, []).append(b)
     out = []
     for e in idems:
-        eA = []
-        for key, terms in by_block(e, right).items():
-            for j in alg.partners(terms[0][0]):  # the partners of every k in terms
-                x = combine(field, ((c, mult(k, j)) for k, c in terms))
-                if x:
-                    eA.append(x)
+        eA = list(alg.basis_products(e).values())
         row = [0] * len(idems)
-        keys = {right[m] for x in eA for m in x}
-        for b in {b for key in keys for b in f_by_key.get(key, ())}:
-            terms = f_terms[b]
-            xf = [
-                combine(
-                    field,
-                    ((field.mul(a, c), mult(m, k)) for m, a in x.items() for k, c in terms.get(right[m], ())),
-                )
-                for x in eA
-            ]
-            xf = [v for v in xf if v]
+        for b in {b for x in eA for m in x for b in meets.get(m, ())}:
+            Af = Afs[b]
+            xf = [v for x in eA if (v := combine(field, ((a, Af[m]) for m, a in x.items() if m in Af)))]
             if xf:
                 row[b] = Echelon(field, alg.dim, xf).rank
         out.append(row)

@@ -2,11 +2,13 @@
 
 Everything here is generic over an AlgebraTable whose basis labels are
 (lambda, S, T) triples: axiom verification with witnesses, cell modules,
-Gram forms (sparse rows, as every matrix here) and radicals, the simple
-labels X0, decomposition and Cartan matrices with reciprocity C = D^T D
-checked against the Peirce ranks dim eAf of primitive idempotents or of E
-(see cartan_matrix), semisimplicity, idempotent cores.  End L(lam) = k for
-every simple, so D counts homs and C reads dim e L(lam) as a multiplicity.
+Gram forms and radicals, the simple labels X0, decomposition and Cartan
+matrices with reciprocity C = D^T D checked against the Peirce ranks dim
+eAf of primitive idempotents or of E (see cartan_matrix), semisimplicity,
+idempotent cores.  A Gram form Phi_lam is not multiplied out on its own:
+it is read off the action of Delta(lam), sparse rows as every matrix here
+(see cell_module).  End L(lam) = k for every simple, so D counts homs and
+C reads dim e L(lam) as a multiplicity.
 
 `verify_cell_datum` is the one place where the conditions of a cell datum
 are checked.  Every stage after it (cell modules, Gram forms, simples, D,
@@ -25,9 +27,8 @@ from fractions import Fraction
 from .algebra import (
     AlgebraTable,
     BasisLabel,
+    NotUnital,
     RepModule,
-    by_block,
-    combine,
     composition_multiplicities,
     intern_product,
     peirce_dims,
@@ -245,23 +246,16 @@ def _axiom_orders(d: CellDatum) -> str | None:
 
 
 def _axiom_idem_props_2(d: CellDatum) -> str | None:
-    """(c) eps * C = C if eps_S matches, else 0.
-
-    eps * b_i is read from the rows of the materialized table, as the sum
-    over k in supp(eps) of eps_k rows[k][pos[i]] for the k whose right
-    block is the left block of i (every other term is masked); no Element
-    product is formed.
-    """
+    """(c) eps * C = C if eps_S matches, else 0; eps * b_i is read with
+    basis_products, and no Element product is formed."""
     alg = d.alg
     f = alg.field
-    rows, pos, left = alg.materialize(), alg.pos, alg.left_block
     # no index of E when (a) fails on eps_index: then E[a] C must be 0
     eps = [d.eps_index.get((lab.lam, lab.S)) for lab in alg.basis]
     for a, e in enumerate(d.E):
-        by_right = by_block(e, alg.right_block)
+        eb = alg.basis_products(e)
         for i, lab in enumerate(alg.basis):
-            terms = by_right.get(left[i])
-            got = combine(f, ((c, rows[k][pos[i]]) for k, c in terms)) if terms else {}
+            got = eb.get(i, {})
             want = {i: f.one} if eps[i] == a else {}
             if got != want:
                 return f"E[{a}]*{lab} = {alg.element(got)}, expected {alg.element(want)}"
@@ -372,7 +366,7 @@ def _axiom_unit(d: CellDatum) -> str | None:
     unit_element)."""
     try:
         unit_element(d.alg, d.E)
-    except Exception as exc:  # NotUnital
+    except NotUnital as exc:
         return str(exc)
     return None
 
@@ -417,6 +411,13 @@ def cell_module(d: CellDatum, lam) -> RepModule:
     The action of a is read in the one column T = M(lambda)[0]: by axiom (d)
     the coefficients r_a(S',S) of a C(lam;S,T) do not depend on T, so every
     column gives the same matrix.
+
+    The Gram form is an entry of this action.  Phi_lam(S,T) is the
+    C(lam;U,V)-coefficient of C(lam;U,S) * C(lam;T,V), which is r_a(U,T)
+    for a = C(lam;U,S) by axiom (d), so it does not depend on V.  Axiom (b)
+    maps the product to C(lam;V,T) * C(lam;S,U), so Phi read at (U,V) is
+    the transpose of Phi read at (V,U); with V-independence this makes Phi
+    symmetric and independent of U as well.
     """
     alg = d.alg
     Ms = d.M[lam]
@@ -441,44 +442,26 @@ def cell_module(d: CellDatum, lam) -> RepModule:
     return RepModule(alg, len(Ms), action)
 
 
-def gram_matrix(d: CellDatum, lam) -> dict[int, dict]:
-    """Phi_lambda as sparse rows {s: {t: phi}} over the positions s, t of
-    S, T in M(lambda), zero rows left out: entry (S,T) is the
-    C(lam;U,V)-coefficient of C(lam;U,S) * C(lam;T,V), read at the one pair
-    U = V = M(lambda)[0].
-
-    The entry does not depend on V: that is axiom (d) applied to
-    a = C(lam;U,S), whose coefficient r_a(U,T) is the entry.  Axiom (b)
-    maps the product to C(lam;V,T) * C(lam;S,U), so Phi read at (U,V) is
-    the transpose of Phi read at (V,U); with V-independence this makes Phi
-    symmetric and independent of U as well.
-    """
-    alg = d.alg
-    Ms = d.M[lam]
-    U = V = Ms[0]
-    kv = d.label_index(lam, U, V)
-    rows = {}
-    for s, S in enumerate(Ms):
-        i = d.label_index(lam, U, S)
-        row = {t: x for t, T in enumerate(Ms) if (x := alg.mult_basis(i, d.label_index(lam, T, V)).get(kv))}
-        if row:
-            rows[s] = row
-    return rows
-
-
 # X0, and per lam in X0: modules (L(lam), a quotient of Delta(lam),
 # absolutely irreducible, so End L(lam) = k), dims and eps_dims (dim eps
 # L(lam) for each eps in E, in E order); per lam in X: cell_modules
-# (Delta(lam)) and grams (Phi_lam)
+# (Delta(lam)) and grams (Phi_lam as sparse rows {s: {t: phi}} over the
+# positions s, t of S, T in M(lam), zero rows left out)
 SimpleSet = namedtuple("SimpleSet", "X0 modules dims eps_dims cell_modules grams")
 
 
 def simple_set(d: CellDatum) -> SimpleSet:
     """L(lam) = Delta(lam) / rad Phi_lam for each lam with Phi_lam != 0, the
-    radical being the nullspace of Phi_lam's rows."""
+    radical being the nullspace of Phi_lam's rows; row S of Phi_lam is row
+    U = M(lam)[0] of the action of C(lam;U,S) on Delta(lam) (see cell_module)."""
     f = d.alg.field
     cells = {lam: cell_module(d, lam) for lam in d.X}
-    grams = {lam: gram_matrix(d, lam) for lam in d.X}
+    grams = {}
+    for lam, cell in cells.items():
+        U = d.M[lam][0]
+        acts = (cell.action.get(d.label_index(lam, U, S), {}) for S in d.M[lam])
+        rows = ({t: v[0] for t, v in A.items() if 0 in v} for A in acts)
+        grams[lam] = {s: row for s, row in enumerate(rows) if row}
     X0 = [lam for lam in d.X if grams[lam]]
     modules = {
         lam: quotient_module(cells[lam], Echelon(f, cells[lam].dim, grams[lam].values()).nullspace_basis())

@@ -31,7 +31,6 @@ from .annular import frobenius_gram
 from .celldata import (
     AxiomFailure,
     core_subalgebra,
-    gram_matrix,
     report_dict,
     run_pipeline,
     verify_cell_datum,
@@ -117,12 +116,12 @@ def cmd_decomp(args, alg, datum) -> int:
 
 
 def cmd_gram(args, alg, datum) -> int:
-    _pipeline(datum, "axioms")
+    grams = _pipeline(datum, "simples")["simples"].grams
     f = alg.field
     blocks = []
     doc = {}
     for lam in datum.X:
-        phi, n = gram_matrix(datum, lam), len(datum.M[lam])
+        phi, n = grams[lam], len(datum.M[lam])
         # the sparse rows, made dense only to print
         rows = [[f.scalar_to_str(phi.get(i, {}).get(j, f.zero)) for j in range(n)] for i in range(n)]
         doc[str(lam)] = rows

@@ -160,10 +160,11 @@ def test_criterion_4_gram_tables():
     for p in (3, 5, 7):
         alg, datum = build_usl2(p)
         expected = gram_diagonal_formula(p)
-        for lam in range(p):
-            from relcell.celldata import gram_matrix
+        from relcell.celldata import simple_set
 
-            g = dense_gram(datum, lam, gram_matrix(datum, lam))
+        grams = simple_set(datum).grams
+        for lam in range(p):
+            g = dense_gram(datum, lam, grams[lam])
             assert [g[i, i] for i in range(p)] == expected[lam], (p, lam)
             assert all(not g[i, j] for i in range(p) for j in range(p) if i != j)
             if p == 3:

@@ -78,6 +78,23 @@ def test_unit_element_families(zigzag_a3, zigzag_cycs3, u3, k1):
         assert u * x == x and x * u == x
 
 
+@pytest.mark.parametrize("spec", ["zigzag:A:3", "zigzag:cycS:4", "zigzag:cycL:3", "usl2:p=3", "annular:n=1"])
+def test_basis_products_are_the_element_products(spec):
+    # both sides, on each idempotent of E, their sum and a random element
+    alg, d = build_family(spec)
+    rng = random.Random(0)
+    f = alg.field
+    samples = [*d.E, sum(d.E[1:], d.E[0])]
+    samples.append(alg.element({rng.randrange(alg.dim): f.from_int(rng.randrange(1, 4)) for _ in range(5)}))
+    for x in samples:
+        left, right = alg.basis_products(x), alg.basis_products(x, right=True)
+        for j in range(alg.dim):
+            b = alg.basis_element(j)
+            assert left.get(j, {}) == (x * b).coeffs
+            assert right.get(j, {}) == (b * x).coeffs
+        assert all(left.values()) and all(right.values())
+
+
 def test_unit_element_rejects_partial(zigzag_cycs3):
     alg, d = zigzag_cycs3
     with pytest.raises(NotUnital):

@@ -431,14 +431,15 @@ def test_k3_spot_products():
 
 
 def test_k1_gram_matrices(k1):
-    from relcell.celldata import gram_matrix
+    from relcell.celldata import simple_set
 
     alg, d = k1
     one, zero = QQ.one, QQ.zero
+    grams = simple_set(d).grams
     # M(v^) = [staying, wrapping]: only the staying self-pairing survives
-    g = dense_gram(d, "v^", gram_matrix(d, "v^"))
+    g = dense_gram(d, "v^", grams["v^"])
     assert [list(g.row(i)) for i in range(g.rows)] == [[one, zero], [zero, zero]]
-    g = dense_gram(d, "^v", gram_matrix(d, "^v"))
+    g = dense_gram(d, "^v", grams["^v"])
     assert [list(g.row(i)) for i in range(g.rows)] == [[zero, zero], [zero, one]]
 
 

@@ -16,7 +16,6 @@ from relcell.celldata import (
     core_subalgebra,
     decomposition_matrix,
     decomposition_support_ok,
-    gram_matrix,
     int_gram,
     is_semisimple,
     report_dict,
@@ -238,12 +237,48 @@ def test_reversed_order_fails_with_witness():
 
 def test_gram_and_cell_module_consistency(u3):
     alg, d = u3
+    grams = simple_set(d).grams
     for lam in d.X:
         delta = cell_module(d, lam)
         assert delta.dim == len(d.M[lam])
         assert check_action(delta)
-        g = dense_gram(d, lam, gram_matrix(d, lam))
+        g = dense_gram(d, lam, grams[lam])
         assert g == transpose(g)
+
+
+@pytest.mark.parametrize("spec", ["usl2:p=5", "zigzag:cycS:4", "annular:n=2"])
+def test_gram_form_does_not_depend_on_the_pair_it_is_read_at(spec):
+    # Phi(S,T) is the C(lam;U,V)-coefficient of C(lam;U,S) * C(lam;T,V) for
+    # every U, V in M(lam), as the paper defines it; simple_set reads one pair
+    alg, d = build_family(spec)
+    f = alg.field
+    ss = simple_set(d)
+    for lam in d.X:
+        Ms = d.M[lam]
+        phi = ss.grams[lam]
+        for U in Ms:
+            for V in Ms:
+                k = d.label_index(lam, U, V)
+                for s, S in enumerate(Ms):
+                    i = d.label_index(lam, U, S)
+                    for t, T in enumerate(Ms):
+                        got = alg.mult_basis(i, d.label_index(lam, T, V)).get(k, f.zero)
+                        assert phi.get(s, {}).get(t, f.zero) == got, (lam, U, V, S, T)
+
+
+def test_unit_check_fails_only_on_a_missing_unit(zigzag_cycs3, monkeypatch):
+    # NotUnital is a failed axiom with a witness; any other error is a fault
+    # of the check and leaves verify_cell_datum
+    alg, d = zigzag_cycs3
+
+    def broken(*args):
+        raise RuntimeError("a fault inside the unit check")
+
+    monkeypatch.setattr(celldata, "unit_element", broken)
+    with pytest.raises(RuntimeError, match="a fault inside the unit check"):
+        verify_cell_datum(d)
+    monkeypatch.undo()
+    assert "not a unit" in celldata._axiom_unit(d._replace(E=d.E[:1]))
 
 
 def test_gram_invariance_form_property(u3, k1):

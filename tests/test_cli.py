@@ -87,7 +87,7 @@ FAILING = {
     "reversed-order": (lambda: reversed_order_datum(QQ), {"c:idem-props-1", "d:mult-left"}),
     "uv-mutant": (uv_mutant, {"d:mult-left"}),
 }
-STAGES = ("simple_set", "decomposition_matrix", "cartan_matrix", "gram_matrix", "core_subalgebra")
+STAGES = ("simple_set", "cell_module", "decomposition_matrix", "cartan_matrix", "core_subalgebra")
 
 
 @pytest.mark.parametrize("command", ["cartan", "decomp", "simples", "gram", "core"])
@@ -113,12 +113,12 @@ def test_failed_axioms_refused_before_any_stage(capsys, monkeypatch, command, da
 
 
 def test_uv_mutant_keeps_the_gram_form():
-    # gram_matrix reads only U = V = M(0)[0], so the axioms are all that see this fault
-    from relcell.celldata import gram_matrix
+    # simple_set reads Phi only at U = V = M(0)[0], so the axioms are all that see this fault
+    from relcell.celldata import simple_set
 
     _, mutant = uv_mutant()
     _, d = build_family("usl2:p=3")
-    assert gram_matrix(mutant, 0) == gram_matrix(d, 0)
+    assert simple_set(mutant).grams[0] == simple_set(d).grams[0]
 
 
 def test_core_eps_usage_error_before_axioms(capsys, monkeypatch):
@@ -473,6 +473,87 @@ GRAM_DIGESTS = [
 @pytest.mark.parametrize("spec, fmt, size, digest", GRAM_DIGESTS)
 def test_gram_pinned(capsys, spec, fmt, size, digest):
     code, out, _ = run(capsys, "gram", spec, "--format", fmt)
+    assert code == 0
+    out = out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+# gram in each format and simples in pretty and json on the 13 small-rank
+# table families, as printed at the commit that recorded them, before the
+# Gram forms were read off the cell modules: (command, spec, format, byte
+# length, sha256).
+TABLE_DIGESTS = [
+    ("gram", "zigzag:A:3", "pretty", 36, "ce3993ba86a4fe3405584e955d5f9b20141afc5294eefb8411c29f1fb7317324"),
+    ("gram", "zigzag:A:3", "csv", 36, "29bc7d710a72d05c13f62a563961ae708dcd98c3b70ffc413f89a0e6c31b9395"),
+    ("gram", "zigzag:A:3", "json", 175, "0b57978613555d586f397fcc736a483b8eb3300f90ea7a977508d748467821ce"),
+    ("simples", "zigzag:A:3", "pretty", 36, "d43dbf7f17d7163c7f6562b6ef67894db886471890995d66e960cecdc67979b5"),
+    ("simples", "zigzag:A:3", "json", 80, "33f81fdf1b752d6d92b54ace65b86aec1b86f372b1e1a5aaf5a4d92a28461c23"),
+    ("gram", "zigzag:A:4", "pretty", 48, "7e2948045d4f2dcf1135a8a3c7f5b203ed7611f50015c2d93a0a32d245dc1943"),
+    ("gram", "zigzag:A:4", "csv", 48, "197282e50c530d7083ca7814335238649d031611d797e9441e2c94e5f2dc1416"),
+    ("gram", "zigzag:A:4", "json", 234, "443c391d2877fa2d06623cdbb1ec379c4dc192d547aeee5cdedf7392fdf763a1"),
+    ("simples", "zigzag:A:4", "pretty", 48, "36c447ab8749eb30f1debff79f3db4d90b308915ebabb1d8b709f5d7912c3210"),
+    ("simples", "zigzag:A:4", "json", 97, "9bde312b5e39b8eef48c8f42946390acc0e0b7027876949cdee8e023788d0ef3"),
+    ("gram", "zigzag:A:5", "pretty", 60, "66915d04c2fe23da193f2382e023681f777382107ac8a256328ba376465cfdd7"),
+    ("gram", "zigzag:A:5", "csv", 60, "8023152d91eb94ac24651e3d82d3c3d84ff72bd97eaf6e3c54aeb1e7c8aa8fd2"),
+    ("gram", "zigzag:A:5", "json", 293, "a54935cb75fd3690f1eb080ada360ecaa7c51c42955357544938b6a638702006"),
+    ("simples", "zigzag:A:5", "pretty", 60, "046e15fe8ea456cdf1de3d6c38c9ace52409947765bbfbf81eb8e307f5d21742"),
+    ("simples", "zigzag:A:5", "json", 114, "cef961867311991404dc30196ef7352b48c0abd4aa2df48f7aa3ee50e73ceb6e"),
+    ("gram", "zigzag:cycS:3", "pretty", 36, "61a0e462e3b5c5bf8900dc85c9695ec702d9f709ac3a0047e271a34a3855d0aa"),
+    ("gram", "zigzag:cycS:3", "csv", 36, "7dafa7827a8ae3d2dd96fef5f795ba4c7b290dfc31a6517445d4a555839d09cc"),
+    ("gram", "zigzag:cycS:3", "json", 180, "a335c77061df779c22ab7687456effbeb459792268e5a63ad229edc26ac8b0f8"),
+    ("simples", "zigzag:cycS:3", "pretty", 36, "d43dbf7f17d7163c7f6562b6ef67894db886471890995d66e960cecdc67979b5"),
+    ("simples", "zigzag:cycS:3", "json", 80, "33f81fdf1b752d6d92b54ace65b86aec1b86f372b1e1a5aaf5a4d92a28461c23"),
+    ("gram", "zigzag:cycS:4", "pretty", 48, "c8c0b91cc2eb8e0c13cf9470c2d17e18f4641b63f0000ba787a8cb6d1615f960"),
+    ("gram", "zigzag:cycS:4", "csv", 48, "29b08b177c7be16536cd9caeb2e3aef2dfb9641787168e0add8b3ea883d0eeb7"),
+    ("gram", "zigzag:cycS:4", "json", 239, "9275a2b5a78668358f96e46c14f010cec3aa05e11d9f2fdaf1b57cd8437eea80"),
+    ("simples", "zigzag:cycS:4", "pretty", 48, "36c447ab8749eb30f1debff79f3db4d90b308915ebabb1d8b709f5d7912c3210"),
+    ("simples", "zigzag:cycS:4", "json", 97, "9bde312b5e39b8eef48c8f42946390acc0e0b7027876949cdee8e023788d0ef3"),
+    ("gram", "zigzag:cycS:5", "pretty", 60, "06a9ea17d14f0f2bc613b2b9b62511f0317efe7dbcad475aa368edff743d6b28"),
+    ("gram", "zigzag:cycS:5", "csv", 60, "8c5c7ca0a99f0704c6dc2aad056b700676d318a509ef615c8ed1e4dd47b4f3c6"),
+    ("gram", "zigzag:cycS:5", "json", 298, "ae4908f0ddf97668f09d2b80e18cb9e3e9874a87280b3ae4a85fe186a24f4491"),
+    ("simples", "zigzag:cycS:5", "pretty", 60, "046e15fe8ea456cdf1de3d6c38c9ace52409947765bbfbf81eb8e307f5d21742"),
+    ("simples", "zigzag:cycS:5", "json", 114, "cef961867311991404dc30196ef7352b48c0abd4aa2df48f7aa3ee50e73ceb6e"),
+    ("gram", "zigzag:cycL:3", "pretty", 66, "4d038ac4795186185ae11d7e764231e4bb72f0b26ec2df6ea5c1882aa61d7b30"),
+    ("gram", "zigzag:cycL:3", "csv", 66, "2fe4bebcc7660382c811c88a3709def7953e51b612425a6dc1cb0feaf61a0f5a"),
+    ("gram", "zigzag:cycL:3", "json", 324, "e4c148af8205d2f02bf64c53d8a35cf461b331ed42e75d3da772f0d17dba5ffb"),
+    ("simples", "zigzag:cycL:3", "pretty", 36, "d43dbf7f17d7163c7f6562b6ef67894db886471890995d66e960cecdc67979b5"),
+    ("simples", "zigzag:cycL:3", "json", 80, "33f81fdf1b752d6d92b54ace65b86aec1b86f372b1e1a5aaf5a4d92a28461c23"),
+    ("gram", "zigzag:cycL:4", "pretty", 144, "a2fe1529a4352a4f4841db6af1742c6ff3848af55f5a2d53ba1c1728454d9563"),
+    ("gram", "zigzag:cycL:4", "csv", 144, "27558a13af52beedfa6b0064321c297c80dd42e84c46fae3e3bb44655ad58ea9"),
+    ("gram", "zigzag:cycL:4", "json", 687, "748b4485dcaad1ac2ebff9792d3df994e816676b90c74d59e19cb43686e9a47b"),
+    ("simples", "zigzag:cycL:4", "pretty", 48, "36c447ab8749eb30f1debff79f3db4d90b308915ebabb1d8b709f5d7912c3210"),
+    ("simples", "zigzag:cycL:4", "json", 97, "9bde312b5e39b8eef48c8f42946390acc0e0b7027876949cdee8e023788d0ef3"),
+    ("gram", "usl2:p=3", "pretty", 66, "976c326bd18fa2fe0f05ed6926c0ca1aa4f44d326abd3a4fd05a71b3d7582857"),
+    ("gram", "usl2:p=3", "csv", 66, "37651180b4d3ff8f17cfbb960641b606e9034c17ad377968e3155ac526860353"),
+    ("gram", "usl2:p=3", "json", 324, "0ecd650c4af56ea99b0ae46fae1fa2fac6351b7bf1224801787c3f0d81594a52"),
+    ("simples", "usl2:p=3", "pretty", 36, "d4ad4dc83315f4b81494c07a2b23211ddefd736b011f9f8d20bb12ec74c00216"),
+    ("simples", "usl2:p=3", "json", 80, "ecb746dcade5f4b37d27a6b005d8b14198b23c7a25fe27e9c24f644d9d70e602"),
+    ("gram", "usl2:p=5", "pretty", 270, "6a0bafb028eab98124282d4437cdbf004e4d2e63212c87f8d37406e56c5ceba1"),
+    ("gram", "usl2:p=5", "csv", 270, "a5771c4e7446e950b154f9bfe4a154757ca5e4344cc6c877c54eea50d0b0adcb"),
+    ("gram", "usl2:p=5", "json", 1258, "588308c355188818b76fc872ab1a4c505390179e7b81c9eed65168d0db181a5f"),
+    ("simples", "usl2:p=5", "pretty", 60, "489a272d1ae0c410ca3843c0b736e5549011a5dbf8ebae1c69ccc7811411fdb4"),
+    ("simples", "usl2:p=5", "json", 114, "04b9ede85b5cd4c7a4a62ee1a60dd278e16ed33fa1bbfa50ac4dd345db059531"),
+    ("gram", "usl2:p=7", "pretty", 714, "3fa89f3fb180f35daf49efaaca3b6fd64fdd3712a6f04b0937415bd41196b1d2"),
+    ("gram", "usl2:p=7", "csv", 714, "b65ac5d855f767617a5660283ea637e64ce5f7dc4f7738332fe35dd7b8117897"),
+    ("gram", "usl2:p=7", "json", 3216, "5f23d4a02ec5739b2ce49ed437bfd88adf53561e52c2deb582a4627b9fb2d306"),
+    ("simples", "usl2:p=7", "pretty", 84, "233e5e368dbba4864c3d342a19d3ac44c4a33ebc78a4d637092b088e49244773"),
+    ("simples", "usl2:p=7", "json", 148, "dcf7b6518d27318fddd1e66ac59e1f51ff8dc19f3b3ec483ca124e0002074495"),
+    ("gram", "annular:n=1", "pretty", 26, "31f04cb67936fdc7268ac0e0f89cf7c7fb64fdcce228ea0021849223bae15eca"),
+    ("gram", "annular:n=1", "csv", 26, "aee48874a8f9d90a991339adda32b21dabb8fece24a6bc6f8ca84adb5ec9b83e"),
+    ("gram", "annular:n=1", "json", 123, "c28ca47d0058231af39692a5aa5ca1656ba94307f4ba46ce12c12ef82fc12a1d"),
+    ("simples", "annular:n=1", "pretty", 26, "59a893fbe03d5b7bdfdaacc8fa90e659bc10a06dd7968dd978c04621cc657445"),
+    ("simples", "annular:n=1", "json", 67, "85b3fbca04e7c0912a56f8155de72b0576096e50759d97f1985f06b281dfb389"),
+    ("gram", "annular:n=2", "pretty", 258, "deb0d2b36c8b3e618c2515d8092cd1982f3f0d52f49ed188a3d222b0a5e12f6d"),
+    ("gram", "annular:n=2", "csv", 258, "36a09f7a8cdc0de5ba6215b0a8cee6c8842d193cfb71fd171f2ac764793c19d5"),
+    ("gram", "annular:n=2", "json", 1143, "e9822c8c7bba4e23bdc4a5ddb493905e9d92e5973b7dc115e3ce353bac3a7e58"),
+    ("simples", "annular:n=2", "pretty", 90, "d6069424dc6abb02f5e4b233b0a68c9e05e43bb7d58cb914dcd73eab09381466"),
+    ("simples", "annular:n=2", "json", 167, "423a80368556fcdd8bd6118cad6de29670a9dcbfff59f2d321a7aa32408e2475"),
+]
+
+
+@pytest.mark.parametrize("command, spec, fmt, size, digest", TABLE_DIGESTS)
+def test_gram_and_simples_pinned_on_table_families(capsys, command, spec, fmt, size, digest):
+    code, out, _ = run(capsys, command, spec, "--format", fmt)
     assert code == 0
     out = out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
