@@ -6,7 +6,11 @@ other, so its peak memory is its own and every sample starts cold (a second
 run in the same process would find the lru_caches warm).  The stages are
 build (`build_family`), products (`materialize`), then the stages of
 `celldata.run_pipeline` through C, timed through its `run` hook: each axiom,
-simples, D and C (none after a failed axiom).  Each child also records its
+simples, D and C (none after a failed axiom).  The hook runs one full
+garbage collection before it starts each stage's clock, so every stage
+starts with empty young generations and is not charged a collection that
+the allocations of the stages before it would have triggered; that
+collection itself is timed in no stage.  Each child also records its
 VmHWM, read from /proc/self/status at the end (null where that file does
 not exist), and the number of `hom_space` calls in each stage, which the
 hook cannot see: `algebra.hom_space` is the one thing patched, for the run
@@ -28,6 +32,7 @@ before the first child, so no child times the compilation of a fresh tree.
 
 import argparse
 import compileall
+import gc
 import json
 import os
 import platform
@@ -74,6 +79,7 @@ def run_stages(spec: str) -> dict:
     times, homs = {}, {}
 
     def stage(name, fn, *args):
+        gc.collect()
         before, t0 = calls[0], time.perf_counter()
         out = fn(*args)
         times[name] = round(time.perf_counter() - t0, 4)

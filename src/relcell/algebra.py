@@ -139,6 +139,10 @@ class AlgebraTable:
         """The j (ascending) for which b_i * b_j is not masked; a shared list."""
         return self._by_left.get(self.right_block[i], [])
 
+    def left_partners(self, j: int) -> list[int]:
+        """The i (ascending) for which b_i * b_j is not masked; a shared list."""
+        return self._by_right.get(self.left_block[j], [])
+
     def mult_basis(self, i: int, j: int) -> dict[int, object]:
         """b_i * b_j, read-only: from the rows, else from mult_fn once and
         stored."""
@@ -182,15 +186,14 @@ class AlgebraTable:
         The one reader of x against every basis element: read from the
         materialized rows, one term per unmasked pair.  x b_j sums x_k
         rows[k][pos[j]] over the partners j of each k in supp(x), and b_j x
-        sums x_k rows[j][pos[k]] over the j whose right block is the left
-        block of k.
+        sums x_k rows[j][pos[k]] over the left partners j of each k.
         """
         f, rows, pos = self.field, self.materialize(), self.pos
         out: dict[int, dict] = {}
         for k, c in x.coeffs.items():
             if right:
                 pk = pos[k]
-                for j in self._by_right.get(self.left_block[k], ()):
+                for j in self.left_partners(k):
                     axpy(f, out.setdefault(j, {}), c, rows[j][pk])
             else:
                 for j, p in zip(self.partners(k), rows[k]):

@@ -5,10 +5,11 @@ Everything here is generic over an AlgebraTable whose basis labels are
 Gram forms and radicals, the simple labels X0, decomposition and Cartan
 matrices with reciprocity C = D^T D checked against the Peirce ranks dim
 eAf of primitive idempotents or of E (see cartan_matrix), semisimplicity,
-idempotent cores.  A Gram form Phi_lam is not multiplied out on its own:
-it is read off the action of Delta(lam), sparse rows as every matrix here
-(see cell_module).  End L(lam) = k for every simple, so D counts homs and
-C reads dim e L(lam) as a multiplicity.
+idempotent cores.  Delta(lam)'s action has one reader, _read_column:
+axiom (d) reads every column T with it and cell_module the first, and a
+Gram form Phi_lam is read off that action, sparse rows as every matrix
+here.  End L(lam) = k for every simple, so D counts homs and C reads
+dim e L(lam) as a multiplicity.
 
 `verify_cell_datum` is the one place where the conditions of a cell datum
 are checked.  Every stage after it (cell modules, Gram forms, simples, D,
@@ -286,79 +287,70 @@ def _axiom_idem_props_1(d: CellDatum) -> str | None:
     return None
 
 
-def _columns(d: CellDatum, lam) -> dict:
-    """(left block, T) -> the (S, index of C(lam;S,T)) in M(lam) order.
+def _read_column(d: CellDatum, lam, T) -> tuple[dict, set]:
+    """Delta(lam)'s action read in column T, {i: {s: {s': c}}}, and the set
+    of the indices of the terms outside the column: c != 0 is the
+    C(lam;S',T)-coefficient of b_i C(lam;S,T), s and s' the places of S and
+    S' in M(lam).  For each S, the nonzero products with the left partners
+    i of C(lam;S,T) are read from the materialized rows.
 
-    A basis element whose right block is `key` multiplies C(lam;S,T)
-    without a mask exactly for the entries under (key, T).
+    By axiom (d) the action does not depend on T.  The Gram form is an entry
+    of it: Phi_lam(S,T) is the C(lam;U,V)-coefficient of C(lam;U,S) *
+    C(lam;T,V), which is r_a(U,T) for a = C(lam;U,S) by axiom (d), so it
+    does not depend on V.  Axiom (b) maps the product to C(lam;V,T) *
+    C(lam;S,U), so Phi read at (U,V) is the transpose of Phi read at (V,U);
+    with V-independence this makes Phi symmetric and independent of U too.
     """
-    left = d.alg.left_block
-    cols = {}
-    for T in d.M[lam]:
-        for S in d.M[lam]:
-            j = d.label_index(lam, S, T)
-            cols.setdefault((left[j], T), []).append((S, j))
-    return cols
+    alg, rows, pos = d.alg, d.alg.materialize(), d.alg.pos
+    place = {d.label_index(lam, S, T): s for s, S in enumerate(d.M[lam])}  # the column
+    action, outside = {}, set()
+    for j, s in place.items():
+        pj = pos[j]
+        for i in alg.left_partners(j):
+            if not (prod := rows[i][pj]):
+                continue
+            col = {}
+            for k, c in prod.items():
+                if (t := place.get(k)) is None:
+                    outside.add(k)
+                else:
+                    col[t] = c
+            if col:
+                action.setdefault(i, {})[s] = col
+    return action, outside
 
 
 def _axiom_d(d: CellDatum) -> str | None:
     """(d) left multiplication rule, with T-independence of the coefficients.
 
-    Per lambda the column entries are indexed by left block, in T order and
-    then M(lambda) order.  An element whose right block meets no column of
-    lambda has the empty row under every T, so it is skipped; one that
-    meets a column fills one row per T, the T without a column giving the
-    empty row.  Terms are classified through per-index lists, the cell id
-    of (lambda, T) and the id of S of each basis label, so a row is keyed
-    by one int per (S', S).
+    Each column T of each lambda is read once (see _read_column), and at
+    most two column actions are held at a time.  The distinct terms outside
+    a column must lie in R(<_epsT lambda)epsT, and its action must equal the
+    first column's.  The witness is the failure at the least a, then the
+    first lambda, a term outside before a T-dependence, then the first T
+    and S; a column with a bad term is read again to name the first one.
     """
-    alg = d.alg
-    basis = alg.basis
-    prods, pos = alg.materialize(), alg.pos
-    cells, s_ids = {}, {}
-    cell = [cells.setdefault((lab.lam, lab.T), len(cells)) for lab in basis]
-    sid = [s_ids.setdefault(lab.S, len(s_ids)) for lab in basis]
-    lam_k = [lab.lam for lab in basis]
-    eps_k = [d.eps_index.get((lab.lam, lab.T)) for lab in basis]
-    width = len(s_ids)  # the row key of (S', S) is sid[S'] + width * sid[S]
-    by_lam = []
-    for lam in d.X:
-        # per T: its place t, and at t: T, its cell id, eps_T and {mu : mu <_epsT lam}
-        place, per_T = {}, []
-        for T in d.M[lam]:
-            if T not in place:
-                eps_T = d.eps_of(lam, T)
-                place[T] = len(per_T)
-                per_T.append((T, cells.get((lam, T)), eps_T, d.orders[eps_T].below(lam)))
-        entries = {}  # left block -> its column entries (t, S, j, S key), T-major as _columns lists them
-        for (key, T), column in _columns(d, lam).items():
-            t = place[T]
-            entries.setdefault(key, []).extend((t, S, j, width * s_ids[S]) for S, j in column)
-        by_lam.append((lam, per_T, entries))
-    for i in range(alg.dim):
-        key, prods_i = alg.right_block[i], prods[i]
-        for lam, per_T, entries in by_lam:
-            flat = entries.get(key)
-            if flat is None:
-                continue
-            rows = [{} for _ in per_T]
-            for t, S, j, skey in flat:  # left[j] == key: j is a partner of i
-                prod = prods_i[pos[j]]
-                if not prod:
-                    continue
-                row = rows[t]
-                T, cid, eps_T, below = per_T[t]
-                for k, c in prod.items():
-                    if cell[k] == cid:
-                        row[sid[k] + skey] = c
-                    elif not (lam_k[k] in below and eps_k[k] == eps_T):
-                        return (
-                            f"{basis[i]} * C({lam};{S},{T}) has term {basis[k]} "
-                            f"outside sum + R(<_epsT {lam})epsT"
-                        )
-            if rows.count(rows[0]) != len(rows):
-                return f"r_a(S',S) depends on T for a={basis[i]}, lambda={lam}"
-    return None
+    alg, basis = d.alg, d.alg.basis
+    found = []  # (a, place of lambda, 0 for a term outside or 1 for T-dependence, place of T, witness)
+    for n, lam in enumerate(d.X):
+        first = None
+        for t, T in enumerate(d.M[lam]):
+            action, outside = _read_column(d, lam, T)
+            eps_T = d.eps_of(lam, T)
+            below = d.orders[eps_T].below(lam)
+            bad = {k for k in outside if (lab := basis[k]).lam not in below or d.eps_of(lab.lam, lab.T) != eps_T}
+            if bad:
+                i, S, k = next((i, S, k) for i in range(alg.dim) for S in d.M[lam]
+                               for k in alg.mult_basis(i, d.label_index(lam, S, T)) if k in bad)
+                term = f"{basis[i]} * C({lam};{S},{T}) has term {basis[k]}"
+                found.append((i, n, 0, t, f"{term} outside sum + R(<_epsT {lam})epsT"))
+            if first is None:
+                first = action
+            elif action != first:
+                i = min(i for i in action.keys() | first.keys() if action.get(i) != first.get(i))
+                found.append((i, n, 1, t, f"r_a(S',S) depends on T for a={basis[i]}, lambda={lam}"))
+            del action  # the next column is read while only the first is held
+    return min(found)[-1] if found else None
 
 
 def _axiom_unit(d: CellDatum) -> str | None:
@@ -405,41 +397,9 @@ def verify_cell_datum(d: CellDatum, run=_call) -> VerificationReport:
 
 
 def cell_module(d: CellDatum, lam) -> RepModule:
-    """Delta(lambda) with the action read off from left multiplication, its
-    coordinates indexed by M(lambda).
-
-    The action of a is read in the one column T = M(lambda)[0]: by axiom (d)
-    the coefficients r_a(S',S) of a C(lam;S,T) do not depend on T, so every
-    column gives the same matrix.
-
-    The Gram form is an entry of this action.  Phi_lam(S,T) is the
-    C(lam;U,V)-coefficient of C(lam;U,S) * C(lam;T,V), which is r_a(U,T)
-    for a = C(lam;U,S) by axiom (d), so it does not depend on V.  Axiom (b)
-    maps the product to C(lam;V,T) * C(lam;S,U), so Phi read at (U,V) is
-    the transpose of Phi read at (V,U); with V-independence this makes Phi
-    symmetric and independent of U as well.
-    """
-    alg = d.alg
-    Ms = d.M[lam]
-    pos = {S: i for i, S in enumerate(Ms)}
-    T = Ms[0]
-    cols = _columns(d, lam)
-    basis = alg.basis
-    action = {}
-    for i in range(alg.dim):
-        column = cols.get((alg.right_block[i], T))
-        if column is None:  # masked against the column, so a acts as zero
-            continue
-        A = action[i] = {}
-        for S, j in column:
-            col = {
-                pos[klab.S]: c
-                for k, c in alg.mult_basis(i, j).items()
-                if (klab := basis[k]).lam == lam and klab.T == T
-            }
-            if col:
-                A[pos[S]] = col
-    return RepModule(alg, len(Ms), action)
+    """Delta(lambda), its coordinates indexed by M(lambda): the action read
+    in the one column T = M(lambda)[0] (see _read_column)."""
+    return RepModule(d.alg, len(d.M[lam]), _read_column(d, lam, d.M[lam][0])[0])
 
 
 # X0, and per lam in X0: modules (L(lam), a quotient of Delta(lam),
@@ -453,7 +413,7 @@ SimpleSet = namedtuple("SimpleSet", "X0 modules dims eps_dims cell_modules grams
 def simple_set(d: CellDatum) -> SimpleSet:
     """L(lam) = Delta(lam) / rad Phi_lam for each lam with Phi_lam != 0, the
     radical being the nullspace of Phi_lam's rows; row S of Phi_lam is row
-    U = M(lam)[0] of the action of C(lam;U,S) on Delta(lam) (see cell_module)."""
+    U = M(lam)[0] of the action of C(lam;U,S) on Delta(lam) (see _read_column)."""
     f = d.alg.field
     cells = {lam: cell_module(d, lam) for lam in d.X}
     grams = {}

@@ -11,6 +11,7 @@ from fractions import Fraction
 from relcell.algebra import ZERO_PRODUCT, AlgebraTable, BasisLabel, Element, RepModule, intern_product
 from relcell.celldata import CellDatum, chain_order
 from relcell.diagrams import DOWN, UP, Arc, _tag, clockwise_weight, make_cup, trace_circle
+from relcell.families import build_family
 from relcell.field import QQ, Field, PrimeField
 from relcell.linalg import Echelon, Matrix, ShapeMismatch
 from relcell.zigzag import LINE, QuiverSpec, build_zigzag
@@ -353,7 +354,7 @@ def table_from_json(text: str) -> AlgebraTable:
     )
 
 
-# --- a faulty datum ----------------------------------------------------------------
+# --- faulty data -----------------------------------------------------------------
 
 
 def reversed_order_datum(field: Field) -> tuple[AlgebraTable, CellDatum]:
@@ -369,3 +370,23 @@ def reversed_order_datum(field: Field) -> tuple[AlgebraTable, CellDatum]:
         name="zigzag:A:3-reversed-order",
     )
     return alg, bad
+
+
+def uv_mutant():
+    """usl2:p=3 with the C(0;U,V)-coefficient of C(0;U,S) * C(0;S,V) changed
+    for U = 0, S = V = 1 only, and its star mirror changed alike, so that
+    only axiom (d) sees it: the Gram form read at U = V = M(0)[0] is unchanged."""
+    alg, d = build_family("usl2:p=3")
+    i, j, k = (d.label_index(0, S, T) for S, T in ((0, 1), (1, 1), (0, 1)))
+    star = alg.star_perm
+    flips = {(i, j): k, (star[j], star[i]): star[k]}
+
+    def mult(a, b):
+        out = dict(alg._mult_fn(a, b))
+        t = flips.get((a, b))
+        if t is not None and out.pop(t, None) is None:
+            out[t] = alg.field.one
+        return out
+
+    table = AlgebraTable(alg.field, alg.basis, mult, star, blocks=(alg.left_block, alg.right_block))
+    return table, d._replace(alg=table, E=[table.element(e.coeffs) for e in d.E])

@@ -1,22 +1,24 @@
 """The work the axiom sweeps skip is work that cannot find a witness.
 
 Axiom (b) checks each star-mirror pair once, at its lexicographically first
-member; axiom (d) visits an element only under the lambda whose columns its
-right block meets.  Each mutant here fails with the witness string that the
-full sweeps (every pair, every (element, lambda, T) triple) report for it.
+member.  Axiom (d) reads each column T of each lambda once, through the
+column reader that cell_module also uses, and visits only the left partners
+of the column's entries.  Each mutant here fails with the witness string
+that the full sweeps (every pair, every (element, lambda, T) triple) report
+for it, and the (d) witnesses of the two failing data are pinned exactly.
 """
 
 import pytest
 
 from relcell import celldata
 from relcell.algebra import AlgebraTable, BasisLabel
-from relcell.celldata import _columns, verify_cell_datum
+from relcell.celldata import verify_cell_datum
 from relcell.celldata import core_subalgebra
 from relcell.families import build_family
 from relcell.field import QQ
 from relcell.zigzag import alternate_idempotent_datum
 
-from reference import reversed_order_datum
+from reference import reversed_order_datum, uv_mutant
 
 TABLES = [
     "zigzag:A:3", "zigzag:A:4", "zigzag:A:5", "zigzag:cycS:3", "zigzag:cycS:4", "zigzag:cycS:5",
@@ -80,7 +82,7 @@ def test_column_missing_under_one_T_fails_d():
     moved = alg.index[BasisLabel(1, (1,), (2, 1))]
     left[moved] = 3
     mutant = retabled(d, blocks=(left, alg.right_block))
-    cols = _columns(mutant, 1)
+    cols = {(left[mutant.label_index(1, S, T)], T) for S in mutant.M[1] for T in mutant.M[1]}
     assert (1, (1,)) in cols and (1, (2, 1)) not in cols
     d_lines = [line for line in failures(mutant) if line.startswith("d:")]
     assert d_lines == [
@@ -95,17 +97,19 @@ def test_column_missing_under_one_T_fails_d():
 
 def test_mult_left_reads_only_column_entries(monkeypatch):
     alg, d = build_family("zigzag:A:40")
-    right = alg.right_block
-    cols = [_columns(d, lam) for lam in d.X]
+    left, right = alg.left_block, alg.right_block
+    cols = {}  # (lambda, left block, T) -> the indices of the C(lambda;S,T) under it
+    for lam in d.X:
+        for T in d.M[lam]:
+            for S in d.M[lam]:
+                j = d.label_index(lam, S, T)
+                cols.setdefault((lam, left[j], T), []).append(j)
     column_pairs = [
-        (i, j)
-        for i in range(alg.dim)
-        for by_key in cols
-        for (key, _), column in by_key.items()
-        if key == right[i]
-        for _, j in column
+        (i, j) for i in range(alg.dim) for (_, key, _), js in cols.items() if key == right[i] for j in js
     ]
     entries = len(column_pairs)
+    # cell_module reads only the columns T = M(lambda)[0]
+    first_pairs = {(i, j) for i, j in column_pairs if alg.basis[j].T == d.M[alg.basis[j].lam][0]}
     reads = []
 
     class CountedRow(list):
@@ -127,6 +131,29 @@ def test_mult_left_reads_only_column_entries(monkeypatch):
     assert celldata._axiom_d(d) is None
     assert 0 < len(reads) <= entries
     assert set(reads) <= set(column_pairs)
+    reads.clear()
+    for lam in d.X:
+        celldata.cell_module(d, lam)
+    assert 0 < len(reads) <= entries
+    assert set(reads) <= first_pairs
+
+
+D_WITNESSES = {
+    "reversed-order": (
+        lambda: reversed_order_datum(QQ),
+        "BasisLabel(lam=0, S=(1, 2), T=(1, 2)) * C(1;(1,),(1,)) has term"
+        " BasisLabel(lam=0, S=(1, 2), T=(1, 2)) outside sum + R(<_epsT 1)epsT",
+    ),
+    "uv-mutant": (uv_mutant, "r_a(S',S) depends on T for a=BasisLabel(lam=0, S=0, T=1), lambda=0"),
+}
+
+
+@pytest.mark.parametrize("datum", sorted(D_WITNESSES))
+def test_d_witness_of_a_failing_datum_is_pinned(datum):
+    build, witness = D_WITNESSES[datum]
+    d = build()[1]
+    assert celldata._axiom_d(d) == witness
+    assert f"d:mult-left: FAIL  [{witness}]" in failures(d)
 
 
 @pytest.mark.parametrize("change", ["drop", "extra", "move"])

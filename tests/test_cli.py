@@ -8,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from relcell.algebra import AlgebraTable
 from relcell.cli import main
 from relcell.families import SizeLimit, build_family
 from relcell.field import QQ
 
-from reference import reversed_order_datum
+from reference import reversed_order_datum, uv_mutant
 
 
 def run(capsys, *argv):
@@ -61,26 +60,6 @@ def test_verify_json_failed_axioms_certify_nothing(capsys, monkeypatch):
     assert failed == {"c:idem-props-1", "d:mult-left"}
     for key in ("X0", "simple_dims", "D", "C", "reciprocity_ok", "semisimple"):
         assert doc[key] is None, key
-
-
-def uv_mutant():
-    """usl2:p=3 with the C(0;U,V)-coefficient of C(0;U,S) * C(0;S,V) changed
-    for U = 0, S = V = 1 only, and its star mirror changed alike, so that
-    only axiom (d) sees it: the Gram form read at U = V = M(0)[0] is unchanged."""
-    alg, d = build_family("usl2:p=3")
-    i, j, k = (d.label_index(0, S, T) for S, T in ((0, 1), (1, 1), (0, 1)))
-    star = alg.star_perm
-    flips = {(i, j): k, (star[j], star[i]): star[k]}
-
-    def mult(a, b):
-        out = dict(alg._mult_fn(a, b))
-        t = flips.get((a, b))
-        if t is not None and out.pop(t, None) is None:
-            out[t] = alg.field.one
-        return out
-
-    table = AlgebraTable(alg.field, alg.basis, mult, star, blocks=(alg.left_block, alg.right_block))
-    return table, d._replace(alg=table, E=[table.element(e.coeffs) for e in d.E])
 
 
 FAILING = {

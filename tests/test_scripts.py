@@ -139,3 +139,14 @@ def test_stage_times_compiles_relcell_once_before_its_children(monkeypatch, caps
     assert events[0] == ("compile", stages.relcell_dir())
     assert [e for e in events if e[0] == "compile"] == events[:1]
     assert [e[1] for e in events[1:]] == ["zigzag:A:3"] * stages.SAMPLES + ["usl2:p=3"] * stages.SAMPLES
+
+
+def test_stage_times_collects_once_before_each_stage(monkeypatch):
+    stages = load("stage_times")
+    events = []
+    monkeypatch.setattr(stages.gc, "collect", lambda *args: events.append("collect") or 0)
+    clock = stages.time.perf_counter
+    monkeypatch.setattr(stages.time, "perf_counter", lambda: events.append("clock") or clock())
+    rec = stages.run_stages("zigzag:A:3")
+    # each stage: one collection, then its clock starts and stops
+    assert events == ["collect", "clock", "clock"] * len(rec["stages"])
