@@ -60,47 +60,45 @@ class ReciprocityFailure(Exception):
 class StrictOrder:
     """Strict partial order on X given by a comparison oracle.
 
-    The oracle is asked once per ordered pair, the first time the relation
-    is needed; from then on every comparison is a set lookup.
+    The relation is one int per label: bit k of _mask[b] is set when
+    elements[k] < b.  The oracle is asked once per ordered pair, the first
+    time the relation is needed; from then on a comparison reads one bit.
     """
 
     def __init__(self, elements: list, less: Callable[[object, object], bool], name: str = ""):
         self.elements = list(elements)
         self._oracle = less
         self.name = name
+        self._bit = {x: 1 << k for k, x in enumerate(self.elements)}
 
     @cached_property
-    def _below(self) -> dict:
-        """b -> {a : a < b}, for every b in X."""
-        return {b: {a for a in self.elements if self._oracle(a, b)} for b in self.elements}
-
-    def below(self, b) -> set:
-        """The set {a : a < b}; read-only."""
-        return self._below[b]
+    def _mask(self) -> dict:
+        xs, less = self.elements, self._oracle
+        return {b: sum(1 << k for k, a in enumerate(xs) if less(a, b)) for b in xs}
 
     def less(self, a, b) -> bool:
-        return a in self.below(b)
+        return self._mask[b] & self._bit[a] != 0
 
     def leq(self, a, b) -> bool:
         return a == b or self.less(a, b)
 
     def check_valid(self) -> str | None:
-        """None if a strict partial order; else a short witness string."""
-        xs, below = self.elements, self.below
-        for a in xs:
-            if a in below(a):
-                return f"not irreflexive at {a}"
-        for a in xs:
-            below_a = below(a)
-            for b in xs:
-                if a != b and b in below_a and a in below(b):
-                    return f"not antisymmetric on ({a},{b})"
-        # transitive iff below(y) <= below(z) for every y < z
+        """None if a strict partial order; else a short witness string.  For
+        y < z, a bit of mask(y) outside mask(z) is z or an x < y not < z."""
+        xs, mask, bit = self.elements, self._mask, self._bit
         for z in xs:
-            below_z = below(z)
-            for y in xs:
-                if y in below_z and not below(y) <= below_z:
-                    x = next(x for x in xs if x in below(y) and x not in below_z)
+            below_z = mask[z]
+            if below_z & bit[z]:
+                return f"not irreflexive at {z}"
+            outside, rest = ~below_z, below_z
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                y = xs[low.bit_length() - 1]
+                if extra := mask[y] & outside:
+                    if extra & bit[z]:
+                        return f"not antisymmetric on ({y},{z})"
+                    x = xs[(extra & -extra).bit_length() - 1]
                     return f"not transitive on ({x},{y},{z})"
         return None
 
@@ -171,7 +169,10 @@ def _axiom_a(d: CellDatum) -> str | None:
     if len(d.orders) != len(d.E):
         return f"{len(d.orders)} orders for {len(d.E)} idempotents"
     for a, order in enumerate(d.orders):
-        if set(order.elements) != set(d.X):
+        xs = order.elements
+        if len(set(xs)) != len(xs):
+            return f"order[{a}] lists {next(x for k, x in enumerate(xs) if x in xs[:k])} twice"
+        if set(xs) != set(d.X):
             return f"order[{a}] is not on X"
     return None
 
@@ -337,8 +338,8 @@ def _axiom_d(d: CellDatum) -> str | None:
         for t, T in enumerate(d.M[lam]):
             action, outside = _read_column(d, lam, T)
             eps_T = d.eps_of(lam, T)
-            below = d.orders[eps_T].below(lam)
-            bad = {k for k in outside if (lab := basis[k]).lam not in below or d.eps_of(lab.lam, lab.T) != eps_T}
+            below, bit = d.orders[eps_T]._mask[lam], d.orders[eps_T]._bit
+            bad = {k for k in outside if not below & bit[(lab := basis[k]).lam] or d.eps_of(lab.lam, lab.T) != eps_T}
             if bad:
                 i, S, k = next((i, S, k) for i in range(alg.dim) for S in d.M[lam]
                                for k in alg.mult_basis(i, d.label_index(lam, S, T)) if k in bad)
@@ -471,9 +472,9 @@ def decomposition_support_ok(d: CellDatum, ss: SimpleSet, D: list[list[int]]) ->
     the simple of the cellular core eps A eps, whose order is <_eps.
     """
     for ci, lam in enumerate(ss.X0):
-        orders = [d.orders[a] for a, n in enumerate(ss.eps_dims[lam]) if n]
+        below = [(d.orders[a]._mask[lam], d.orders[a]._bit) for a, n in enumerate(ss.eps_dims[lam]) if n]
         for ri, mu in enumerate(d.X):
-            if D[ri][ci] and mu != lam and not all(o.less(mu, lam) for o in orders):
+            if D[ri][ci] and mu != lam and not all(mask & bit[mu] for mask, bit in below):
                 return False
     return True
 

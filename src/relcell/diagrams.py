@@ -139,6 +139,7 @@ def flip_weight(w: str) -> str:
 # --- rotation ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def staying_rotation_exponent(S: CupDiagram, n: int) -> int:
     """Minimal k >= 0 with rho^k(S) of staying type.  rho shifts every gap
     by one, so an arc of rho^k(S) wraps exactly when S covers gap -k."""

@@ -1,6 +1,10 @@
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcell import celldata
 
@@ -153,20 +157,24 @@ def test_pipeline_and_gram_make_no_dense_matrix(spec, monkeypatch, capsys):
 
 
 def shape_mutants():
-    """zigzag:A:3 with one eps_index entry dropped, one sent outside E, and
-    one order missing: (mutant, the start of (a)'s witness)."""
+    """zigzag:A:3 with one eps_index entry dropped, one sent outside E, one
+    order missing, and an order listing a label twice: (mutant, the start
+    of (a)'s witness)."""
     d = build_family("zigzag:A:3")[1]
     key = next(iter(d.eps_index))
     dropped = {k: a for k, a in d.eps_index.items() if k != key}
     outside = {**d.eps_index, key: len(d.E)}
+    last = d.orders[-1]
+    twice = StrictOrder(last.elements + last.elements[:1], last.less, last.name)
     return [
         (d._replace(eps_index=dropped), f"eps_index[{key}] = None is not an index into E"),
         (d._replace(eps_index=outside), f"eps_index[{key}] = {len(d.E)} is not an index into E"),
         (d._replace(orders=d.orders[:-1]), f"{len(d.E) - 1} orders for {len(d.E)} idempotents"),
+        (d._replace(orders=d.orders[:-1] + [twice]), f"order[{len(d.E) - 1}] lists {d.X[0]} twice"),
     ]
 
 
-@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("k", range(4))
 def test_malformed_shape_fails_axiom_a(k, capsys, monkeypatch):
     # a datum of the wrong shape is a failed axiom with a witness, not a crash
     mutant, witness = shape_mutants()[k]
@@ -211,6 +219,50 @@ def test_transitivity_witness(pairs):
     assert (x, y) in pairs and (y, z) in pairs and (x, z) not in pairs
 
 
+def relation_is_strict_order(xs, pairs) -> bool:
+    return (
+        all((a, a) not in pairs for a in xs)
+        and all((b, a) not in pairs for a, b in pairs)
+        and all((a, c) in pairs for a, b in pairs for b2, c in pairs if b == b2)
+    )
+
+
+@st.composite
+def relations(draw):
+    """Labels in a drawn order and a relation on them; half the time the
+    transitive closure of its pairs that go forward in that order, a strict
+    partial order."""
+    xs = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6, unique=True))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(xs), st.sampled_from(xs))))
+    if draw(st.booleans()):
+        pairs = {(a, b) for a, b in pairs if xs.index(a) < xs.index(b)}
+        for y in xs:
+            pairs |= {(x, z) for x, y1 in pairs if y1 == y for y2, z in pairs if y2 == y}
+    return xs, pairs
+
+
+@given(relations())
+@settings(max_examples=300, deadline=None)
+def test_check_valid_agrees_with_brute_force(case):
+    xs, pairs = case
+    bad = StrictOrder(xs, lambda a, b: (a, b) in pairs).check_valid()
+    assert (bad is None) == relation_is_strict_order(xs, pairs)
+    if bad is None:
+        return
+    kind, names = re.fullmatch(r"not (\w+) (?:at|on) \(?([a-h,]+)\)?", bad).groups()
+    named = names.split(",")
+    if kind == "irreflexive":
+        [a] = named
+        assert (a, a) in pairs
+    elif kind == "antisymmetric":
+        a, b = named
+        assert a != b and (a, b) in pairs and (b, a) in pairs
+    else:
+        assert kind == "transitive"
+        x, y, z = named
+        assert (x, y) in pairs and (y, z) in pairs and (x, z) not in pairs
+
+
 def test_below_is_the_set_under_b_asked_for_lazily():
     asked = []
 
@@ -220,10 +272,19 @@ def test_below_is_the_set_under_b_asked_for_lazily():
 
     order = StrictOrder([1, 2, 3, 4, 6, 12], divides)
     assert asked == []  # building an order asks the oracle nothing
-    assert order.below(12) == {1, 2, 3, 4, 6} and order.below(1) == set()
+    assert [a for a in order.elements if order.less(a, 12)] == [1, 2, 3, 4, 6]
+    assert not any(order.less(a, 1) for a in order.elements)
     assert len(asked) == 36  # once per ordered pair, then never again
     assert order.less(4, 12) and not order.less(4, 6) and order.check_valid() is None
     assert len(asked) == 36
+
+
+def test_orders_of_the_widest_zigzag_are_stored_in_under_a_mebibyte():
+    # two orders on 500 labels: one int per label, not a set of labels
+    d = build_family("zigzag:cycS:500")[1]
+    assert all(order.check_valid() is None for order in d.orders)
+    stored = [v for order in d.orders for k, v in vars(order).items() if k not in ("elements", "_oracle", "name")]
+    assert sum(sys.getsizeof(v) + sum(map(sys.getsizeof, v.values())) for v in stored) < 2**20
 
 
 def test_reversed_order_fails_with_witness():
