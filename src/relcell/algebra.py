@@ -28,6 +28,8 @@ Peirce dimensions dim eAf are computed on sparse vectors by exact linear
 algebra over the table's field: linalg.Echelon for elimination and
 linalg.axpy for every sum, with no dense matrix.  Every submodule and
 quotient is one transport of the action through a lift and a projection.
+Hom spaces take their equations from the basis elements only, and a
+nonzero map onto a simple module is onto (see radical_of_module).
 """
 
 from __future__ import annotations
@@ -111,8 +113,6 @@ class AlgebraTable:
             raise ValueError("duplicate basis labels")
         self._mult_fn = mult_fn
         self.star_perm = tuple(star)
-        # builders that know a generating set assign it after construction
-        self.generators: list[tuple[str, Element]] | None = None
         self.name = name
         if blocks is None:
             blocks = ((None,) * self.dim, (None,) * self.dim)
@@ -398,30 +398,25 @@ def quotient_module(M: RepModule, sub_vectors: list[dict]) -> RepModule:
 
 
 def hom_space(M: RepModule, N: RepModule) -> list[dict]:
-    """Basis of {X : X rho_M(g) = rho_N(g) X for all generators g}, each X a
-    sparse column map from M to N.
+    """Basis of {X : X rho_M(b_i) = rho_N(b_i) X for every basis element
+    b_i}, each X a sparse column map from M to N.
 
-    Without registered generators, g runs over the basis elements that act
-    by nonzero on M or on N: the rest impose 0 = 0.  The unknowns are the
-    X[r][c], flattened r*nm+c; the constraint at (r, c) is built from the
-    nonzeros of column c of rho_M(g) and of row r of rho_N(g), and a place
-    where both are empty imposes nothing.
+    The equations come from the basis elements that act by nonzero on M or
+    on N: the rest impose 0 = 0.  The unknowns are the X[r][c], flattened
+    r*nm+c; the constraint at (r, c) is built from the nonzeros of column c
+    of rho_M(b_i) and of row r of rho_N(b_i), and a place where both are
+    empty imposes nothing.
     """
-    alg = M.alg
     if M.alg is not N.alg:
         raise AlgebraMismatch("modules over different algebras")
-    f = alg.field
+    f = M.alg.field
     nm, nn = M.dim, N.dim
     if nm == 0 or nn == 0:
         return []
-    if alg.generators is None:
-        pairs = [(M.action.get(i, {}), N.action.get(i, {})) for i in sorted(M.action.keys() | N.action.keys())]
-    else:
-        pairs = [(A, B) for A, B in ((M.act(g), N.act(g)) for _, g in alg.generators) if A or B]
     nunk = nn * nm
     ech = Echelon(f, nunk)
-    for A, B in pairs:
-        b_rows = transpose(B)
+    for i in sorted(M.action.keys() | N.action.keys()):
+        A, b_rows = M.action.get(i, {}), transpose(N.action.get(i, {}))
         for r in range(nn):
             # X A - B X at (r, c): X[r][k] A[k][c] less B[r][k] X[k][c]
             base = r * nm
@@ -447,8 +442,10 @@ def hom_space(M: RepModule, N: RepModule) -> list[dict]:
 def radical_of_module(M: RepModule, simples: list[RepModule]) -> tuple[list[list[dict]], RepModule]:
     """rad M, the intersection of the kernels of all maps to the given
     (complete) simples, eliminated over the rows of the maps; returns (the
-    basis of Hom(M, L) for each simple L, rad M)."""
-    homs = [hom_space(M, L) for L in simples]
+    basis of Hom(M, L) for each simple L, rad M).  A nonzero map onto a
+    simple L is onto, so Hom(M, L) = 0, with no hom_space call, unless every
+    b_i acting on L acts on M (a module stores exactly its nonzero actions)."""
+    homs = [hom_space(M, L) if L.action.keys() <= M.action.keys() else [] for L in simples]
     rows = [row for hs in homs for X in hs for row in transpose(X).values()]
     if not rows:
         return homs, M

@@ -9,7 +9,8 @@ idempotent cores.  Delta(lam)'s action has one reader, _read_column:
 axiom (d) reads every column T with it and cell_module the first, and a
 Gram form Phi_lam is read off that action, sparse rows as every matrix
 here.  End L(lam) = k for every simple, so D counts homs and C reads
-dim e L(lam) as a multiplicity.
+dim e L(lam) as a multiplicity.  D counts L(mu) = Delta(mu) / rad Phi_mu
+once and starts each radical series at rad Phi_mu, which simple_set keeps.
 
 `verify_cell_datum` is the one place where the conditions of a cell datum
 are checked.  Every stage after it (cell modules, Gram forms, simples, D,
@@ -34,6 +35,7 @@ from .algebra import (
     intern_product,
     peirce_dims,
     quotient_module,
+    submodule,
     unit_element,
 )
 from .field import QQ
@@ -406,9 +408,10 @@ def cell_module(d: CellDatum, lam) -> RepModule:
 # X0, and per lam in X0: modules (L(lam), a quotient of Delta(lam),
 # absolutely irreducible, so End L(lam) = k), dims and eps_dims (dim eps
 # L(lam) for each eps in E, in E order); per lam in X: cell_modules
-# (Delta(lam)) and grams (Phi_lam as sparse rows {s: {t: phi}} over the
-# positions s, t of S, T in M(lam), zero rows left out)
-SimpleSet = namedtuple("SimpleSet", "X0 modules dims eps_dims cell_modules grams")
+# (Delta(lam)), grams (Phi_lam as sparse rows {s: {t: phi}} over the
+# positions s, t of S, T in M(lam), zero rows left out) and radicals (a
+# basis of rad Phi_lam, sparse vectors in Delta(lam))
+SimpleSet = namedtuple("SimpleSet", "X0 modules dims eps_dims cell_modules grams radicals")
 
 
 def simple_set(d: CellDatum) -> SimpleSet:
@@ -424,26 +427,26 @@ def simple_set(d: CellDatum) -> SimpleSet:
         rows = ({t: v[0] for t, v in A.items() if 0 in v} for A in acts)
         grams[lam] = {s: row for s, row in enumerate(rows) if row}
     X0 = [lam for lam in d.X if grams[lam]]
-    modules = {
-        lam: quotient_module(cells[lam], Echelon(f, cells[lam].dim, grams[lam].values()).nullspace_basis())
-        for lam in X0
-    }
+    radicals = {lam: Echelon(f, cells[lam].dim, grams[lam].values()).nullspace_basis() for lam in d.X}
+    modules = {lam: quotient_module(cells[lam], radicals[lam]) for lam in X0}
     dims = {lam: L.dim for lam, L in modules.items()}
     eps_dims = {lam: tuple(L.rank(e) for e in d.E) for lam, L in modules.items()}
-    return SimpleSet(X0, modules, dims, eps_dims, cells, grams)
+    return SimpleSet(X0, modules, dims, eps_dims, cells, grams, radicals)
 
 
 def decomposition_matrix(d: CellDatum, ss: SimpleSet) -> list[list[int]]:
     """d[mu][lam] = [Delta(mu) : L(lam)], rows over X, columns over X0.
 
-    Checked: d[lam][lam] = 1, d against rank(e*) on Delta(mu) for each
-    registered primitive e, and the support rule of decomposition_support_ok;
-    RouteMismatch if any check fails.
+    Each radical series starts at rad Phi_mu (ss.radicals), and L(mu) is
+    counted once for mu in X0.  Checked: d[lam][lam] = 1, d against rank(e*)
+    on Delta(mu) for each registered primitive e, and the support rule of
+    decomposition_support_witness; RouteMismatch if any check fails.
     """
     simples = [ss.modules[lam] for lam in ss.X0]
-    D = [composition_multiplicities(ss.cell_modules[mu], simples) for mu in d.X]
+    D = [composition_multiplicities(submodule(ss.cell_modules[mu], ss.radicals[mu]), simples) for mu in d.X]
     for ci, lam in enumerate(ss.X0):
         ri = d.X.index(lam)
+        D[ri][ci] += 1  # the head L(lam); one more inside rad Phi_lam fails the check
         if D[ri][ci] != 1:
             raise RouteMismatch(f"d[{lam},{lam}] = {D[ri][ci]} != 1")
     # second route via registered primitive idempotents
@@ -454,29 +457,34 @@ def decomposition_matrix(d: CellDatum, ss: SimpleSet) -> list[list[int]]:
                 continue
             estar = e.star()
             for ri, mu in enumerate(d.X):
-                rk = ss.cell_modules[mu].rank(estar)
+                cell = ss.cell_modules[mu]
+                rk = 0 if cell.action.keys().isdisjoint(estar.coeffs) else cell.rank(estar)
                 if rk != D[ri][ci]:
                     raise RouteMismatch(
                         f"[Delta({mu}):L({lam})] = {D[ri][ci]} but rank(e*|Delta) = {rk}"
                     )
-    if not decomposition_support_ok(d, ss, D):
-        raise RouteMismatch("some d[mu,lam] != 0 with mu neither lam nor below it in lam's order")
+    witness = decomposition_support_witness(d, ss, D)
+    if witness is not None:
+        raise RouteMismatch(witness)
     return D
 
 
-def decomposition_support_ok(d: CellDatum, ss: SimpleSet, D: list[list[int]]) -> bool:
-    """d[mu][lam] = 0 unless mu = lam or mu <_eps lam for every eps in E
-    with eps L(lam) != 0 (ss.eps_dims).
+def decomposition_support_witness(d: CellDatum, ss: SimpleSet, D: list[list[int]]) -> str | None:
+    """None if d[mu][lam] = 0 unless mu = lam or mu <_eps lam for every eps
+    in E with eps L(lam) != 0 (ss.eps_dims); else the first (lam, then mu)
+    entry that breaks the rule, with the first eps whose order excludes mu.
 
     M -> eps M is exact and sends Delta(mu) and L(lam) to the cell module and
     the simple of the cellular core eps A eps, whose order is <_eps.
     """
     for ci, lam in enumerate(ss.X0):
-        below = [(d.orders[a]._mask[lam], d.orders[a]._bit) for a, n in enumerate(ss.eps_dims[lam]) if n]
+        meets = [a for a, n in enumerate(ss.eps_dims[lam]) if n]
         for ri, mu in enumerate(d.X):
-            if D[ri][ci] and mu != lam and not all(mask & bit[mu] for mask, bit in below):
-                return False
-    return True
+            if D[ri][ci] and mu != lam:
+                for a in meets:
+                    if not d.orders[a].less(mu, lam):
+                        return f"d[{mu},{lam}] = {D[ri][ci]}, but {mu} is not below {lam} in the order of E[{a}]"
+    return None
 
 
 def int_gram(D: list[list[int]], width: int) -> list[list[int]]:

@@ -136,15 +136,6 @@ def build_usl2(p: int) -> tuple[AlgebraTable, CellDatum]:
     )
     alg = AlgebraTable(field, labels, structure_constants(p, field), star, name=f"usl2:p={p}", blocks=blocks)
 
-    E_gen = alg.element({index[BasisLabel(lam, 0, 1)]: field.one for lam in range(p)})
-    F_gen = alg.element({index[BasisLabel(lam, 1, 0)]: field.one for lam in range(p)})
-    H_gen = alg.element(
-        {index[BasisLabel(lam, 0, 0)]: field.from_int(lam) for lam in range(p) if lam % p != 0}
-    )
-    alg.generators = [("E", E_gen), ("F", F_gen), ("H", H_gen)] + [
-        (f"1_{lam}", alg.basis_element(index[BasisLabel(lam, 0, 0)])) for lam in range(p)
-    ]
-
     X = list(range(p))
     M = {lam: list(range(p)) for lam in X}
     E = [alg.basis_element(index[BasisLabel(nu, 0, 0)]) for nu in range(p)]

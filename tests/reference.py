@@ -220,11 +220,21 @@ def weight_idempotent_h_poly(lam: int, p: int) -> list:
     return [field.neg(c) for c in poly]
 
 
+def usl2_generators(alg: AlgebraTable) -> list[tuple[str, Element]]:
+    """E, F, H and the weight idempotents 1_lam of u(sl2) over F_p, by name,
+    built from cell-basis labels: E = sum_lam C(lam;0,1), F = sum_lam
+    C(lam;1,0), H = sum_lam lam C(lam;0,0) and 1_lam = C(lam;0,0)."""
+    f = alg.field
+    p = f.p
+    one = {lam: alg.index[BasisLabel(lam, 0, 0)] for lam in range(p)}
+    E = alg.element({alg.index[BasisLabel(lam, 0, 1)]: f.one for lam in range(p)})
+    F = alg.element({alg.index[BasisLabel(lam, 1, 0)]: f.one for lam in range(p)})
+    H = alg.element({i: f.from_int(lam) for lam, i in one.items()})
+    return [("E", E), ("F", F), ("H", H)] + [(f"1_{lam}", alg.basis_element(i)) for lam, i in one.items()]
+
+
 def generator_element(name: str, alg: AlgebraTable) -> Element:
-    for gname, g in alg.generators:
-        if gname == name:
-            return g
-    raise KeyError(name)
+    return dict(usl2_generators(alg))[name]
 
 
 def normal_order(word, alg: AlgebraTable) -> Element:

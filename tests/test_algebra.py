@@ -32,7 +32,7 @@ from relcell.families import build_family
 from relcell.field import QQ
 from relcell.linalg import Echelon, Matrix
 
-from reference import as_matrix, check_action, dense_gram, scale_matrix, table_from_json
+from reference import as_matrix, check_action, dense_gram, scale_matrix, table_from_json, usl2_generators
 
 
 def check_associativity(alg, limit=30, samples=10_000, seed=0):
@@ -269,12 +269,24 @@ def test_module_layer_reads_no_dense_matrix(spec, monkeypatch):
 
 @pytest.mark.parametrize("family", SPARSE_FAMILIES)
 def test_hom_space_matches_dense_reference(family, request):
-    # usl2 registers generators, so its hom spaces take the generator branch
     alg, d = request.getfixturevalue(family)
     modules = cell_and_simple_modules(d)
     for M in modules:
         for N in modules:
             assert dense_homs(M, N) == dense_hom_space(M, N)
+
+
+@pytest.mark.parametrize("family", ["u3", "u5"])
+def test_hom_space_matches_the_generator_equations(family, request):
+    # E, F, H and the 1_lam generate u(sl2): a map commutes with every basis
+    # element exactly when it commutes with each of them
+    alg, d = request.getfixturevalue(family)
+    gens = [g for _, g in usl2_generators(alg)]
+    modules = cell_and_simple_modules(d)
+    acts = [[as_matrix(alg.field, M.dim, M.dim, M.act(g)) for g in gens] for M in modules]
+    for M, acts_M in zip(modules, acts):
+        for N, acts_N in zip(modules, acts):
+            assert dense_homs(M, N) == dense_hom_space(M, N, acts_M, acts_N)
 
 
 def test_dropped_action_is_caught(zigzag_a3):

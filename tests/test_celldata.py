@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcell import celldata
+from relcell import algebra, celldata
 
 from relcell.algebra import AlgebraTable, BasisLabel, hom_space
 from relcell.celldata import (
@@ -19,7 +19,7 @@ from relcell.celldata import (
     chain_order,
     core_subalgebra,
     decomposition_matrix,
-    decomposition_support_ok,
+    decomposition_support_witness,
     int_gram,
     is_semisimple,
     report_dict,
@@ -41,6 +41,7 @@ from reference import (
     matmul,
     reversed_order_datum,
     transpose,
+    usl2_generators,
 )
 
 
@@ -343,13 +344,15 @@ def test_unit_check_fails_only_on_a_missing_unit(zigzag_cycs3, monkeypatch):
 
 
 def test_gram_invariance_form_property(u3, k1):
-    # Phi(a.x, y) == Phi(x, a*.y) on a generator sample
-    for alg, d in (u3, k1):
+    # Phi(a.x, y) == Phi(x, a*.y) on a generator sample: usl2's E, F, H and
+    # 1_lam, and the first basis elements of K_1
+    alg1 = k1[0]
+    basis1 = [(str(lab), alg1.basis_element(i)) for i, lab in enumerate(alg1.basis)]
+    for (alg, d), gens in ((u3, usl2_generators(u3[0])), (k1, basis1)):
         ss = simple_set(d)
         for lam in d.X:
             G = dense_gram(d, lam, ss.grams[lam])
             delta = ss.cell_modules[lam]
-            gens = alg.generators or [(str(lab), alg.basis_element(i)) for i, lab in enumerate(alg.basis)]
             for name, g in gens[:8]:
                 A = as_matrix(alg.field, delta.dim, delta.dim, delta.act(g))
                 B = as_matrix(alg.field, delta.dim, delta.dim, delta.act(g.star()))
@@ -360,7 +363,7 @@ def test_decomposition_support(u3, k1):
     for alg, d in (u3, k1):
         ss = simple_set(d)
         D = decomposition_matrix(d, ss)
-        assert decomposition_support_ok(d, ss, D)
+        assert decomposition_support_witness(d, ss, D) is None
 
 
 def test_decomposition_matrix_checks_the_support(zigzag_a3, monkeypatch):
@@ -369,15 +372,39 @@ def test_decomposition_matrix_checks_the_support(zigzag_a3, monkeypatch):
     D = decomposition_matrix(d, ss)
     assert (d.X, ss.X0) == ([0, 1, 2, 3], [1, 2, 3])
     assert D == [[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    # the factors of rad Phi_mu for mu in X0, and of Delta(0): D less the one L(mu)
+    # that decomposition_matrix counts itself in each row mu in X0
+    kernels = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
     # d[1,2] = 1 moved to d[2,1], across the diagonal; the diagonal stays 1
-    mutant = [row[:] for row in D]
-    mutant[1][1], mutant[2][0] = 0, 1
-    rows = iter(mutant)
+    kernels[1][1], kernels[2][0] = 0, 1
+    rows = iter(kernels)
     monkeypatch.setattr(celldata, "composition_multiplicities", lambda *args: next(rows))
     # without primitives the rank(e*) route is skipped: only the support check sees it
     bare = d._replace(primitive_idempotents={})
-    with pytest.raises(RouteMismatch, match="below it in lam's order"):
+    with pytest.raises(RouteMismatch, match=r"^d\[2,1\] = 1, but 2 is not below 1 in the order of E\[0\]$"):
         decomposition_matrix(bare, ss)
+
+
+def test_decomposition_matrix_asks_few_hom_spaces(monkeypatch):
+    # each radical series starts at rad Phi_mu, and a basis element that acts on a
+    # simple but not on a layer rules the map out with no call; starting at Delta(mu)
+    # and asking every simple on every layer, zigzag:A:40 made 3,200 calls and usl2:p=11 231
+    calls = []
+
+    def counted(M, N):
+        calls.append((M, N))
+        return hom_space(M, N)
+
+    monkeypatch.setattr(algebra, "hom_space", counted)
+    counts = {}
+    for spec in ("zigzag:A:40", "usl2:p=11"):
+        d = build_family(spec)[1]
+        ss = simple_set(d)
+        calls.clear()
+        decomposition_matrix(d, ss)
+        counts[spec] = len(calls)
+    assert counts["zigzag:A:40"] <= 120
+    assert counts["usl2:p=11"] == 30
 
 
 def test_report_schema(k1):
@@ -497,7 +524,7 @@ def test_support_with_parent_idempotents(zigzag_cycs3, k1, k2):
     for alg, d in (zigzag_cycs3, k1, k2):
         ss = simple_set(d)
         D = decomposition_matrix(d, ss)
-        assert decomposition_support_ok(d, ss, D)
+        assert decomposition_support_witness(d, ss, D) is None
 
 
 @pytest.mark.parametrize(
@@ -536,7 +563,7 @@ def test_support_rule_rejects_one_entry_mutants(spec, caught, zeros):
     for r, c in cells:
         mutant = [row[:] for row in D]
         mutant[r][c] = 1
-        rejected += not decomposition_support_ok(d, ss, mutant)
+        rejected += decomposition_support_witness(d, ss, mutant) is not None
     assert (rejected, len(cells)) == (caught, zeros)
 
 
