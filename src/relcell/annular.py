@@ -282,10 +282,7 @@ def build_annular(n: int, field: Field) -> tuple[AlgebraTable, CellDatum]:
         if not orients(S, aw):
             raise AssertionError("anticlockwise weight fails to orient its own diagram")
         E.append(alg.element_from_label(BasisLabel(aw, S, S)))
-    orders = [
-        StrictOrder(X, (lambda S: (lambda a, b: cup_order_less(S, a, b, n)))(S), f"<_{S}")
-        for S in cups
-    ]
+    orders = [StrictOrder(X, (lambda S: (lambda a, b: cup_order_less(S, a, b, n)))(S)) for S in cups]
     eps_index = {(w, S): cup_index[S] for w in X for S in M[w]}
     datum = CellDatum(
         alg=alg,

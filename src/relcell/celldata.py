@@ -67,10 +67,9 @@ class StrictOrder:
     time the relation is needed; from then on a comparison reads one bit.
     """
 
-    def __init__(self, elements: list, less: Callable[[object, object], bool], name: str = ""):
+    def __init__(self, elements: list, less: Callable[[object, object], bool]):
         self.elements = list(elements)
         self._oracle = less
-        self.name = name
         self._bit = {x: 1 << k for k, x in enumerate(self.elements)}
 
     @cached_property
@@ -105,10 +104,10 @@ class StrictOrder:
         return None
 
 
-def chain_order(elements: list, chain: list, name: str = "") -> StrictOrder:
+def chain_order(elements: list, chain: list) -> StrictOrder:
     """Total order with chain[0] smallest."""
     pos = {x: i for i, x in enumerate(chain)}
-    return StrictOrder(elements, lambda a, b: pos[a] < pos[b], name)
+    return StrictOrder(elements, lambda a, b: pos[a] < pos[b])
 
 
 class CellDatum(namedtuple("CellDatum", "alg X M E orders eps_index name primitive_idempotents")):
@@ -340,8 +339,8 @@ def _axiom_d(d: CellDatum) -> str | None:
         for t, T in enumerate(d.M[lam]):
             action, outside = _read_column(d, lam, T)
             eps_T = d.eps_of(lam, T)
-            below, bit = d.orders[eps_T]._mask[lam], d.orders[eps_T]._bit
-            bad = {k for k in outside if not below & bit[(lab := basis[k]).lam] or d.eps_of(lab.lam, lab.T) != eps_T}
+            less = d.orders[eps_T].less
+            bad = {k for k in outside if not less((lab := basis[k]).lam, lam) or d.eps_of(lab.lam, lab.T) != eps_T}
             if bad:
                 i, S, k = next((i, S, k) for i in range(alg.dim) for S in d.M[lam]
                                for k in alg.mult_basis(i, d.label_index(lam, S, T)) if k in bad)
@@ -444,8 +443,9 @@ def decomposition_matrix(d: CellDatum, ss: SimpleSet) -> list[list[int]]:
     """
     simples = [ss.modules[lam] for lam in ss.X0]
     D = [composition_multiplicities(submodule(ss.cell_modules[mu], ss.radicals[mu]), simples) for mu in d.X]
+    row = {mu: ri for ri, mu in enumerate(d.X)}
     for ci, lam in enumerate(ss.X0):
-        ri = d.X.index(lam)
+        ri = row[lam]
         D[ri][ci] += 1  # the head L(lam); one more inside rad Phi_lam fails the check
         if D[ri][ci] != 1:
             raise RouteMismatch(f"d[{lam},{lam}] = {D[ri][ci]} != 1")
@@ -573,13 +573,12 @@ def core_subalgebra(d: CellDatum, eps_idx: int) -> tuple[AlgebraTable, CellDatum
         lam: [S for S in d.M[lam] if d.eps_of(lam, S) == eps_idx]
         for lam in Xc
     }
-    order = d.orders[eps_idx]
     datum = CellDatum(
         alg=core,
         X=Xc,
         M=Mc,
         E=[eps_core],
-        orders=[StrictOrder(Xc, order.less, order.name)],
+        orders=[StrictOrder(Xc, d.orders[eps_idx].less)],
         eps_index={(lam, S): 0 for lam in Xc for S in Mc[lam]},
         name=f"{d.name}-core-eps{eps_idx}",
     )

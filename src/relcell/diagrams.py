@@ -8,12 +8,13 @@ between vertex g and g+1, and gap 0 is the seam).  Arcs are non-crossing
 iff their coverages are nested or disjoint.
 
 Weights are strings over "v" (strand oriented downward at the vertex) and
-"^" (upward).  A circle in a stacked cup/cap diagram is classified by a
-piecewise-linear embedding on the cut-open strip: winding zero circles are
-usual and get anticlockwise/clockwise from the signed area of the lifted
-polyline; winding +-1 circles are essential and rightwards/leftwards by
-drift direction.  The tabulated cup/cap orientation rules are recovered
-as tested properties of this classifier rather than hardcoded.
+"^" (upward).  A circle in a stacked cup/cap diagram is classified on its
+lift to the cut-open strip: winding +-1 circles are essential and
+rightwards/leftwards by the sign of the winding; winding zero circles are
+usual, and anticlockwise exactly when the strand runs down at the leftmost
+lifted vertex (as for planar arc algebras, Brundan and Stroppel 2011).  The
+tabulated cup/cap orientation rules are recovered as tested properties of
+this classifier rather than hardcoded.
 
 The classifier is traced once per circle: circle_table(S, T, n) walks each
 circle of S T* downward from its least vertex and mirrors that trace for the
@@ -175,16 +176,6 @@ def cup_order_less(S: CupDiagram, mu: str, lam: str, n: int) -> bool:
 # --- circle decomposition and the orientation classifier --------------------
 
 
-def _depths(diagram: CupDiagram, n: int) -> dict:
-    """1 + number of arcs strictly contained in each arc's coverage, so
-    outer arcs bulge deeper and nested arcs stay inside them."""
-    out = {}
-    for a in diagram:
-        ga = a.gaps(n)
-        out[a] = 1 + sum(1 for b in diagram if b != a and b.gaps(n) < ga)
-    return out
-
-
 def _arc_displacement(a: Arc, start: int, n: int) -> int:
     if not a.wrap:
         return a.other(start) - start
@@ -192,40 +183,25 @@ def _arc_displacement(a: Arc, start: int, n: int) -> int:
     return -around if start == a.p else around
 
 
-@lru_cache(maxsize=None)
-def _layout(diagram: CupDiagram, n: int) -> tuple:
-    """(the arc at each vertex, the _depths of each arc), read-only: one
-    entry per cup diagram on 2n vertices."""
-    at = {}
-    for a in diagram:
-        at[a.p] = at[a.q] = a
-    return at, _depths(diagram, n)
-
-
 def trace_circle(cups, caps, n, start_vertex, start_dir):
     """Traverse the component through start_vertex; start_dir 'v' goes into
-    the cup first.  Returns (symbols dict, winding, signed area doubled)."""
-    cup_at, cup_depth = _layout(make_cup(cups), n)
-    cap_at, cap_depth = _layout(make_cup(caps), n)
+    the cup first.  Returns (symbols dict, tag).
 
+    The walk lifts the circle to the cut-open strip, where each arc moves x
+    by its displacement.  A circle that winds around the annulus is
+    rightwards or leftwards by the sign of its winding; a contractible one
+    is anticlockwise exactly when it runs down at its leftmost vertex.
+    """
+    cup_at = {v: a for a in cups for v in (a.p, a.q)}
+    cap_at = {v: a for a in caps for v in (a.p, a.q)}
     symbols = {}
-    pts = []
-    x = start_vertex
-    v = start_vertex
-    direction = start_dir
+    x, v, direction = start_vertex, start_vertex, start_dir
+    leftmost = (x, direction)  # no two vertices of a circle share a lifted x
     while True:
         symbols[v] = direction
-        if direction == DOWN:
-            arc = cup_at[v]
-            d = -cup_depth[arc]
-        else:
-            arc = cap_at[v]
-            d = cap_depth[arc]
-        delta = _arc_displacement(arc, v, n)
-        pts.append((x, 0))
-        pts.append((x, d))
-        pts.append((x + delta, d))
-        x = x + delta
+        leftmost = min(leftmost, (x, direction))
+        arc = (cup_at if direction == DOWN else cap_at)[v]
+        x += _arc_displacement(arc, v, n)
         v = arc.other(v)
         direction = UP if direction == DOWN else DOWN
         if v == start_vertex and direction == start_dir:
@@ -233,20 +209,9 @@ def trace_circle(cups, caps, n, start_vertex, start_dir):
     winding, rem = divmod(x - start_vertex, 2 * n)
     if rem != 0:
         raise AssertionError("trace did not close up modulo a full revolution")
-    area2 = 0
-    if winding == 0:
-        closed = pts + [pts[0]]
-        for (x1, y1), (x2, y2) in zip(closed, closed[1:]):
-            area2 += x1 * y2 - x2 * y1
-    return symbols, winding, area2
-
-
-def _tag(winding: int, area2: int) -> str:
-    if winding > 0:
-        return RIGHT
-    if winding < 0:
-        return LEFT
-    return ACW if area2 > 0 else CW
+    if winding:
+        return symbols, RIGHT if winding > 0 else LEFT
+    return symbols, ACW if leftmost[1] == DOWN else CW
 
 
 _MIRROR = {ACW: CW, CW: ACW, LEFT: RIGHT, RIGHT: LEFT}
@@ -260,8 +225,9 @@ def circle_table(S: CupDiagram, T: CupDiagram, n: int) -> tuple:
     (tag, symbols)), where symbols spells the strand directions on the
     circle's vertices in vertex order.  The first entry is trace_circle
     started downward at the least vertex; the second is its mirror, since
-    the circle run backwards flips every symbol and negates both winding
-    and area (anticlockwise <-> clockwise, leftwards <-> rightwards).
+    the circle run backwards flips every symbol (the one at the leftmost
+    vertex too) and negates the winding (anticlockwise <-> clockwise,
+    leftwards <-> rightwards).
     The key is a pair of cup diagrams rather than a basis label or an
     algebra: multiply_labels is a free function that runs without a built
     algebra, and the key domain stays len(enumerate_cup_diagrams(n))**2
@@ -273,10 +239,10 @@ def circle_table(S: CupDiagram, T: CupDiagram, n: int) -> tuple:
     for v in range(1, 2 * n + 1):
         if v in seen:
             continue
-        sym, winding, area2 = trace_circle(S, T, n, v, DOWN)
+        sym, tag = trace_circle(S, T, n, v, DOWN)
         comp = tuple(sorted(sym))
         seen.update(comp)
-        tag, down = _tag(winding, area2), "".join(sym[u] for u in comp)
+        down = "".join(sym[u] for u in comp)
         out.append((comp, (tag, down), (_MIRROR[tag], flip_weight(down))))
     return tuple(out)
 

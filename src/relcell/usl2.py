@@ -142,7 +142,7 @@ def build_usl2(p: int) -> tuple[AlgebraTable, CellDatum]:
 
     # under 1_nu the maximum is nu, then nu+2, nu+4, ... (2 generates F_p)
     assert p > 2
-    orders = [chain_order(X, [(nu + 2 * k) % p for k in range(p - 1, -1, -1)], f"<_1_{nu}") for nu in range(p)]
+    orders = [chain_order(X, [(nu + 2 * k) % p for k in range(p - 1, -1, -1)]) for nu in range(p)]
     eps_index = {(lam, S): (lam - 2 * S) % p for lam in X for S in M[lam]}
     datum = CellDatum(alg=alg, X=X, M=M, E=E, orders=orders, eps_index=eps_index, name=alg.name)
     return alg, datum

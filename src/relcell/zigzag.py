@@ -170,7 +170,7 @@ def _datum_orders_and_eps(spec: QuiverSpec, X, M, alg, vertex_idem):
         for v in spec.vertices():
             one = one + vertex_idem[v]
         E = [one]
-        orders = [chain_order(X, X, "<_1")]
+        orders = [chain_order(X, X)]
         eps_index = {(lam, S): 0 for lam in X for S in M[lam]}
         return E, orders, eps_index
     if spec.variant == CYCLE_SHORT:
@@ -180,8 +180,8 @@ def _datum_orders_and_eps(spec: QuiverSpec, X, M, alg, vertex_idem):
         E = [vertex_idem[1], eps]
         # 2 < 3 < ... < n < 1 under e_1;  1 < 2 < ... < n under eps
         orders = [
-            chain_order(X, list(range(2, n + 1)) + [1], "<_e1"),
-            chain_order(X, list(range(1, n + 1)), "<_eps"),
+            chain_order(X, list(range(2, n + 1)) + [1]),
+            chain_order(X, list(range(1, n + 1))),
         ]
         eps_index = {}
         for lam in X:
@@ -194,7 +194,7 @@ def _datum_orders_and_eps(spec: QuiverSpec, X, M, alg, vertex_idem):
     orders = []
     for i in X:
         chain = [((i - 1 + k) % n) + 1 for k in range(n - 1, -1, -1)]
-        orders.append(chain_order(X, chain, f"<_e{i}"))
+        orders.append(chain_order(X, chain))
     eps_index = {(lam, S): S[0] - 1 for lam in X for S in M[lam]}
     return E, orders, eps_index
 
@@ -262,9 +262,9 @@ def alternate_idempotent_datum(field: Field) -> tuple[AlgebraTable, CellDatum]:
     E = [std.primitive_idempotents[i] for i in X]
     # the three rotated orders: 3 < 1 < 2 under e1, 1 < 2 < 3 under e2, 2 < 3 < 1 under e3
     orders = [
-        chain_order(X, [3, 1, 2], "<_e1"),
-        chain_order(X, [1, 2, 3], "<_e2"),
-        chain_order(X, [2, 3, 1], "<_e3"),
+        chain_order(X, [3, 1, 2]),
+        chain_order(X, [1, 2, 3]),
+        chain_order(X, [2, 3, 1]),
     ]
     eps_index = {(lam, S): S[0] - 1 for lam in X for S in M[lam]}
     datum = CellDatum(

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from relcell.algebra import ZERO_PRODUCT, AlgebraTable, BasisLabel, Element, RepModule, intern_product
 from relcell.celldata import CellDatum, chain_order
-from relcell.diagrams import DOWN, UP, Arc, _tag, clockwise_weight, make_cup, trace_circle
+from relcell.diagrams import ACW, CW, DOWN, LEFT, RIGHT, UP, Arc, _arc_displacement, clockwise_weight, make_cup
 from relcell.families import build_family
 from relcell.field import QQ, Field, PrimeField
 from relcell.linalg import Echelon, Matrix, ShapeMismatch
@@ -172,21 +172,62 @@ def circle_wrapping_parity(cups, caps, comp_vertices) -> int:
     return sum(1 for a in (*cups, *caps) if a.p in verts and a.wrap) % 2
 
 
+def arc_depths(diagram, n: int) -> dict:
+    """1 + number of arcs strictly contained in each arc's coverage, so
+    outer arcs bulge deeper and nested arcs stay inside them."""
+    gaps = {a: a.gaps(n) for a in diagram}
+    return {a: 1 + sum(1 for gb in gaps.values() if gb < ga) for a, ga in gaps.items()}
+
+
+def area_trace_circle(cups, caps, n, start_vertex, start_dir):
+    """diagrams.trace_circle by the area of an embedding: (symbols, tag).
+
+    The circle is drawn as a polyline on the cut-open strip, each cup a box
+    of its arc_depths below the vertex line and each cap one above it.  A
+    circle of winding zero is anticlockwise when its shoelace area is
+    positive; one that winds is rightwards or leftwards by the winding.
+    """
+    cup_at = {v: a for a in cups for v in (a.p, a.q)}
+    cap_at = {v: a for a in caps for v in (a.p, a.q)}
+    cup_depth, cap_depth = arc_depths(cups, n), arc_depths(caps, n)
+    symbols, pts = {}, []
+    x, v, direction = start_vertex, start_vertex, start_dir
+    while True:
+        symbols[v] = direction
+        arc = (cup_at if direction == DOWN else cap_at)[v]
+        d = -cup_depth[arc] if direction == DOWN else cap_depth[arc]
+        delta = _arc_displacement(arc, v, n)
+        pts += [(x, 0), (x, d), (x + delta, d)]
+        x += delta
+        v = arc.other(v)
+        direction = UP if direction == DOWN else DOWN
+        if v == start_vertex and direction == start_dir:
+            break
+    winding, rem = divmod(x - start_vertex, 2 * n)
+    assert rem == 0, "trace did not close up modulo a full revolution"
+    if winding:
+        return symbols, RIGHT if winding > 0 else LEFT
+    closed = pts + pts[:1]
+    area2 = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(closed, closed[1:]))
+    return symbols, ACW if area2 > 0 else CW
+
+
 def classify_circle(cups, caps, n, weight_symbols: dict) -> str:
-    """Tag of one circle given the strand direction at each of its vertices."""
+    """Tag of one circle given the strand direction at each of its vertices,
+    by area_trace_circle."""
     start = min(weight_symbols)
-    sym, winding, area2 = trace_circle(cups, caps, n, start, weight_symbols[start])
+    sym, tag = area_trace_circle(cups, caps, n, start, weight_symbols[start])
     if sym != dict(weight_symbols):
         raise AssertionError("weight does not orient this circle consistently")
-    return _tag(winding, area2)
+    return tag
 
 
 def orient_circle_with_tag(cups, caps, n, tag: str) -> dict:
-    """Vertex symbols giving this circle the requested tag."""
+    """Vertex symbols giving this circle the requested tag, by area_trace_circle."""
     start = min(min(a.p for a in cups), min(a.p for a in caps))
     for d0 in (DOWN, UP):
-        sym, winding, area2 = trace_circle(cups, caps, n, start, d0)
-        if _tag(winding, area2) == tag:
+        sym, got = area_trace_circle(cups, caps, n, start, d0)
+        if got == tag:
             return sym
     raise ValueError(f"circle cannot be oriented {tag}")
 
@@ -375,7 +416,7 @@ def reversed_order_datum(field: Field) -> tuple[AlgebraTable, CellDatum]:
         X=std.X,
         M=std.M,
         E=std.E,
-        orders=[chain_order(std.X, list(reversed(std.X)), "<_1-reversed")],
+        orders=[chain_order(std.X, list(reversed(std.X)))],
         eps_index=std.eps_index,
         name="zigzag:A:3-reversed-order",
     )

@@ -166,7 +166,7 @@ def shape_mutants():
     dropped = {k: a for k, a in d.eps_index.items() if k != key}
     outside = {**d.eps_index, key: len(d.E)}
     last = d.orders[-1]
-    twice = StrictOrder(last.elements + last.elements[:1], last.less, last.name)
+    twice = StrictOrder(last.elements + last.elements[:1], last.less)
     return [
         (d._replace(eps_index=dropped), f"eps_index[{key}] = None is not an index into E"),
         (d._replace(eps_index=outside), f"eps_index[{key}] = {len(d.E)} is not an index into E"),

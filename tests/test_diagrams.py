@@ -18,7 +18,6 @@ from relcell.diagrams import (
     Arc,
     anticlockwise_weight,
     arcs_cross,
-    _tag,
     circle_decomposition_dict,
     circle_table,
     classify_diagram,
@@ -40,6 +39,8 @@ from relcell.diagrams import (
 )
 
 from reference import (
+    arc_depths,
+    area_trace_circle,
     circle_wrapping_parity,
     circles_of,
     classify_circle,
@@ -178,10 +179,26 @@ def test_upward_trace_is_the_mirrored_downward_trace(n):
                 caps = [a for a in T if a.p in comp]
                 traced = []
                 for d0 in (DOWN, UP):
-                    sym, winding, area2 = trace_circle(cups, caps, n, comp[0], d0)
-                    traced.append((_tag(winding, area2), "".join(sym[v] for v in comp)))
+                    sym, tag = trace_circle(cups, caps, n, comp[0], d0)
+                    traced.append((tag, "".join(sym[v] for v in comp)))
                 assert [down, up] == traced
                 assert up == (mirror[down[0]], flip_weight(down[1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_circle_table_tags_equal_the_area_classifier(n):
+    # the leftmost-vertex rule against the signed area of an embedding, on
+    # every circle of every S T* in both orientations
+    traces = 0
+    for S in enumerate_cup_diagrams(n):
+        for T in enumerate_cup_diagrams(n):
+            for comp, *orientations in circle_table(S, T, n):
+                for tag, sym in orientations:
+                    got, want = area_trace_circle(S, T, n, comp[0], sym[0])
+                    assert "".join(got[v] for v in comp) == sym
+                    assert tag == want
+                    traces += 1
+    assert traces == {1: 8, 2: 108, 3: 1504, 4: 21700}[n]
 
 
 CIRCLE_DECOMPOSITION_SHA256 = {
@@ -213,15 +230,8 @@ def test_classify_diagram_rejects_inconsistent_weight():
 
 
 def _any_tag(cups, caps, n):
-    from relcell.diagrams import trace_circle
-
     start = min(min(a.p for a in cups), min(a.p for a in caps))
-    _, winding, area2 = trace_circle(cups, caps, n, start, DOWN)
-    if winding > 0:
-        return RIGHT
-    if winding < 0:
-        return LEFT
-    return ACW if area2 > 0 else CW
+    return trace_circle(cups, caps, n, start, DOWN)[1]
 
 
 # --- independent validation of the cup/cap orientation tables ----------------
@@ -252,21 +262,17 @@ def _covers(a: Arc, x: Fraction, n: int) -> bool:
 
 def deeper_cover_parity(arc: Arc, same_half: list, n: int) -> int:
     """Number of strictly deeper arcs of the same half over the probe point."""
-    from relcell.diagrams import _depths
-
-    depths = _depths(make_cup(same_half), n)
+    depths = arc_depths(same_half, n)
     x = _inside_point_of(arc, n)
     d = depths[arc]
     return sum(1 for b in same_half if depths[b] > d and _covers(b, x, n)) % 2
 
 
 def _circle_orientations(cups, caps, n):
-    from relcell.diagrams import trace_circle
-
     start = min(min(a.p for a in cups), min(a.p for a in caps))
     out = []
     for d0 in (DOWN, UP):
-        sym, _, _ = trace_circle(cups, caps, n, start, d0)
+        sym, _ = trace_circle(cups, caps, n, start, d0)
         out.append(sym)
     return out
 
